@@ -78,6 +78,23 @@ def _parse_diagram(text: str) -> YoungDiagram:
     return YoungDiagram(tuple(rows))
 
 
+def _parse_label(p: Params, text: str) -> YoungDiagram:
+    """A diagram that must be a simple label of the category; anything
+    else is a domain error, as in `fusion`."""
+    d = _parse_diagram(text)
+    if d not in labels(p):
+        raise ValueError(f"{d.rows} is not a label of the category")
+    return d
+
+
+def _strands_or_size(args, d: YoungDiagram) -> int:
+    if args.strands is None:
+        return d.size
+    if args.strands < 0:
+        raise UsageError("--strands must be nonnegative")
+    return args.strands
+
+
 def _parse_braid(word: str, strands: int | None) -> BraidWord:
     letters = []
     for t in word.split():
@@ -196,13 +213,13 @@ def _cmd_dagger(p: Params, args):
 
 def _cmd_branch(p: Params, args):
     d = _parse_diagram(args.diagram)
-    n = args.strands if args.strands is not None else d.size
+    n = _strands_or_size(args, d)
     return [list(b.rows) for b in branch(p, n, d)], 0
 
 
 def _cmd_paths(p: Params, args):
     d = _parse_diagram(args.diagram)
-    n = args.strands if args.strands is not None else d.size
+    n = _strands_or_size(args, d)
     return {"n": n, "diagram": list(d.rows), "count": path_count(p, n, d)}, 0
 
 
@@ -266,6 +283,8 @@ def _cmd_blocks(p: Params, args):
 def _cmd_fusion(p: Params, args):
     if args.table:
         cap = args.max_strands
+        if cap is not None and cap < 0:
+            raise UsageError("--max-strands must be nonnegative")
 
         def compute():
             return fusion_table(p, cap).to_json()
@@ -287,7 +306,7 @@ def _cmd_fusion(p: Params, args):
 
 
 def _cmd_qdim(p: Params, args):
-    d = _parse_diagram(args.diagram)
+    d = _parse_label(p, args.diagram)
 
     def compute():
         return _scalar_json(qdim(p, d))
@@ -296,7 +315,7 @@ def _cmd_qdim(p: Params, args):
 
 
 def _cmd_twist(p: Params, args):
-    d = _parse_diagram(args.diagram)
+    d = _parse_label(p, args.diagram)
 
     def compute():
         return _scalar_json(twist(p, d))

@@ -315,21 +315,22 @@ def sigma_element(p: Params, n: int, i: int, sign: int = 1) -> HeckeElement:
 
 
 def from_braid(p: Params, b: BraidWord) -> HeckeElement:
-    """Image of a braid word under sigma_i -> -q^(-(N-1)/2N) T_{s_i}."""
+    """Image of a braid word under sigma_i -> -q^(-(N-1)/2N) T_{s_i}.
+
+    The word is expanded in bare generators T_{s_i}^(+/-1); the
+    normalisation, (-1)^len zeta^((1-N) #pos + (N-1) #neg), is applied
+    once at the end."""
     n = b.strands
     tbl = perm_table(n)
     terms = {0: p.one}
-    neg_pos = -p.zeta_pow(1 - p.N)
-    neg_neg = -p.zeta_pow(p.N - 1)
     for e in reversed(b.word):
-        i = abs(e) - 1
-        if e > 0:
-            terms = _lmul_gen(p, tbl, terms, i)
-            terms = {w: c * neg_pos for w, c in terms.items()}
-        else:
-            terms = _lmul_gen(p, tbl, terms, i, inverse=True)
-            terms = {w: c * neg_neg for w, c in terms.items()}
-    return HeckeElement(p, n, terms)
+        terms = _lmul_gen(p, tbl, terms, abs(e) - 1, inverse=e < 0)
+    npos = sum(1 for e in b.word if e > 0)
+    nneg = len(b.word) - npos
+    c = p.zeta_pow((1 - p.N) * npos + (p.N - 1) * nneg)
+    if len(b.word) % 2:
+        c = -c
+    return HeckeElement(p, n, {w: v * c for w, v in terms.items()})
 
 
 def e_idempotent(p: Params, n: int, i: int) -> HeckeElement:

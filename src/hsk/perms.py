@@ -4,7 +4,8 @@ Permutations of {0, ..., n-1} are stored in one-line notation and
 addressed by their index in a fixed enumeration sorted by Coxeter length
 then lexicographic order.  The table carries, for every permutation, its
 length, one reduced word, and the index of the product with each simple
-transposition on either side.  Intended for the desk scale n <= 7."""
+transposition on either side.  Intended for the desk scale
+n <= 8 (``trace.TRACE_LIMIT``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -461,9 +461,12 @@ def qint(p: Params, j: int) -> Scalar:
     """Quantum integer [j] = q^((j-1)/2) + q^((j-3)/2) + ... + q^(-(j-1)/2).
 
     [j] vanishes exactly when N+K divides j; in particular [N+K] = 0 and
-    [j] is invertible for 1 <= j < N+K."""
+    [j] is invertible for 1 <= j < N+K.  Since q^(1/2) has order 2(N+K),
+    [j + 2(N+K)] = [j], so j is reduced first and the sum has fewer
+    than 2(N+K) terms."""
     if j < 0:
         raise ValueError("quantum integer of negative argument")
+    j %= 2 * (p.N + p.K)
     acc = p.zero
     for t in range(j):
         acc = acc + p.q_half_pow(j - 1 - 2 * t)

@@ -15,14 +15,22 @@ shapes vanish.  On generators it pins
 
     Tr(T_{s_i}) = zeta_T = q - (q+1) eta = (q - 1)/(1 - q^N).
 
-Traces of basis elements are computed by the normal-form recursion:
-write w in S_n as w = u.(s_{n-1} s_{n-2} ... s_k) with u in S_{n-1};
-then
+Traces of basis elements are computed class by class (Geck and
+Pfeiffer, "On the irreducible characters of Hecke algebras", Adv. Math.
+102 (1993)).  Since Tr is a trace, Tr(T_w) = Tr(T_{sws}) whenever
+l(sws) = l(w), so Tr(T_w) is constant on the cyclic-shift classes of
+S_n: the classes of the relation joining w and sws at equal length.
+If a class has a member w and a simple s with l(sws) = l(w) - 2, then
+T_w = T_s T_{sws} T_s and the quadratic relation gives
 
-    Tr(T_w) = zeta_T . Tr(T_u T_{s_{n-2}} ... T_{s_k}),
+    Tr(T_w) = (q-1) Tr(T_{ws}) + q Tr(T_{sws}),
 
-where the right-hand product is expanded in H_{n-1} and the recursion
-bottoms out at n = 1.
+two traces of shorter elements.  Otherwise, by Geck-Pfeiffer, the class
+consists of elements of minimal length in their conjugacy class; these
+are products of n - c distinct generators, c the number of cycles, and
+the Markov property gives Tr(T_w) = zeta_T^(n - c).  The whole vector
+over S_n thus costs O(n! n) integer work and at most two scalar
+products per class.
 
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the
@@ -37,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hecke import BraidWord, HeckeElement, _rmul_gen, from_braid
+from .hecke import BraidWord, HeckeElement, from_braid
 from .linalg import hermitian_min_eigenvalue, rref
 from .perms import perm_table
 from .scalar import Params, Scalar, qint
@@ -84,32 +92,66 @@ def eta(p: Params) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _trace_vector(p: Params, n: int) -> tuple[Scalar, ...]:
-    """Tr(T_w) for every w in S_n, indexed like perm_table(n)."""
+    """Tr(T_w) for every w in S_n, indexed like perm_table(n).
+
+    The table enumerates S_n by length, so each cyclic-shift class is
+    met first at its smallest index and every class it reduces to is
+    already valued.  A class is collected by a search over the
+    length-preserving conjugations w -> s_i w s_i; on the way, the first
+    member with l(s_i w s_i) = l(w) - 2 fixes its value from the classes
+    of w s_i and s_i w s_i.  A class without such a member has minimal
+    length in its conjugacy class and the value zeta_T^(n - cycles)."""
     if n <= 1:
         return (p.one,)
     tbl = perm_table(n)
-    sub = perm_table(n - 1)
-    prev = _trace_vector(p, n - 1)
+    rm, lm, ln = tbl.rmul, tbl.lmul, tbl.length
+    q = p.q
+    qm1 = q - 1
     zt = trace_parameter(p)
-    out: list[Scalar] = []
+    zt_pow = [p.one]
+    for _ in range(n - 1):
+        zt_pow.append(zt_pow[-1] * zt)
+    cls = [-1] * tbl.size
+    vals: list[Scalar] = []
     for w in range(tbl.size):
-        pw = tbl.perms[w]
-        j = pw.index(n - 1)
-        if j == n - 1:
-            out.append(prev[sub.index[pw[:-1]]])
+        if cls[w] >= 0:
             continue
-        # w = v.(s_{n-2} ... s_j) with v in S_{n-1} (generators 0-based):
-        # v is w with the value n deleted from position j.  Peel the top
-        # generator by the Markov property and expand the remaining
-        # descending chain in H_{n-1}.
-        terms = {sub.index[pw[:j] + pw[j + 1:]]: p.one}
-        for i in range(n - 3, j - 1, -1):
-            terms = _rmul_gen(p, sub, terms, i)
-        acc = p.zero
-        for u, c in terms.items():
-            acc = acc + c * prev[u]
-        out.append(zt * acc)
-    return tuple(out)
+        c = len(vals)
+        cls[w] = c
+        lw = ln[w]
+        shorter = None
+        stack = [w]
+        while stack:
+            u = stack.pop()
+            for i in range(n - 1):
+                us = rm[u][i]
+                v = lm[us][i]
+                lv = ln[v]
+                if lv == lw:
+                    if cls[v] < 0:
+                        cls[v] = c
+                        stack.append(v)
+                elif lv < lw and shorter is None:
+                    shorter = (us, v)
+        if shorter is not None:
+            us, v = shorter
+            vals.append(qm1 * vals[cls[us]] + q * vals[cls[v]])
+        else:
+            vals.append(zt_pow[n - _cycle_count(tbl.perms[w])])
+    return tuple(vals[c] for c in cls)
+
+
+def _cycle_count(w: tuple[int, ...]) -> int:
+    seen = [False] * len(w)
+    count = 0
+    for start in range(len(w)):
+        if not seen[start]:
+            count += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = w[j]
+    return count
 
 
 def markov_trace(p: Params, x: HeckeElement) -> Scalar:

@@ -7,6 +7,7 @@ words, missing arguments, out-of-range verify bounds)."""
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -225,6 +226,31 @@ class TestExitCodes:
     def test_bad_rank(self, capsys):
         code, _, err = run_cli(capsys, "labels", "--N", "1", "--K", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("cmd", ["qdim", "twist"])
+    def test_non_label_is_domain_error(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd, "1,1", "--N", "2", "--K", "2")
+        assert code == 1 and out == ""
+        assert err == "error: (1, 1) is not a label of the category\n"
+
+    @pytest.mark.parametrize("cmd", ["paths", "branch"])
+    def test_negative_strands_is_usage_error(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd, "1", "--N", "2", "--K", "2", "--strands", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error")
+
+    def test_negative_table_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fusion", "--table", "--max-strands", "-3", "--N", "2", "--K", "2"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error")
+
+    def test_huge_qint_is_bounded(self, capsys):
+        start = time.perf_counter()
+        got = run_json(capsys, "qint", "99999999", "--N", "2", "--K", "2")
+        assert time.perf_counter() - start < 1.0
+        assert got == run_json(capsys, "qint", str(99999999 % 8), "--N", "2", "--K", "2")
 
     def test_malformed_diagram_is_usage_error(self, capsys):
         # non-decreasing rows are a syntax problem, not a domain one

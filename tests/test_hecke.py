@@ -86,6 +86,18 @@ class TestBraidLift:
             rhs = HeckeElement.identity(p, 2).scale(p.q_half_pow(-1) - p.q_half_pow(1))
             assert lhs == rhs
 
+    def test_from_braid_is_product_of_sigmas(self):
+        rng = Random(11)
+        for p in (Params(2, 2), Params(3, 2)):
+            for n in range(3, 7):
+                for _ in range(3):
+                    word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                 for _ in range(rng.randint(0, 6)))
+                    prod = HeckeElement.identity(p, n)
+                    for e in word:
+                        prod = prod * sigma_element(p, n, abs(e), 1 if e > 0 else -1)
+                    assert from_braid(p, BraidWord(n, word)) == prod, (n, word)
+
     def test_word_letter_bounds(self):
         with pytest.raises(ValueError):
             BraidWord(2, (2,))

@@ -147,6 +147,15 @@ class TestQuantumIntegers:
                 den = p.q_half_pow(1) - p.q_half_pow(-1)
                 assert qint(p, j) * den == num
 
+    def test_periodic_reduction_matches_plain_sum(self):
+        # q^(1/2) has order 2(N+K), so qint reduces j before summing
+        for p in PARAMS:
+            for j in range(4 * (p.N + p.K)):
+                plain = p.zero
+                for t in range(j):
+                    plain = plain + p.q_half_pow(j - 1 - 2 * t)
+                assert qint(p, j) == plain
+
     def test_factorials(self):
         p = Params(3, 2)
         assert qfact(p, 0) == p.one

@@ -38,8 +38,9 @@ from hsk import (
     tensor_embed,
     trace_parameter,
 )
-from hsk.hecke import random_element
-from hsk.trace import CURL_MATCH_SIGN
+from hsk.hecke import _rmul_gen, random_element
+from hsk.perms import perm_table
+from hsk.trace import CURL_MATCH_SIGN, _trace_vector
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
@@ -126,6 +127,60 @@ class TestMarkovAxioms:
         p = Params(2, 1)
         with pytest.raises(ValueError):
             markov_trace(p, HeckeElement.identity(p, TRACE_LIMIT + 1))
+
+
+def _trace_vector_oracle(p, n, memo=None):
+    """Tr(T_w) over S_n by the normal-form recursion: w = v.(s_{n-2} ...
+    s_j) with v in S_{n-1}; peel the top generator by the Markov
+    property and expand the remaining descending chain in H_{n-1}."""
+    memo = {} if memo is None else memo
+    if n <= 1:
+        return (p.one,)
+    if n in memo:
+        return memo[n]
+    tbl, sub = perm_table(n), perm_table(n - 1)
+    prev = _trace_vector_oracle(p, n - 1, memo)
+    zt = trace_parameter(p)
+    out = []
+    for pw in tbl.perms:
+        j = pw.index(n - 1)
+        if j == n - 1:
+            out.append(prev[sub.index[pw[:-1]]])
+            continue
+        terms = {sub.index[pw[:j] + pw[j + 1:]]: p.one}
+        for i in range(n - 3, j - 1, -1):
+            terms = _rmul_gen(p, sub, terms, i)
+        acc = p.zero
+        for u, c in terms.items():
+            acc = acc + c * prev[u]
+        out.append(zt * acc)
+    memo[n] = tuple(out)
+    return memo[n]
+
+
+class TestTraceVector:
+    @pytest.mark.parametrize(
+        "N,K,nmax",
+        [(2, 2, 7), (3, 2, 7), (2, 1, 6), (3, 1, 6), (2, 3, 6), (4, 1, 6)],
+    )
+    def test_class_recursion_matches_normal_form(self, N, K, nmax):
+        p = Params(N, K)
+        memo = {}
+        for n in range(1, nmax + 1):
+            assert _trace_vector(p, n) == _trace_vector_oracle(p, n, memo), n
+
+    def test_inverse_invariance_at_strand_limit(self):
+        # Tr(T_w) = Tr(T_{w^-1}): an independent check at n = 8, where
+        # the oracle is too slow
+        p = Params(2, 2)
+        n = TRACE_LIMIT
+        tbl = perm_table(n)
+        vec = _trace_vector(p, n)
+        for w, pw in enumerate(tbl.perms):
+            inv = [0] * n
+            for i, x in enumerate(pw):
+                inv[x] = i
+            assert vec[w] == vec[tbl.index[tuple(inv)]]
 
 
 class TestPairing:
