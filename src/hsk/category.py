@@ -544,6 +544,11 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
             for i in range(size):
                 for j in range(size):
                     handle[i][j] += sum(m1[i][k] * m2[k][j] for k in range(size))
-        for _ in range(genus):
-            vec = [sum(handle[i][j] * vec[i] for i in range(size)) for j in range(size)]
+        while genus:
+            if genus & 1:
+                vec = [sum(handle[i][j] * vec[i] for i in range(size)) for j in range(size)]
+            genus >>= 1
+            if genus:
+                handle = [[sum(handle[i][k] * handle[k][j] for k in range(size))
+                           for j in range(size)] for i in range(size)]
     return vec[index[YoungDiagram.of()]]

@@ -27,6 +27,10 @@ same relation with the right-hand side negated; it is not used here.
 
 ``star`` is the conjugate-linear anti-automorphism fixing every e_i: it
 conjugates coefficients and sends each T_w to its algebra inverse.
+
+Braid words are expanded in bare generators T_{s_i}^(+/-1) over the
+subfield Q(q); ``from_braid`` embeds the expansion in the ambient field
+and applies the normalisation, and closures trace before embedding.
 """
 from __future__ import annotations
 
@@ -214,12 +218,14 @@ def _acc(d: dict[int, Scalar], w: int, c: Scalar):
 
 def _lmul_gen(p: Params, tbl: PermTable, terms: dict[int, Scalar], i: int,
               inverse: bool = False) -> dict[int, Scalar]:
-    """Left multiply a term dict by T_{s_i} or its inverse."""
+    """Left multiply a term dict by T_{s_i} or its inverse, with q in
+    the field of the coefficients."""
     out: dict[int, Scalar] = {}
+    field = next(iter(terms.values())).field if terms else p.field
     lm = tbl.lmul
     ln = tbl.length
     if not inverse:
-        q = p.q
+        q = p.q_pow_in(field, 1)
         qm1 = q - 1
         for w, c in terms.items():
             sw = lm[w][i]
@@ -229,7 +235,7 @@ def _lmul_gen(p: Params, tbl: PermTable, terms: dict[int, Scalar], i: int,
                 _acc(out, w, c * qm1)
                 _acc(out, sw, c * q)
     else:
-        qi = p.q_pow(-1)
+        qi = p.q_pow_in(field, -1)
         qim1 = qi - 1
         for w, c in terms.items():
             sw = lm[w][i]
@@ -314,23 +320,27 @@ def sigma_element(p: Params, n: int, i: int, sign: int = 1) -> HeckeElement:
     return HeckeElement(p, n, dict(_basis_inverse(p, n, si))).scale(c)
 
 
-def from_braid(p: Params, b: BraidWord) -> HeckeElement:
-    """Image of a braid word under sigma_i -> -q^(-(N-1)/2N) T_{s_i}.
-
-    The word is expanded in bare generators T_{s_i}^(+/-1); the
-    normalisation, (-1)^len zeta^((1-N) #pos + (N-1) #neg), is applied
-    once at the end."""
-    n = b.strands
-    tbl = perm_table(n)
-    terms = {0: p.one}
+def _braid_expansion(p: Params, b: BraidWord) -> dict[int, Scalar]:
+    """The braid word in bare generators T_{s_i}^(+/-1), over Q(q)."""
+    tbl = perm_table(b.strands)
+    terms = {0: Scalar.from_rational(p.subfield, 1)}
     for e in reversed(b.word):
         terms = _lmul_gen(p, tbl, terms, abs(e) - 1, inverse=e < 0)
+    return terms
+
+
+def _braid_normalisation(p: Params, b: BraidWord) -> Scalar:
+    """(-1)^len zeta^((1-N) #pos + (N-1) #neg), braid word over bare word."""
     npos = sum(1 for e in b.word if e > 0)
     nneg = len(b.word) - npos
     c = p.zeta_pow((1 - p.N) * npos + (p.N - 1) * nneg)
-    if len(b.word) % 2:
-        c = -c
-    return HeckeElement(p, n, {w: v * c for w, v in terms.items()})
+    return -c if len(b.word) % 2 else c
+
+
+def from_braid(p: Params, b: BraidWord) -> HeckeElement:
+    """Image of a braid word under sigma_i -> -q^(-(N-1)/2N) T_{s_i}."""
+    c = _braid_normalisation(p, b)
+    return HeckeElement(p, b.strands, {w: p.lift(v) * c for w, v in _braid_expansion(p, b).items()})
 
 
 def e_idempotent(p: Params, n: int, i: int) -> HeckeElement:

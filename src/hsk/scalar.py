@@ -1,11 +1,17 @@
 """Exact arithmetic in the cyclotomic field carrying all scalars of the
-theory with parameters (N, K).
+theory with parameters (N, K), and in its subfield Q(q).
 
 zeta denotes the primitive m-th root of unity exp(2*pi*i/m) with
 m = 2*N*(N+K).  The deformation parameter q = exp(2*pi*i/(N+K)) and the
 fractional powers the skein relations need are monomials in zeta:
 
     q = zeta^(2N),    q^(1/2) = zeta^N,    q^(1/2N) = zeta.
+
+Q(q) = Q(zeta_{N+K}), with phi(N+K) coefficients, carries what involves
+q alone (Hecke relations, traces of the T_w).  It is Q(zeta_{m'}) with
+m' = N+K or 2(N+K), whichever is even: phi(m') <= m'/2 keeps products
+inside the reduction table.  ``Params.lift`` embeds it, zeta_{m'} ->
+zeta^(m/m').
 
 A scalar is a polynomial in zeta with rational coefficients, reduced
 modulo the m-th cyclotomic polynomial Phi_m.  It is stored as an integer
@@ -401,8 +407,8 @@ def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
 class Params:
     """Parameters of the theory: rank N >= 2 and level K >= 1.
 
-    Fixes q = exp(2*pi*i/(N+K)) and the ambient cyclotomic field
-    Q(zeta_m) with m = 2N(N+K)."""
+    Fixes q = exp(2*pi*i/(N+K)), the ambient cyclotomic field
+    Q(zeta_m) with m = 2N(N+K) and its subfield Q(q)."""
 
     N: int
     K: int
@@ -425,6 +431,24 @@ class Params:
     def field(self) -> _Field:
         return _field(self.m)
 
+    @property
+    def subfield(self) -> _Field:
+        """Q(q), with the even modulus N+K or 2(N+K)."""
+        M = self.N + self.K
+        return _field(M if M % 2 == 0 else 2 * M)
+
+    def lift(self, x: Scalar) -> Scalar:
+        """Embed a scalar of Q(q) in the ambient field (q -> zeta^(2N))."""
+        if self.m % x.field.m:
+            raise ValueError("scalar is not in a subfield of the ambient field")
+        field, step = self.field, self.m // x.field.m
+        out = [0] * field.phi
+        for j, a in enumerate(x.num):
+            if a:
+                for t, c in enumerate(field.red[j * step]):
+                    out[t] += a * c
+        return Scalar._make(field, out, x.den)
+
     # -- scalar constructors -----------------------------------------
 
     def scalar(self, x: Fraction | int) -> Scalar:
@@ -444,6 +468,10 @@ class Params:
 
     def q_pow(self, k: int) -> Scalar:
         return self.zeta_pow(2 * self.N * k)
+
+    def q_pow_in(self, field: _Field, k: int) -> Scalar:
+        """q^k in the ambient field or in the subfield Q(q)."""
+        return Scalar.zeta_power(field, k * (field.m // (self.N + self.K)))
 
     def q_half_pow(self, k: int) -> Scalar:
         """q^(k/2)."""

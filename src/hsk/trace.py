@@ -32,6 +32,11 @@ the Markov property gives Tr(T_w) = zeta_T^(n - c).  The whole vector
 over S_n thus costs O(n! n) integer work and at most two scalar
 products per class.
 
+All of this involves q alone, so trace values lie in Q(q).  A closure
+traces the bare Q(q) expansion of its word and embeds the one result
+before the braid normalisation and [N]^n; ``markov_trace`` and Gram
+row 0 use the embedded vector.
+
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the
 curl scalar curl(+/-1), and the two curl scalars are exactly mutually
@@ -45,9 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hecke import BraidWord, HeckeElement, from_braid
+from .hecke import BraidWord, HeckeElement, _braid_expansion, _braid_normalisation
 from .linalg import hermitian_min_eigenvalue, rref
-from .perms import perm_table
+from .perms import TRACE_LIMIT, perm_table
 from .scalar import Params, Scalar, qint
 
 __all__ = [
@@ -67,9 +72,8 @@ __all__ = [
     "curl_scalar",
 ]
 
-# Largest n for full n! x n! Gram computations, and for single traces.
+# Largest n for full n! x n! Gram computations (TRACE_LIMIT: see perms).
 GRAM_LIMIT = 6
-TRACE_LIMIT = 8
 
 # The crossing sign whose curl scalar equals the framing factor
 # q^((N^2-1)/2N); see curl_scalar.
@@ -92,7 +96,8 @@ def eta(p: Params) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _trace_vector(p: Params, n: int) -> tuple[Scalar, ...]:
-    """Tr(T_w) for every w in S_n, indexed like perm_table(n).
+    """Tr(T_w) for every w in S_n, indexed like perm_table(n), with
+    values in the subfield Q(q).
 
     The table enumerates S_n by length, so each cyclic-shift class is
     met first at its smallest index and every class it reduces to is
@@ -101,14 +106,15 @@ def _trace_vector(p: Params, n: int) -> tuple[Scalar, ...]:
     member with l(s_i w s_i) = l(w) - 2 fixes its value from the classes
     of w s_i and s_i w s_i.  A class without such a member has minimal
     length in its conjugacy class and the value zeta_T^(n - cycles)."""
+    one = Scalar.from_rational(p.subfield, 1)
     if n <= 1:
-        return (p.one,)
+        return (one,)
     tbl = perm_table(n)
     rm, lm, ln = tbl.rmul, tbl.lmul, tbl.length
-    q = p.q
+    q = p.q_pow_in(p.subfield, 1)
     qm1 = q - 1
-    zt = trace_parameter(p)
-    zt_pow = [p.one]
+    zt = qm1 * (1 - p.q_pow_in(p.subfield, p.N)).inverse()  # trace_parameter in Q(q)
+    zt_pow = [one]
     for _ in range(n - 1):
         zt_pow.append(zt_pow[-1] * zt)
     cls = [-1] * tbl.size
@@ -154,12 +160,19 @@ def _cycle_count(w: tuple[int, ...]) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def _ambient_trace_vector(p: Params, n: int) -> tuple[Scalar, ...]:
+    """_trace_vector embedded in the ambient field, each value once."""
+    lifted = {v: p.lift(v) for v in set(_trace_vector(p, n))}
+    return tuple(lifted[v] for v in _trace_vector(p, n))
+
+
 def markov_trace(p: Params, x: HeckeElement) -> Scalar:
     if x.p != p:
         raise ValueError("element parameters do not match")
     if x.n > TRACE_LIMIT:
         raise ValueError(f"trace limited to {TRACE_LIMIT} strands")
-    vec = _trace_vector(p, max(x.n, 1))
+    vec = _ambient_trace_vector(p, max(x.n, 1))
     acc = p.zero
     for w, c in x.terms.items():
         acc = acc + c * vec[w]
@@ -190,7 +203,7 @@ def gram_bilinear(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
     tbl = perm_table(n)
     q = p.q
     qm1 = q - 1
-    rows: list[tuple[Scalar, ...]] = [tuple(_trace_vector(p, max(n, 1)))]
+    rows: list[tuple[Scalar, ...]] = [_ambient_trace_vector(p, max(n, 1))]
     for u in range(1, tbl.size):
         i = next(i for i in range(n - 1) if tbl.length[tbl.rmul[u][i]] < tbl.length[u])
         parent = rows[tbl.rmul[u][i]]
@@ -219,7 +232,7 @@ def gram_hermitian(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
     tbl = perm_table(n)
     qi = p.q_pow(-1)
     qim1 = qi - 1
-    rows: list[tuple[Scalar, ...]] = [tuple(_trace_vector(p, max(n, 1)))]
+    rows: list[tuple[Scalar, ...]] = [_ambient_trace_vector(p, max(n, 1))]
     for v in range(1, tbl.size):
         i = next(i for i in range(n - 1) if tbl.length[tbl.rmul[v][i]] < tbl.length[v])
         parent = rows[tbl.rmul[v][i]]
@@ -329,8 +342,16 @@ def _nullspace_from_rref(p: Params, red, piv, ncols):
 def closure_invariant(p: Params, b: BraidWord) -> Scalar:
     """Invariant of the closed braid in the skein normalisation where
     the trivial n-braid closes to [N]^n."""
-    x = from_braid(p, b)
-    return loop_power(p, b.strands) * markov_trace(p, x)
+    return loop_power(p, b.strands) * _braid_trace(p, b)
+
+
+def _braid_trace(p: Params, b: BraidWord) -> Scalar:
+    """Tr(from_braid(p, b)), traced in Q(q) and embedded once."""
+    vec = _trace_vector(p, b.strands)
+    acc = Scalar.from_rational(p.subfield, 0)
+    for w, c in _braid_expansion(p, b).items():
+        acc = acc + c * vec[w]
+    return p.lift(acc) * _braid_normalisation(p, b)
 
 
 def loop_power(p: Params, n: int) -> Scalar:

@@ -417,6 +417,31 @@ class TestModularFunctor:
     def test_genus_two(self):
         assert mf_dim(Params(2, 1), 2, ()) == 4
 
+    @pytest.mark.parametrize("N,K", [(2, 1), (3, 1)])
+    def test_repeated_squaring_matches_handle_by_handle(self, N, K):
+        p = Params(N, K)
+        labs = labels(p)
+        size = len(labs)
+        handle = [[0] * size for _ in range(size)]
+        for mu in labs:
+            m1, m2 = fusion_matrix(p, mu), fusion_matrix(p, dagger(p, mu))
+            for i in range(size):
+                for j in range(size):
+                    handle[i][j] += sum(m1[i][k] * m2[k][j] for k in range(size))
+        for marked in ((), (labs[1], dagger(p, labs[1]))):
+            vec = [0] * size
+            vec[0] = 1
+            for d in marked:
+                mat = fusion_matrix(p, d)
+                vec = [sum(mat[i][j] * vec[i] for i in range(size)) for j in range(size)]
+            for genus in range(9):
+                assert mf_dim(p, genus, marked) == vec[0], (genus, marked)
+                vec = [sum(handle[i][j] * vec[i] for i in range(size)) for j in range(size)]
+
+    def test_large_genus_is_fast(self):
+        # the Verlinde count for the semion theory: 2^g on a closed surface
+        assert mf_dim(Params(2, 1), 200000, ()) == 2 ** 200000
+
     def test_rejects_bad_inputs(self):
         p = Params(2, 2)
         with pytest.raises(ValueError):

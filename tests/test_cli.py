@@ -252,6 +252,25 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert got == run_json(capsys, "qint", str(99999999 % 8), "--N", "2", "--K", "2")
 
+    @pytest.mark.parametrize("argv", [
+        ["jw", "--strands", "9", "--kind", "sym"],
+        ["yidem", "9"],
+        ["qdim", "3,3,3"],
+    ])
+    def test_nine_strand_constructions_fail_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--N", "5", "--K", "5")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err == "error: permutation tables are limited to 8 strands\n"
+
+    def test_genus_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "mfdim", "--N", "2", "--K", "1", "--genus", "1001")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error")
+        got = run_json(capsys, "mfdim", "--N", "2", "--K", "1", "--genus", "1000")
+        assert got["dim"] == 2 ** 1000
+
     def test_malformed_diagram_is_usage_error(self, capsys):
         # non-decreasing rows are a syntax problem, not a domain one
         code, _, _ = run_cli(capsys, "qdim", "1,2", "--N", "2", "--K", "2")

@@ -1,0 +1,120 @@
+"""Golden CLI output: stdout and exit code of a fixed command set, byte
+for byte.
+
+``golden_cli.json`` holds the output of every command below as printed
+by a known-good build.  Any change to an exact result, to its JSON
+layout or to an exit code shows up here as a mismatch.  Each command
+runs in-process through ``cli.main`` with a fresh, empty disk cache, so
+every result is computed rather than read back.
+
+To re-capture the file from a trusted checkout (never from the change
+under test), run ``PYTHONPATH=src python tests/test_golden_cli.py``.
+"""
+
+import json
+import os
+import sys
+
+from hsk.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+
+THEORIES = {(2, 2): ["", "1", "2"], (3, 2): ["", "1", "2", "1,1", "2,1", "2,2"]}
+
+
+def _full_twist(n: int, sign: int = 1) -> str:
+    half = [i for k in range(2, n + 1) for i in range(k - 1, 0, -1)]
+    return " ".join(str(sign * i) for i in half + half)
+
+
+# (strands, word) pairs for closure and trace: full twists and their
+# inverses on 5-7 strands, and mixed-sign words up to the 8-strand limit.
+# The 7-strand inverse full twist costs seconds at (3,2), so only its
+# closure is run there.
+BRAIDS = [
+    (5, _full_twist(5)),
+    (5, _full_twist(5, -1)),
+    (6, _full_twist(6)),
+    (6, _full_twist(6, -1)),
+    (7, _full_twist(7)),
+    (7, _full_twist(7, -1)),
+    (5, "1 -2 3 -4 1 2"),
+    (6, "2 -1 3 5 -4 -2 1"),
+    (7, "1 2 3 4 5 6 -1 -3 -5"),
+    (8, "1 -2 3 -4 5 -6 7 -1 2"),
+    (8, "7 6 5 4 3 2 1 -3 -5 -7"),
+]
+
+
+def commands() -> list[list[str]]:
+    cmds = []
+    for (N, K), labs in THEORIES.items():
+        pk = ["--N", str(N), "--K", str(K)]
+        for n, word in BRAIDS:
+            for kind in ("closure", "trace"):
+                if kind == "trace" and (N, K) == (3, 2) and word == _full_twist(7, -1):
+                    continue
+                cmds.append([kind, *pk, "--strands", str(n), "--braid", word])
+        for lab in labs:
+            cmds.append(["qdim", lab, *pk])
+            cmds.append(["twist", lab, *pk])
+        cmds.append(["smatrix", *pk])
+        for n in (1, 2, 3):
+            for form in ("bilinear", "hermitian"):
+                cmds.append(["gram", *pk, "--strands", str(n), "--form", form, "--full"])
+        cmds.append(["fusion", "--table", "--max-strands", "4", *pk])
+        cmds.append(["mfdim", *pk, "--genus", "0"])
+    # marked points and handles need every fusion matrix, which takes
+    # minutes at (3,2)
+    pk = ["--N", "2", "--K", "2"]
+    for genus in (1, 2, 5):
+        cmds.append(["mfdim", *pk, "--genus", str(genus)])
+    cmds.append(["mfdim", *pk, "--genus", "2", "--label", "1", "--label", "1"])
+    return cmds
+
+
+def run(argv: list[str], capsys=None) -> dict:
+    code = main(argv)
+    if capsys is not None:
+        out = capsys.readouterr().out
+    else:
+        out = sys.stdout.getvalue()
+        sys.stdout.seek(0)
+        sys.stdout.truncate()
+    return {"argv": argv, "exit": code, "stdout": out}
+
+
+def _load() -> list[dict]:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_command_set_matches_file():
+    assert [rec["argv"] for rec in _load()] == commands()
+
+
+def test_outputs_match_golden(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HSK_CACHE", raising=False)
+    for rec in _load():
+        got = run(rec["argv"], capsys)
+        assert (got["exit"], got["stdout"]) == (rec["exit"], rec["stdout"]), rec["argv"]
+
+
+if __name__ == "__main__":
+    import io
+    import tempfile
+
+    real = sys.stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        os.environ.pop("HSK_CACHE", None)
+        sys.stdout = io.StringIO()
+        try:
+            records = [run(argv) for argv in commands()]
+        finally:
+            sys.stdout = real
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(records)} commands to {GOLDEN}")

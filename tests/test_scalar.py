@@ -190,3 +190,56 @@ class TestSerialization:
         p = Params(2, 1)
         text = json.dumps(qint(p, 2).to_json())
         assert isinstance(json.loads(text)["num"], list)
+
+
+# N+K even (4, 6) and odd (3, 5, 7), including the primes 5 and 7
+SUB_PARAMS = [Params(2, 1), Params(2, 2), Params(3, 2), Params(2, 3), Params(2, 4),
+              Params(4, 1), Params(2, 5), Params(3, 4)]
+sub_idx = st.integers(0, len(SUB_PARAMS) - 1)
+
+
+def _sub_scalar(p, coeffs):
+    field = p.subfield
+    out = Scalar.from_rational(field, 0)
+    for k, c in enumerate(coeffs):
+        out = out + Scalar.from_rational(field, Fraction(c)) * Scalar.zeta_power(field, k)
+    return out
+
+
+class TestSubfield:
+    def test_sizes(self):
+        # phi(N+K) coefficients; the modulus is N+K or 2(N+K), whichever is even
+        sizes = {(2, 1): (6, 2), (2, 2): (4, 2), (3, 2): (10, 4), (4, 1): (10, 4),
+                 (2, 5): (14, 6), (2, 4): (6, 2)}
+        for (N, K), (m, phi) in sizes.items():
+            f = Params(N, K).subfield
+            assert (f.m, f.phi) == (m, phi)
+            assert f.m % 2 == 0
+
+    @given(sub_idx, small_coeffs, small_coeffs, st.fractions(max_denominator=20))
+    @settings(max_examples=60, deadline=None)
+    def test_lift_is_a_ring_homomorphism(self, i, a, b, r):
+        p = SUB_PARAMS[i]
+        x, y = _sub_scalar(p, a), _sub_scalar(p, b)
+        assert p.lift(x * y) == p.lift(x) * p.lift(y)
+        assert p.lift(x + y) == p.lift(x) + p.lift(y)
+        assert p.lift(Scalar.from_rational(p.subfield, r)) == p.scalar(r)
+        assert abs(p.lift(x).embed() - x.embed()) < 1e-9
+        if not x.is_zero():
+            assert p.lift(x.inverse()) == p.lift(x).inverse()
+
+    def test_lift_sends_q_to_q(self):
+        for p in SUB_PARAMS:
+            for k in (-1, 1, 2, p.N):
+                assert p.lift(p.q_pow_in(p.subfield, k)) == p.q_pow(k)
+            assert p.q_pow_in(p.field, 1) == p.q
+
+    def test_lift_rejects_other_fields(self):
+        with pytest.raises(ValueError):
+            Params(2, 2).lift(Params(3, 2).q)
+
+    def test_lift_is_injective_on_the_basis(self):
+        for p in SUB_PARAMS:
+            f = p.subfield
+            images = {p.lift(Scalar.zeta_power(f, k)) for k in range(f.phi)}
+            assert len(images) == f.phi

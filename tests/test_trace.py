@@ -38,9 +38,9 @@ from hsk import (
     tensor_embed,
     trace_parameter,
 )
-from hsk.hecke import _rmul_gen, random_element
+from hsk.hecke import _rmul_gen, full_twist_word, random_element
 from hsk.perms import perm_table
-from hsk.trace import CURL_MATCH_SIGN, _trace_vector
+from hsk.trace import CURL_MATCH_SIGN, _ambient_trace_vector, _trace_vector
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
@@ -164,10 +164,16 @@ class TestTraceVector:
         [(2, 2, 7), (3, 2, 7), (2, 1, 6), (3, 1, 6), (2, 3, 6), (4, 1, 6)],
     )
     def test_class_recursion_matches_normal_form(self, N, K, nmax):
+        # the recursion runs in Q(q); its embedding must equal the
+        # ambient-field oracle
         p = Params(N, K)
         memo = {}
         for n in range(1, nmax + 1):
-            assert _trace_vector(p, n) == _trace_vector_oracle(p, n, memo), n
+            vec = _trace_vector(p, n)
+            assert all(v.field is p.subfield for v in vec)
+            oracle = _trace_vector_oracle(p, n, memo)
+            assert tuple(p.lift(v) for v in vec) == oracle, n
+            assert _ambient_trace_vector(p, n) == oracle, n
 
     def test_inverse_invariance_at_strand_limit(self):
         # Tr(T_w) = Tr(T_{w^-1}): an independent check at n = 8, where
@@ -311,6 +317,25 @@ class TestClosures:
                 for sign in (1, -1):
                     stab = BraidWord(n + 1, word + (sign * n,))
                     assert closure_invariant(p, stab) == curl_scalar(p, sign) * base
+
+    @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (4, 1)])
+    def test_closure_is_loop_power_times_trace_of_from_braid(self, N, K):
+        # the closure traces in Q(q) and embeds once; the ambient route
+        # embeds every term of the expansion and traces in the ambient field
+        p = Params(N, K)
+        rng = Random(f"closure-vs-ambient:{N},{K}")
+        braids = []
+        for n in range(2, TRACE_LIMIT + 1):
+            for _ in range(2):
+                word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                             for _ in range(rng.randint(1, 10)))
+                braids.append(BraidWord(n, word))
+        if (N, K) in ((2, 2), (3, 2)):
+            twist = full_twist_word(7)
+            braids += [twist, BraidWord(7, tuple(-e for e in reversed(twist.word)))]
+        for b in braids:
+            want = loop_power(p, b.strands) * markov_trace(p, from_braid(p, b))
+            assert closure_invariant(p, b) == want, b
 
     def test_writhe_correction_gives_link_invariant(self):
         # dividing by curl^writhe removes the framing dependence: the
