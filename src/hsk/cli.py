@@ -29,9 +29,9 @@ import sys
 import tempfile
 
 from .diagrams import YoungDiagram, branch, dagger, labels, path_count
-from .hecke import BraidWord, jones_wenzl, young_idempotent
+from .hecke import BraidWord, from_braid, jones_wenzl, young_idempotent
 from .scalar import Params, Scalar, qint
-from .trace import GRAM_LIMIT, TRACE_LIMIT, _braid_trace, closure_invariant, gram
+from .trace import GRAM_LIMIT, TRACE_LIMIT, closure_invariant, gram, markov_trace
 from .category import (
     central_idempotents,
     fusion,
@@ -249,7 +249,7 @@ def _cmd_trace(p: Params, args):
     b = _parse_braid(args.braid, args.strands)
     if b.strands > TRACE_LIMIT:
         raise ValueError(f"traces are limited to {TRACE_LIMIT} strands")
-    return _scalar_json(_braid_trace(p, b)), 0
+    return _scalar_json(markov_trace(p, from_braid(p, b))), 0
 
 
 def _cmd_closure(p: Params, args):

@@ -29,8 +29,8 @@ same relation with the right-hand side negated; it is not used here.
 conjugates coefficients and sends each T_w to its algebra inverse.
 
 Braid words are expanded in bare generators T_{s_i}^(+/-1) over the
-subfield Q(q); ``from_braid`` embeds the expansion in the ambient field
-and applies the normalisation, and closures trace before embedding.
+subfield Q(q); ``from_braid`` embeds each term in the ambient field
+together with the braid normalisation.
 """
 from __future__ import annotations
 
@@ -320,27 +320,21 @@ def sigma_element(p: Params, n: int, i: int, sign: int = 1) -> HeckeElement:
     return HeckeElement(p, n, dict(_basis_inverse(p, n, si))).scale(c)
 
 
-def _braid_expansion(p: Params, b: BraidWord) -> dict[int, Scalar]:
-    """The braid word in bare generators T_{s_i}^(+/-1), over Q(q)."""
-    tbl = perm_table(b.strands)
+def from_braid(p: Params, b: BraidWord) -> HeckeElement:
+    """Image of a braid word under sigma_i -> -q^(-(N-1)/2N) T_{s_i}.
+
+    The word is expanded in bare generators T_{s_i}^(+/-1) over Q(q);
+    each term is embedded times the normalisation
+    (-1)^len zeta^((1-N) #pos + (N-1) #neg), with -1 = zeta^(m/2)."""
+    n = b.strands
+    tbl = perm_table(n)
     terms = {0: Scalar.from_rational(p.subfield, 1)}
     for e in reversed(b.word):
         terms = _lmul_gen(p, tbl, terms, abs(e) - 1, inverse=e < 0)
-    return terms
-
-
-def _braid_normalisation(p: Params, b: BraidWord) -> Scalar:
-    """(-1)^len zeta^((1-N) #pos + (N-1) #neg), braid word over bare word."""
     npos = sum(1 for e in b.word if e > 0)
     nneg = len(b.word) - npos
-    c = p.zeta_pow((1 - p.N) * npos + (p.N - 1) * nneg)
-    return -c if len(b.word) % 2 else c
-
-
-def from_braid(p: Params, b: BraidWord) -> HeckeElement:
-    """Image of a braid word under sigma_i -> -q^(-(N-1)/2N) T_{s_i}."""
-    c = _braid_normalisation(p, b)
-    return HeckeElement(p, b.strands, {w: p.lift(v) * c for w, v in _braid_expansion(p, b).items()})
+    k = (1 - p.N) * npos + (p.N - 1) * nneg + len(b.word) % 2 * (p.m // 2)
+    return HeckeElement(p, n, {w: p.lift(v, k) for w, v in terms.items()})
 
 
 def e_idempotent(p: Params, n: int, i: int) -> HeckeElement:

@@ -437,16 +437,19 @@ class Params:
         M = self.N + self.K
         return _field(M if M % 2 == 0 else 2 * M)
 
-    def lift(self, x: Scalar) -> Scalar:
-        """Embed a scalar of Q(q) in the ambient field (q -> zeta^(2N))."""
+    def lift(self, x: Scalar, k: int = 0) -> Scalar:
+        """zeta^k times the embedding of a scalar of Q(q) in the ambient
+        field (q -> zeta^(2N))."""
         if self.m % x.field.m:
             raise ValueError("scalar is not in a subfield of the ambient field")
-        field, step = self.field, self.m // x.field.m
+        field, step, m = self.field, self.m // x.field.m, self.m
+        red = field.red
         out = [0] * field.phi
         for j, a in enumerate(x.num):
             if a:
-                for t, c in enumerate(field.red[j * step]):
-                    out[t] += a * c
+                for t, c in enumerate(red[(j * step + k) % m]):
+                    if c:
+                        out[t] += a * c
         return Scalar._make(field, out, x.den)
 
     # -- scalar constructors -----------------------------------------
@@ -467,7 +470,7 @@ class Params:
         return Scalar.zeta_power(self.field, k)
 
     def q_pow(self, k: int) -> Scalar:
-        return self.zeta_pow(2 * self.N * k)
+        return self.q_pow_in(self.field, k)
 
     def q_pow_in(self, field: _Field, k: int) -> Scalar:
         """q^k in the ambient field or in the subfield Q(q)."""

@@ -32,10 +32,9 @@ the Markov property gives Tr(T_w) = zeta_T^(n - c).  The whole vector
 over S_n thus costs O(n! n) integer work and at most two scalar
 products per class.
 
-All of this involves q alone, so trace values lie in Q(q).  A closure
-traces the bare Q(q) expansion of its word and embeds the one result
-before the braid normalisation and [N]^n; ``markov_trace`` and Gram
-row 0 use the embedded vector.
+All of this involves q alone, so trace values lie in Q(q).
+``markov_trace`` sums an element's coefficients per trace value and
+embeds each distinct value once; Gram row 0 is the embedded vector.
 
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the
@@ -50,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hecke import BraidWord, HeckeElement, _braid_expansion, _braid_normalisation
+from .hecke import BraidWord, HeckeElement, from_braid
 from .linalg import hermitian_min_eigenvalue, rref
 from .perms import TRACE_LIMIT, perm_table
 from .scalar import Params, Scalar, qint
@@ -80,9 +79,11 @@ GRAM_LIMIT = 6
 CURL_MATCH_SIGN = -1
 
 
-def trace_parameter(p: Params) -> Scalar:
-    """zeta_T = Tr(T_{s_i}) = (q - 1)/(1 - q^N)."""
-    return (p.q - 1) * (p.one - p.q_pow(p.N)).inverse()
+def trace_parameter(p: Params, field=None) -> Scalar:
+    """zeta_T = Tr(T_{s_i}) = (q - 1)/(1 - q^N), in the ambient field or
+    in ``field`` (a subfield containing q, such as p.subfield)."""
+    field = field or p.field
+    return (p.q_pow_in(field, 1) - 1) * (1 - p.q_pow_in(field, p.N)).inverse()
 
 
 def eta(p: Params) -> Scalar:
@@ -113,7 +114,7 @@ def _trace_vector(p: Params, n: int) -> tuple[Scalar, ...]:
     rm, lm, ln = tbl.rmul, tbl.lmul, tbl.length
     q = p.q_pow_in(p.subfield, 1)
     qm1 = q - 1
-    zt = qm1 * (1 - p.q_pow_in(p.subfield, p.N)).inverse()  # trace_parameter in Q(q)
+    zt = trace_parameter(p, p.subfield)
     zt_pow = [one]
     for _ in range(n - 1):
         zt_pow.append(zt_pow[-1] * zt)
@@ -160,22 +161,19 @@ def _cycle_count(w: tuple[int, ...]) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _ambient_trace_vector(p: Params, n: int) -> tuple[Scalar, ...]:
-    """_trace_vector embedded in the ambient field, each value once."""
-    lifted = {v: p.lift(v) for v in set(_trace_vector(p, n))}
-    return tuple(lifted[v] for v in _trace_vector(p, n))
-
-
 def markov_trace(p: Params, x: HeckeElement) -> Scalar:
     if x.p != p:
         raise ValueError("element parameters do not match")
     if x.n > TRACE_LIMIT:
         raise ValueError(f"trace limited to {TRACE_LIMIT} strands")
-    vec = _ambient_trace_vector(p, max(x.n, 1))
-    acc = p.zero
+    vec = _trace_vector(p, max(x.n, 1))
+    sums: dict[Scalar, Scalar] = {}  # coefficients summed per trace value
     for w, c in x.terms.items():
-        acc = acc + c * vec[w]
+        v = vec[w]
+        sums[v] = sums[v] + c if v in sums else c
+    acc = p.zero
+    for v, c in sums.items():
+        acc = acc + c * p.lift(v)
     return acc
 
 
@@ -203,7 +201,7 @@ def gram_bilinear(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
     tbl = perm_table(n)
     q = p.q
     qm1 = q - 1
-    rows: list[tuple[Scalar, ...]] = [_ambient_trace_vector(p, max(n, 1))]
+    rows: list[tuple[Scalar, ...]] = [tuple(p.lift(v) for v in _trace_vector(p, max(n, 1)))]
     for u in range(1, tbl.size):
         i = next(i for i in range(n - 1) if tbl.length[tbl.rmul[u][i]] < tbl.length[u])
         parent = rows[tbl.rmul[u][i]]
@@ -232,7 +230,7 @@ def gram_hermitian(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
     tbl = perm_table(n)
     qi = p.q_pow(-1)
     qim1 = qi - 1
-    rows: list[tuple[Scalar, ...]] = [_ambient_trace_vector(p, max(n, 1))]
+    rows: list[tuple[Scalar, ...]] = [tuple(p.lift(v) for v in _trace_vector(p, max(n, 1)))]
     for v in range(1, tbl.size):
         i = next(i for i in range(n - 1) if tbl.length[tbl.rmul[v][i]] < tbl.length[v])
         parent = rows[tbl.rmul[v][i]]
@@ -342,16 +340,8 @@ def _nullspace_from_rref(p: Params, red, piv, ncols):
 def closure_invariant(p: Params, b: BraidWord) -> Scalar:
     """Invariant of the closed braid in the skein normalisation where
     the trivial n-braid closes to [N]^n."""
-    return loop_power(p, b.strands) * _braid_trace(p, b)
-
-
-def _braid_trace(p: Params, b: BraidWord) -> Scalar:
-    """Tr(from_braid(p, b)), traced in Q(q) and embedded once."""
-    vec = _trace_vector(p, b.strands)
-    acc = Scalar.from_rational(p.subfield, 0)
-    for w, c in _braid_expansion(p, b).items():
-        acc = acc + c * vec[w]
-    return p.lift(acc) * _braid_normalisation(p, b)
+    x = from_braid(p, b)
+    return loop_power(p, b.strands) * markov_trace(p, x)
 
 
 def loop_power(p: Params, n: int) -> Scalar:
