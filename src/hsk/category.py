@@ -16,21 +16,28 @@ Central idempotents are recovered from trace characters: a central
 element z decomposes as sum over blocks of psi_mu(z) z_mu where
 psi_mu(z) = Tr(z e_mu)/Tr(e_mu) for any minimal idempotent e_mu of the
 block mu, so one exact linear solve inside the centre produces each
-z_lambda.  Fusion coefficients come from compressed Gram ranks: the
-rank of the trace form on z_nu (y_lambda (x) y_mu) A (y_lambda (x)
-y_mu) z_nu equals the square of N_{lambda mu}^nu.
+z_lambda.
+
+Fusion coefficients are trace ratios.  A_n is split semisimple,
+A_n = sum over nu of M_{d_nu}, and the Markov trace restricts to the
+block nu as w_nu tr with w_nu = Tr(e_nu).  The idempotent
+pi = y_lambda (x) y_mu projects onto V_lambda (x) V_mu, so its image
+z_nu pi in the block nu has rank N_{lambda mu}^nu, the multiplicity
+of V_nu; hence N_{lambda mu}^nu = Tr(z_nu pi) / Tr(e_nu), one pairing
+against the pivot Gram matrix.  Branching multiplicities are the same
+ratio with pi replaced by an embedded minimal idempotent of A_{n-1}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_count
 from .hecke import (BraidWord, HeckeElement, _lmul_gen, _rmul_gen, from_braid,
                     full_twist_word, block_transposition_word, jones_wenzl,
                     tensor_embed, young_idempotent)
-from .linalg import determinant, nullspace, rref
+from .linalg import determinant, nullspace, solve
 from .perms import perm_table
 from .scalar import Params, Scalar
 from .trace import (CURL_MATCH_SIGN, GRAM_LIMIT, curl_scalar, gram_bilinear,
@@ -56,17 +63,6 @@ __all__ = [
     "s_matrix",
     "mf_dim",
 ]
-
-
-def _mat_vec(p: Params, mat, vec):
-    out = []
-    for row in mat:
-        acc = p.zero
-        for c, v in zip(row, vec):
-            if not c.is_zero() and not v.is_zero():
-                acc = acc + c * v
-        out.append(acc)
-    return out
 
 
 @dataclass(frozen=True)
@@ -104,26 +100,15 @@ class PurifiedAlgebra:
     def trace_pair(self, u, v) -> Scalar:
         """Tr(lift(u) lift(v)) = u^T G|_J v."""
         acc = self.p.zero
-        for r, ur in enumerate(u):
+        for ur, row in zip(u, self.gram_pivots):
             if ur.is_zero():
                 continue
-            row = self.gram_pivots[r]
-            for s, vs in enumerate(v):
-                if not vs.is_zero() and not row[s].is_zero():
-                    acc = acc + ur * row[s] * vs
+            inner = self.p.zero
+            for g, vs in zip(row, v):
+                if not vs.is_zero() and not g.is_zero():
+                    inner = inner + g * vs
+            acc = acc + ur * inner
         return acc
-
-    def basis_row_table(self, v: HeckeElement) -> list[list[Scalar]]:
-        """Coordinates of T_w . v for every w, via the left weak order:
-        T_{s_i w} v = T_{s_i} (T_w v) when the length goes up."""
-        tbl = perm_table(self.n)
-        rho: list[list[Scalar] | None] = [None] * tbl.size
-        rho[0] = self.reduce(v)
-        for w in range(1, tbl.size):
-            i = next(i for i in range(self.n - 1)
-                     if tbl.length[tbl.lmul[w][i]] < tbl.length[w])
-            rho[w] = _mat_vec(self.p, self.left_gen[i], rho[tbl.lmul[w][i]])
-        return rho
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +181,7 @@ def minimal_idempotent(p: Params, n: int, d: YoungDiagram) -> HeckeElement:
 class BlockEntry:
     z: HeckeElement
     dim: int
-    minimal: HeckeElement
+    weight: Scalar  # Tr(e) for a minimal idempotent e of the block
     zvec: tuple[Scalar, ...]
 
 
@@ -243,26 +228,22 @@ def central_idempotents(p: Params, n: int) -> BlockData:
     # character functionals psi_mu(z) = Tr(z e_mu)/Tr(e_mu)
     reduced_minimal = {}
     weights = {}
-    minimals = {}
     for mu in labs:
         e_mu = minimal_idempotent(p, n, mu)
-        minimals[mu] = e_mu
         reduced_minimal[mu] = a.reduce(e_mu)
         weights[mu] = markov_trace(p, e_mu)
         if weights[mu].is_zero():
             raise RuntimeError("vanishing Markov weight on a block")
-    psi = [
-        [
-            a.trace_pair(cvec, reduced_minimal[mu]) * weights[mu].inverse()
-            for cvec in centre
-        ]
-        for mu in labs
-    ]
+    psi = []
+    for mu in labs:
+        inv = weights[mu].inverse()
+        psi.append([a.trace_pair(cvec, reduced_minimal[mu]) * inv for cvec in centre])
     blocks: dict[YoungDiagram, BlockEntry] = {}
     for k, lam in enumerate(labs):
         rhs = [p.one if j == k else p.zero for j in range(len(labs))]
-        x = rref(p, [row + [rhs[i]] for i, row in enumerate(psi)])
-        coeffs = _solve_from_aug(p, x, len(centre))
+        coeffs = solve(p, psi, rhs)
+        if coeffs is None:
+            raise RuntimeError("inconsistent character system")
         zvec = [p.zero] * d
         for c, cvec in zip(coeffs, centre):
             if not c.is_zero():
@@ -271,20 +252,24 @@ def central_idempotents(p: Params, n: int) -> BlockData:
         blocks[lam] = BlockEntry(
             z=a.lift(zvec),
             dim=path_count(p, n, lam),
-            minimal=minimals[lam],
+            weight=weights[lam],
             zvec=tuple(zvec),
         )
     return BlockData(p, n, blocks)
 
 
-def _solve_from_aug(p: Params, rref_result, ncols):
-    red, piv = rref_result
-    if piv and piv[-1] == ncols:
-        raise RuntimeError("inconsistent character system")
-    x = [p.zero] * ncols
-    for r, c in enumerate(piv):
-        x[c] = red[r][ncols]
-    return x
+def _block_multiplicity(a: PurifiedAlgebra, blk: BlockEntry, x: HeckeElement, what: str) -> int:
+    """The rank of the idempotent x in the matrix block of `blk`:
+    m = Tr(z x) / Tr(e), with Tr(z x) paired against the pivot Gram
+    matrix.  m is read off one coefficient and checked on all of them,
+    which needs no inversion."""
+    num = a.trace_pair(blk.zvec, a.reduce(x))
+    weight = blk.weight
+    j = next(i for i, c in enumerate(weight.num) if c)
+    m = Fraction(num.num[j] * weight.den, num.den * weight.num[j])
+    if m.denominator != 1 or m < 0 or weight * m != num:
+        raise RuntimeError(f"{what} is not a nonnegative integer")
+    return int(m)
 
 
 def branching_multiplicity(p: Params, n: int, lam: YoungDiagram, sub: YoungDiagram) -> int:
@@ -295,51 +280,14 @@ def branching_multiplicity(p: Params, n: int, lam: YoungDiagram, sub: YoungDiagr
         raise ValueError("lam is not a label of Gamma^n")
     if sub not in gamma_n(p, n - 1):
         raise ValueError("sub is not a label of Gamma^{n-1}")
-    z = bd.blocks[lam].z
     e_sub = tensor_embed(minimal_idempotent(p, n - 1, sub), HeckeElement.identity(p, 1))
-    num = markov_trace(p, z * e_sub)
-    den = markov_trace(p, bd.blocks[lam].minimal)
-    ratio = num * den.inverse()
-    rat = ratio.as_rational()
-    if rat is None or rat.denominator != 1:
-        raise RuntimeError("non-integral branching multiplicity")
-    return int(rat)
-
-
-def _compressed_rank(p: Params, a: PurifiedAlgebra, u: HeckeElement, v: HeckeElement) -> int:
-    """Exact rank of the trace form on the span of {u T_j v : j pivot}."""
-    rho = a.basis_row_table(v)
-    tbl = perm_table(a.n)
-    cols = []
-    for j in a.pivots:
-        uterms = dict(u.terms)
-        for i in tbl.word[j]:
-            uterms = _rmul_gen(p, tbl, uterms, i)
-        col = [p.zero] * a.dim
-        for w, c in uterms.items():
-            rw = rho[w]
-            for r in range(a.dim):
-                if not rw[r].is_zero():
-                    col[r] = col[r] + c * rw[r]
-        cols.append(col)
-    paired = [_mat_vec(p, a.gram_pivots, ck) for ck in cols]
-    form = []
-    for cj in cols:
-        row = []
-        for gk in paired:
-            acc = p.zero
-            for x, y in zip(cj, gk):
-                if not x.is_zero() and not y.is_zero():
-                    acc = acc + x * y
-            row.append(acc)
-        form.append(row)
-    red, piv = rref(p, form)
-    return len(piv)
+    return _block_multiplicity(purified_algebra(p, n), bd.blocks[lam], e_sub,
+                               "branching multiplicity")
 
 
 def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> int:
-    """N_{lam mu}^nu as the integer square root of the compressed Gram
-    rank on z_nu (y_lam (x) y_mu) A_n (y_lam (x) y_mu) z_nu."""
+    """N_{lam mu}^nu = Tr(z_nu (y_lam (x) y_mu)) / Tr(e_nu), the rank of
+    y_lam (x) y_mu in the matrix block nu of A_n."""
     for d in (lam, mu):
         if d not in labels(p):
             raise ValueError(f"{d.rows} is not a label of the category")
@@ -353,14 +301,8 @@ def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> 
     a = purified_algebra(p, n)
     pi = tensor_embed(young_idempotent(p, lam).idem if lam.size else HeckeElement.identity(p, 0),
                       young_idempotent(p, mu).idem if mu.size else HeckeElement.identity(p, 0))
-    z = central_idempotents(p, n).blocks[nu].z
-    u = z * pi
-    v = pi * z
-    r = _compressed_rank(p, a, u, v)
-    s = isqrt(r)
-    if s * s != r:
-        raise RuntimeError(f"compressed rank {r} is not a perfect square")
-    return s
+    return _block_multiplicity(a, central_idempotents(p, n).blocks[nu], pi,
+                               "fusion coefficient")
 
 
 @dataclass(frozen=True)
@@ -406,21 +348,16 @@ def fusion_table(p: Params, max_strands: int | None = None) -> FusionTable:
 
 
 @lru_cache(maxsize=None)
+def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
+    """N_{lam mu}^{L_j} over the label list."""
+    n = lam.size + mu.size
+    return tuple(fusion(p, lam, mu, nu) if nu in gamma_n(p, n) else 0 for nu in labels(p))
+
+
 def fusion_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
     """Matrix of fusion with lam over the label list: entry [i][j] =
     N_{lam, L_i}^{L_j}."""
-    labs = labels(p)
-    rows = []
-    for mu in labs:
-        row = []
-        for nu in labs:
-            n = lam.size + mu.size
-            if nu not in gamma_n(p, n):
-                row.append(0)
-            else:
-                row.append(fusion(p, lam, mu, nu))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(_fusion_row(p, lam, mu) for mu in labels(p))
 
 
 def qdim(p: Params, d: YoungDiagram) -> Scalar:
@@ -522,7 +459,8 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
     marked points colored by `marked`, via a caterpillar pair-of-pants
     decomposition: fold the fusion matrices of the labels into the
     vacuum vector, apply the handle operator sum_mu N_mu N_{mu-dagger}
-    per handle, and read off the vacuum coefficient."""
+    per handle, and read off the vacuum coefficient.  A fold computes
+    only the fusion rows its vector reaches."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     labs = labels(p)
@@ -534,8 +472,11 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
     vec = [0] * size
     vec[index[YoungDiagram.of()]] = 1
     for d in marked:
-        mat = fusion_matrix(p, d)
-        vec = [sum(mat[i][j] * vec[i] for i in range(size)) for j in range(size)]
+        out = [0] * size
+        for mu, c in zip(labs, vec):
+            if c:
+                out = [o + c * f for o, f in zip(out, _fusion_row(p, d, mu))]
+        vec = out
     if genus:
         handle = [[0] * size for _ in range(size)]
         for mu in labs:

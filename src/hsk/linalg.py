@@ -71,6 +71,12 @@ def nullspace(p: Params, rows: Matrix, ncols: int | None = None) -> Matrix:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
     red, pivots = rref(p, rows)
+    return kernel_from_rref(p, red, pivots, ncols)
+
+
+def kernel_from_rref(p: Params, red, pivots, ncols: int) -> Matrix:
+    """The kernel basis of `nullspace` from a reduced echelon form and
+    its pivot columns."""
     pivot_set = set(pivots)
     basis: Matrix = []
     for f in range(ncols):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .hecke import BraidWord, HeckeElement, from_braid
-from .linalg import hermitian_min_eigenvalue, rref
+from .linalg import hermitian_min_eigenvalue, kernel_from_rref, rref
 from .perms import TRACE_LIMIT, perm_table
 from .scalar import Params, Scalar, qint
 
@@ -314,27 +314,13 @@ def gram(p: Params, n: int, form: str = "bilinear") -> GramData:
         cols = [[mat[u][v] for u in range(size)] for v in range(size)]
         r2, p2 = rref(p, cols)
         red, piv = tuple(tuple(r) for r in r2), tuple(p2)
-    kern = _nullspace_from_rref(p, red, piv, size)
+    kern = kernel_from_rref(p, red, piv, size)
     elements = tuple(
         HeckeElement(p, n, {w: c for w, c in enumerate(vec) if not c.is_zero()})
         for vec in kern
     )
     rank = size - len(elements)
     return GramData(p, n, form, rank, elements)
-
-
-def _nullspace_from_rref(p: Params, red, piv, ncols):
-    pivot_set = set(piv)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [p.zero] * ncols
-        vec[f] = p.one
-        for r, c in enumerate(piv):
-            vec[c] = -red[r][f]
-        basis.append(vec)
-    return basis
 
 
 def closure_invariant(p: Params, b: BraidWord) -> Scalar:

@@ -700,8 +700,8 @@ def _check_mf_dim(p: Params, max_n: int, rng: Random) -> str:
     cap = min(max_n, FORM_CHECK_LIMIT)
     labs = labels(p)
     max_lab = max(d.size for d in labs)
-    # folding the fusion matrix of d touches every pair (d, mu), so a
-    # marked label is within budget only if d.size + max_lab fits
+    # a fold computes the fusion rows (d, mu) its vector reaches, and
+    # mu can be any label, so d is within budget if d.size + max_lab fits
     ok = [d for d in labs if d.size + max_lab <= cap]
     _assert(mf_dim(p, 0, []) == 1, "sphere with no labels != 1")
     parts = []

@@ -296,7 +296,8 @@ def test_criterion_6_block_decomposition():
 def test_criterion_7_fusion_rules():
     """Unit row, commutativity, box fusion = reversed branching, and
     the (2,2) pins N_(2)(2)^() = 1, N_(2)(2)^(2) = 0; coefficients are
-    extracted as exact integer square roots of compressed Gram ranks."""
+    exact trace ratios Tr(z_nu (y_lam (x) y_mu)) / Tr(e_nu), checked to
+    be nonnegative integers."""
 
     def body():
         cap = 5

@@ -8,6 +8,7 @@ ring with S~ = [[1, [2], 1], [[2], 0, -[2]], [1, -[2], 1]] where
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -34,8 +35,13 @@ from hsk import (
     qdim,
     qint,
     s_matrix,
+    tensor_embed,
     twist,
+    young_idempotent,
 )
+from hsk.hecke import _rmul_gen
+from hsk.linalg import rref
+from hsk.perms import perm_table
 from hsk.trace import CURL_MATCH_SIGN
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
@@ -264,6 +270,85 @@ class TestFusion:
                 assert mat[i][j] == want
 
 
+def _mat_vec(p, mat, vec):
+    out = []
+    for row in mat:
+        acc = p.zero
+        for c, v in zip(row, vec):
+            if not c.is_zero() and not v.is_zero():
+                acc = acc + c * v
+        out.append(acc)
+    return out
+
+
+def _basis_row_table(a, v):
+    """Coordinates of T_w . v for every w, via the left weak order:
+    T_{s_i w} v = T_{s_i} (T_w v) when the length goes up."""
+    tbl = perm_table(a.n)
+    rho = [None] * tbl.size
+    rho[0] = a.reduce(v)
+    for w in range(1, tbl.size):
+        i = next(i for i in range(a.n - 1)
+                 if tbl.length[tbl.lmul[w][i]] < tbl.length[w])
+        rho[w] = _mat_vec(a.p, a.left_gen[i], rho[tbl.lmul[w][i]])
+    return rho
+
+
+def _compressed_rank(p, a, u, v):
+    """Exact rank of the trace form on the span of {u T_j v : j pivot}."""
+    rho = _basis_row_table(a, v)
+    tbl = perm_table(a.n)
+    cols = []
+    for j in a.pivots:
+        uterms = dict(u.terms)
+        for i in tbl.word[j]:
+            uterms = _rmul_gen(p, tbl, uterms, i)
+        col = [p.zero] * a.dim
+        for w, c in uterms.items():
+            for r, x in enumerate(rho[w]):
+                if not x.is_zero():
+                    col[r] = col[r] + c * x
+        cols.append(col)
+    paired = [_mat_vec(p, a.gram_pivots, ck) for ck in cols]
+    form = [_mat_vec(p, paired, cj) for cj in cols]
+    return len(rref(p, form)[1])
+
+
+def fusion_by_compressed_rank(p, lam, mu, nu):
+    """N_{lam mu}^nu as the integer square root of the rank of the trace
+    form on z_nu pi A_n pi z_nu, pi = y_lam (x) y_mu: the block nu of
+    A_n is a matrix algebra in which z_nu pi has rank N, so this corner
+    has dimension N^2.  An oracle independent of the block weights."""
+    n = lam.size + mu.size
+    a = purified_algebra(p, n)
+    pi = tensor_embed(young_idempotent(p, lam).idem if lam.size else HeckeElement.identity(p, 0),
+                      young_idempotent(p, mu).idem if mu.size else HeckeElement.identity(p, 0))
+    z = central_idempotents(p, n).blocks[nu].z
+    r = _compressed_rank(p, a, z * pi, pi * z)
+    s = math.isqrt(r)
+    assert s * s == r, f"compressed rank {r} is not a perfect square"
+    return s
+
+
+class TestFusionOracle:
+    @pytest.mark.parametrize("N,K,cap", [(2, 2, 4), (3, 1, 4), (2, 3, 4), (4, 1, 4), (3, 2, 3)])
+    def test_trace_ratio_matches_compressed_rank(self, N, K, cap):
+        p = Params(N, K)
+        labs = labels(p)
+        checked = 0
+        for lam in labs:
+            for mu in labs:
+                n = lam.size + mu.size
+                if not 1 <= n <= cap:
+                    continue
+                for nu in gamma_n(p, n):
+                    if nu in labs:
+                        assert fusion(p, lam, mu, nu) == fusion_by_compressed_rank(p, lam, mu, nu), \
+                            (lam.rows, mu.rows, nu.rows)
+                        checked += 1
+        assert checked
+
+
 class TestQdim:
     def test_empty_is_one(self):
         for p in PARAMS:
@@ -437,6 +522,25 @@ class TestModularFunctor:
             for genus in range(9):
                 assert mf_dim(p, genus, marked) == vec[0], (genus, marked)
                 vec = [sum(handle[i][j] * vec[i] for i in range(size)) for j in range(size)]
+
+    @pytest.mark.parametrize("N,K", [(2, 1), (2, 2), (3, 1), (4, 1)])
+    def test_reached_rows_match_full_matrix_fold(self, N, K):
+        # the fold through whole fusion matrices as the oracle; at (4,1)
+        # the matrix of (1,1,1) needs a 6-strand Gram elimination (about
+        # 13 s cold), so marked labels are kept within 5 strands of any
+        # partner, the budget rule of the verify battery
+        p = Params(N, K)
+        labs = labels(p)
+        max_lab = max(d.size for d in labs)
+        ok = [d for d in labs if d.size + max_lab <= 5]
+        for k in range(4):
+            for marked in product(ok, repeat=k):
+                vec = [1] + [0] * (len(labs) - 1)
+                for d in marked:
+                    mat = fusion_matrix(p, d)
+                    vec = [sum(mat[i][j] * vec[i] for i in range(len(labs)))
+                           for j in range(len(labs))]
+                assert mf_dim(p, 0, marked) == vec[0], marked
 
     def test_large_genus_is_fast(self):
         # the Verlinde count for the semion theory: 2^g on a closed surface

@@ -157,6 +157,16 @@ class TestCategoryCommands:
         got = run_json(capsys, "mfdim", "--N", "2", "--K", "2", "--genus", "1")
         assert got["dim"] == 3
 
+    def test_mfdim_folds_only_reached_rows(self, capsys):
+        # the (1,1) fold needs only the fusion row of the box at (3,2)
+        start = time.perf_counter()
+        got = run_json(
+            capsys, "mfdim", "--N", "3", "--K", "2", "--genus", "0",
+            "--label", "1", "--label", "1,1",
+        )
+        assert time.perf_counter() - start < 10.0
+        assert got == {"genus": 0, "labels": [[1], [1, 1]], "dim": 1}
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
