@@ -10,10 +10,14 @@ express every other T_w over them, because row operations preserve
 column relations.  All block and fusion computations happen in the
 coordinates of this basis; trace pairings reduce to vector-matrix
 products against the pivot-restricted Gram matrix, so no element
-products are needed on the hot paths.
+products are needed on the hot paths.  ``PurifiedAlgebra`` holds just
+this: the pivots, the echelon map ``rmap`` and the pivot Gram matrix.
 
-Central idempotents are recovered from trace characters: a central
-element z decomposes as sum over blocks of psi_mu(z) z_mu where
+The centre of A_n is the joint kernel of the commutators
+T_{s_i} T_j - T_j T_{s_i} over the pivots j, each built by one
+generator step on either side (``hecke._gen_step``) and reduced through
+``rmap``.  Central idempotents are recovered from trace characters: a
+central element z decomposes as sum over blocks of psi_mu(z) z_mu where
 psi_mu(z) = Tr(z e_mu)/Tr(e_mu) for any minimal idempotent e_mu of the
 block mu, so one exact linear solve inside the centre produces each
 z_lambda.
@@ -34,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_count
-from .hecke import (BraidWord, HeckeElement, _lmul_gen, _rmul_gen, from_braid,
+from .hecke import (BraidWord, HeckeElement, _acc, _gen_step, from_braid,
                     full_twist_word, block_transposition_word, jones_wenzl,
                     tensor_embed, young_idempotent)
 from .linalg import determinant, nullspace, solve
@@ -67,15 +71,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PurifiedAlgebra:
-    """Coordinates for A_n = H_n / radical on the Gram pivot basis."""
+    """Coordinates for A_n = H_n / radical on the Gram pivot basis:
+    column w of ``rmap`` holds the coordinates of T_w over the pivots,
+    and ``gram_pivots`` is the Gram matrix restricted to them."""
 
     p: Params
     n: int
     pivots: tuple[int, ...]
     rmap: tuple[tuple[Scalar, ...], ...]
     gram_pivots: tuple[tuple[Scalar, ...], ...]
-    left_gen: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    right_gen: tuple[tuple[tuple[Scalar, ...], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -113,36 +117,10 @@ class PurifiedAlgebra:
 
 @lru_cache(maxsize=None)
 def purified_algebra(p: Params, n: int) -> PurifiedAlgebra:
-    red, piv = gram_rref(p, n, "bilinear")
+    red, piv = gram_rref(p, n)
     gram = gram_bilinear(p, n)
-    d = len(piv)
     gram_pivots = tuple(tuple(gram[r][c] for c in piv) for r in piv)
-    tbl = perm_table(n)
-    left = []
-    right = []
-    for i in range(max(n - 1, 0)):
-        lcols = []
-        rcols = []
-        for j in piv:
-            lterms = _lmul_gen(p, tbl, {j: p.one}, i)
-            rterms = _rmul_gen(p, tbl, {j: p.one}, i)
-            lvec = [p.zero] * d
-            rvec = [p.zero] * d
-            for w, c in lterms.items():
-                for r in range(d):
-                    e = red[r][w]
-                    if not e.is_zero():
-                        lvec[r] = lvec[r] + c * e
-            for w, c in rterms.items():
-                for r in range(d):
-                    e = red[r][w]
-                    if not e.is_zero():
-                        rvec[r] = rvec[r] + c * e
-            lcols.append(lvec)
-            rcols.append(rvec)
-        left.append(tuple(tuple(lcols[j][r] for j in range(d)) for r in range(d)))
-        right.append(tuple(tuple(rcols[j][r] for j in range(d)) for r in range(d)))
-    return PurifiedAlgebra(p, n, piv, red, gram_pivots, tuple(left), tuple(right))
+    return PurifiedAlgebra(p, n, piv, red, gram_pivots)
 
 
 @dataclass(frozen=True)
@@ -211,17 +189,18 @@ def central_idempotents(p: Params, n: int) -> BlockData:
     a = purified_algebra(p, n)
     labs = gamma_n(p, n)
     d = a.dim
-    # centre of A as the joint kernel of left-minus-right generator action
+    # centre of A as the joint kernel of the commutators T_{s_i} T_j - T_j T_{s_i}
+    tbl = perm_table(n)
     stacked: list[list[Scalar]] = []
     for i in range(n - 1):
-        li = a.left_gen[i]
-        ri = a.right_gen[i]
-        for r in range(d):
-            stacked.append([li[r][c] - ri[r][c] for c in range(d)])
-    if stacked:
-        centre = nullspace(p, stacked, d)
-    else:
-        centre = [[p.one]]
+        cols = []
+        for j in a.pivots:
+            comm = _gen_step(p, tbl.length, tbl.lmul, {j: p.one}, i)
+            for w, c in _gen_step(p, tbl.length, tbl.rmul, {j: p.one}, i).items():
+                _acc(comm, w, -c)
+            cols.append(a.reduce_terms(comm))
+        stacked.extend(list(row) for row in zip(*cols))
+    centre = nullspace(p, stacked, d) if stacked else [[p.one]]
     if len(centre) != len(labs):
         raise RuntimeError(
             f"centre dimension {len(centre)} != |Gamma^{n}| = {len(labs)}")
@@ -298,11 +277,13 @@ def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> 
         return 1
     if n > GRAM_LIMIT:
         raise ValueError(f"fusion at {n} strands exceeds the Gram limit")
-    a = purified_algebra(p, n)
-    pi = tensor_embed(young_idempotent(p, lam).idem if lam.size else HeckeElement.identity(p, 0),
-                      young_idempotent(p, mu).idem if mu.size else HeckeElement.identity(p, 0))
-    return _block_multiplicity(a, central_idempotents(p, n).blocks[nu], pi,
-                               "fusion coefficient")
+    return _block_multiplicity(purified_algebra(p, n), central_idempotents(p, n).blocks[nu],
+                               _pair_idempotent(p, lam, mu), "fusion coefficient")
+
+
+def _pair_idempotent(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> HeckeElement:
+    """y_lam (x) y_mu, the projection onto V_lam (x) V_mu."""
+    return tensor_embed(young_idempotent(p, lam).idem, young_idempotent(p, mu).idem)
 
 
 @dataclass(frozen=True)
@@ -427,10 +408,7 @@ def _hopf_value(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> Scalar:
     a, b = lam.size, mu.size
     if a + b == 0:
         return p.one
-    pi = tensor_embed(
-        young_idempotent(p, lam).idem if a else HeckeElement.identity(p, 0),
-        young_idempotent(p, mu).idem if b else HeckeElement.identity(p, 0),
-    )
+    pi = _pair_idempotent(p, lam, mu)
     if a == 0 or b == 0:
         return loop_power(p, a + b) * markov_trace(p, pi)
     word = block_transposition_word(a, b).word + block_transposition_word(b, a).word

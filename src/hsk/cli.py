@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+from math import comb
 
 from .diagrams import YoungDiagram, branch, dagger, labels, path_count
 from .hecke import BraidWord, from_braid, jones_wenzl, young_idempotent
@@ -45,6 +46,11 @@ from .category import (
 from .verify import run_verify
 
 SCHEMA_VERSION = 1
+
+# Bound on the label count C(N+K-1, K) and on m^2, m = 2N(N+K): `labels`
+# lists every label, and Q(zeta_m) keeps an m x phi(m) reduction table.
+# Theories up to (5,5) (126 labels, m^2 = 10^4) run in well under a second.
+_THEORY_LIMIT = 10**5
 
 
 class UsageError(Exception):
@@ -506,6 +512,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         p = Params(args.N, args.K)
+        if p.m ** 2 > _THEORY_LIMIT or comb(p.N + p.K - 1, p.K) > _THEORY_LIMIT:
+            raise ValueError(f"theory (N, K) = ({p.N}, {p.K}) exceeds the size limit")
         payload, code = args.handler(p, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -28,9 +28,14 @@ same relation with the right-hand side negated; it is not used here.
 ``star`` is the conjugate-linear anti-automorphism fixing every e_i: it
 conjugates coefficients and sends each T_w to its algebra inverse.
 
+The rewriting rule, and its inverse form T^-1 = q^-1 T + (q^-1 - 1), is
+written once, in ``_gen_step``: it multiplies by T_{s_i}^(+/-1) on the
+side whose neighbour table it is given, in whatever field holds the
+coefficients.  Products, inverses and braid words all go through it.
 Braid words are expanded in bare generators T_{s_i}^(+/-1) over the
 subfield Q(q); ``from_braid`` embeds each term in the ambient field
-together with the braid normalisation.
+together with the braid normalisation, and ``sigma_element`` is the
+one-letter braid word.
 """
 from __future__ import annotations
 
@@ -216,63 +221,27 @@ def _acc(d: dict[int, Scalar], w: int, c: Scalar):
     d[w] = c if prev is None else prev + c
 
 
-def _lmul_gen(p: Params, tbl: PermTable, terms: dict[int, Scalar], i: int,
-              inverse: bool = False) -> dict[int, Scalar]:
-    """Left multiply a term dict by T_{s_i} or its inverse, with q in
-    the field of the coefficients."""
+def _gen_step(p: Params, ln: tuple[int, ...], nbr, terms: dict[int, Scalar], i: int,
+              sign: int = 1) -> dict[int, Scalar]:
+    """Multiply a term dict by T_{s_i}^sign, sign = +/-1, on the side
+    whose neighbour table ``nbr`` is given: PermTable.lmul multiplies on
+    the left, PermTable.rmul on the right.  q is taken in the field of
+    the coefficients.  With Q = q^sign, T^sign moves T_w to its neighbour
+    T_v when l(v) - l(w) has the sign of the power, and otherwise gives
+    (Q-1) T_w + Q T_v: the quadratic relation T^2 = (q-1)T + q for
+    sign = 1, and T^-1 = q^-1 T + (q^-1 - 1) for sign = -1."""
+    if not terms:
+        return {}
+    qs = p.q_pow_in(next(iter(terms.values())).field, sign)
+    qs1 = qs - 1
     out: dict[int, Scalar] = {}
-    field = next(iter(terms.values())).field if terms else p.field
-    lm = tbl.lmul
-    ln = tbl.length
-    if not inverse:
-        q = p.q_pow_in(field, 1)
-        qm1 = q - 1
-        for w, c in terms.items():
-            sw = lm[w][i]
-            if ln[sw] > ln[w]:
-                _acc(out, sw, c)
-            else:
-                _acc(out, w, c * qm1)
-                _acc(out, sw, c * q)
-    else:
-        qi = p.q_pow_in(field, -1)
-        qim1 = qi - 1
-        for w, c in terms.items():
-            sw = lm[w][i]
-            if ln[sw] < ln[w]:
-                _acc(out, sw, c)
-            else:
-                _acc(out, sw, c * qi)
-                _acc(out, w, c * qim1)
-    return {w: c for w, c in out.items() if not c.is_zero()}
-
-
-def _rmul_gen(p: Params, tbl: PermTable, terms: dict[int, Scalar], i: int,
-              inverse: bool = False) -> dict[int, Scalar]:
-    """Right multiply a term dict by T_{s_i} or its inverse."""
-    out: dict[int, Scalar] = {}
-    rm = tbl.rmul
-    ln = tbl.length
-    if not inverse:
-        q = p.q
-        qm1 = q - 1
-        for w, c in terms.items():
-            ws = rm[w][i]
-            if ln[ws] > ln[w]:
-                _acc(out, ws, c)
-            else:
-                _acc(out, w, c * qm1)
-                _acc(out, ws, c * q)
-    else:
-        qi = p.q_pow(-1)
-        qim1 = qi - 1
-        for w, c in terms.items():
-            ws = rm[w][i]
-            if ln[ws] < ln[w]:
-                _acc(out, ws, c)
-            else:
-                _acc(out, ws, c * qi)
-                _acc(out, w, c * qim1)
+    for w, c in terms.items():
+        v = nbr[w][i]
+        if (ln[v] - ln[w]) * sign > 0:
+            _acc(out, v, c)
+        else:
+            _acc(out, w, c * qs1)
+            _acc(out, v, c * qs)
     return {w: c for w, c in out.items() if not c.is_zero()}
 
 
@@ -282,7 +251,7 @@ def _mul_elements(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     for w, c in x.terms.items():
         z = y.terms
         for i in reversed(tbl.word[w]):
-            z = _lmul_gen(x.p, tbl, z, i)
+            z = _gen_step(x.p, tbl.length, tbl.lmul, z, i)
         for v, cv in z.items():
             _acc(out, v, c * cv)
     return HeckeElement(x.p, x.n, out)
@@ -303,21 +272,13 @@ def _basis_inverse(p: Params, n: int, w: int) -> tuple[tuple[int, Scalar], ...]:
     tbl = perm_table(n)
     terms = {0: p.one}
     for i in tbl.word[w]:
-        terms = _lmul_gen(p, tbl, terms, i, inverse=True)
+        terms = _gen_step(p, tbl.length, tbl.lmul, terms, i, -1)
     return tuple(sorted(terms.items()))
 
 
 def sigma_element(p: Params, n: int, i: int, sign: int = 1) -> HeckeElement:
     """Image of the braid generator sigma_i^(sign), i 1-based."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("generator index out of range")
-    tbl = perm_table(n)
-    si = tbl.lmul[0][i - 1]
-    if sign >= 0:
-        c = -p.zeta_pow(1 - p.N)
-        return HeckeElement(p, n, {si: c})
-    c = -p.zeta_pow(p.N - 1)
-    return HeckeElement(p, n, dict(_basis_inverse(p, n, si))).scale(c)
+    return from_braid(p, BraidWord(n, (i if sign >= 0 else -i,)))
 
 
 def from_braid(p: Params, b: BraidWord) -> HeckeElement:
@@ -330,7 +291,7 @@ def from_braid(p: Params, b: BraidWord) -> HeckeElement:
     tbl = perm_table(n)
     terms = {0: Scalar.from_rational(p.subfield, 1)}
     for e in reversed(b.word):
-        terms = _lmul_gen(p, tbl, terms, abs(e) - 1, inverse=e < 0)
+        terms = _gen_step(p, tbl.length, tbl.lmul, terms, abs(e) - 1, 1 if e > 0 else -1)
     npos = sum(1 for e in b.word if e > 0)
     nneg = len(b.word) - npos
     k = (1 - p.N) * npos + (p.N - 1) * nneg + len(b.word) % 2 * (p.m // 2)

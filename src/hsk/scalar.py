@@ -11,7 +11,9 @@ Q(q) = Q(zeta_{N+K}), with phi(N+K) coefficients, carries what involves
 q alone (Hecke relations, traces of the T_w).  It is Q(zeta_{m'}) with
 m' = N+K or 2(N+K), whichever is even: phi(m') <= m'/2 keeps products
 inside the reduction table.  ``Params.lift`` embeds it, zeta_{m'} ->
-zeta^(m/m').
+zeta^(m/m').  Embedding, complex conjugation (zeta -> zeta^-1) and the
+reduction of an inverse's polynomial are one substitution of monomials,
+``_Field.monomial_map``.
 
 A scalar is a polynomial in zeta with rational coefficients, reduced
 modulo the m-th cyclotomic polynomial Phi_m.  It is stored as an integer
@@ -129,19 +131,17 @@ class _Field:
                         out[t] += ck * rt
         return out
 
-    def conj_vec(self, a: tuple[int, ...]) -> list[int]:
-        # Complex conjugation sends zeta to zeta^(m-1).
-        phi = self.phi
-        out = [0] * phi
-        m = self.m
-        red = self.red
-        for i, ai in enumerate(a):
-            if ai:
-                row = red[(m - i) % m]
-                for t in range(phi):
-                    rt = row[t]
+    def monomial_map(self, a, step: int, k: int = 0) -> list[int]:
+        """Coefficients of sum_j a_j zeta^(j*step + k) reduced mod Phi_m:
+        step = -1 conjugates, step = m/m' embeds Q(zeta_m'), and step = 1
+        reduces a polynomial of any degree."""
+        out = [0] * self.phi
+        m, red = self.m, self.red
+        for j, aj in enumerate(a):
+            if aj:
+                for t, rt in enumerate(red[(j * step + k) % m]):
                     if rt:
-                        out[t] += ai * rt
+                        out[t] += aj * rt
         return out
 
 
@@ -301,8 +301,7 @@ class Scalar:
     # -- field operations --------------------------------------------
 
     def conjugate(self) -> "Scalar":
-        nums = self.field.conj_vec(self.num)
-        return Scalar._make(self.field, nums, self.den)
+        return Scalar._make(self.field, self.field.monomial_map(self.num, -1), self.den)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse via the extended Euclidean algorithm
@@ -327,18 +326,8 @@ class Scalar:
         den = 1
         for c in inv:
             den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in inv]
-        field = self.field
-        vec = [0] * field.phi
-        for j, cj in enumerate(ints):
-            if cj:
-                row = field.red[j % field.m] if j >= field.phi else None
-                if row is None:
-                    vec[j] += cj
-                else:
-                    for t in range(field.phi):
-                        vec[t] += cj * row[t]
-        return Scalar._make(field, [v * self.den for v in vec], den)
+        vec = self.field.monomial_map([int(c * den) for c in inv], 1)
+        return Scalar._make(self.field, [v * self.den for v in vec], den)
 
     def embed(self) -> complex:
         z = 0j
@@ -442,15 +431,8 @@ class Params:
         field (q -> zeta^(2N))."""
         if self.m % x.field.m:
             raise ValueError("scalar is not in a subfield of the ambient field")
-        field, step, m = self.field, self.m // x.field.m, self.m
-        red = field.red
-        out = [0] * field.phi
-        for j, a in enumerate(x.num):
-            if a:
-                for t, c in enumerate(red[(j * step + k) % m]):
-                    if c:
-                        out[t] += a * c
-        return Scalar._make(field, out, x.den)
+        field = self.field
+        return Scalar._make(field, field.monomial_map(x.num, self.m // x.field.m, k), x.den)
 
     # -- scalar constructors -----------------------------------------
 

@@ -35,6 +35,9 @@ products per class.
 All of this involves q alone, so trace values lie in Q(q).
 ``markov_trace`` sums an element's coefficients per trace value and
 embeds each distinct value once; Gram row 0 is the embedded vector.
+Both Gram matrices grow from it by one row recursion over the weak
+order (``_gram_rows``): the bilinear rows by forward generator steps on
+the left, the hermitian ones by inverse steps on the right, transposed.
 
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the
@@ -188,32 +191,42 @@ def pairing(p: Params, x: HeckeElement, y: HeckeElement, form: str = "bilinear")
     raise ValueError("form must be 'bilinear' or 'hermitian'")
 
 
-@lru_cache(maxsize=None)
-def gram_bilinear(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
-    """G[u][v] = Tr(T_u T_v), assembled row by row over the right weak
-    order: for l(u s_i) = l(u)+1,
+def _gram_rows(p: Params, n: int, sign: int) -> list[tuple[Scalar, ...]]:
+    """Rows R[u][v] = Tr(X_u T_v) with X_1 = 1 and, for sign = 1,
+    X_{u s_i} = X_u T_{s_i}, or, for sign = -1, X_{u s_i} = T_{s_i}^-1 X_u.
+    They are built over the right weak order: for l(u s_i) = l(u)+1,
+    associativity (sign = 1) or the trace property (sign = -1) moves the
+    generator onto T_v, so with t = s_i v (sign = 1: the forward step
+    along lmul) or t = v s_i (sign = -1: the inverse step along rmul)
+    and Q = q^sign,
 
-        G[u s_i][v] = G[u][s_i v]                       if l(s_i v) > l(v),
-                      (q-1) G[u][v] + q G[u][s_i v]     otherwise,
+        R[u s_i][v] = R[u][t]                      if l(t) - l(v) has the sign of the power,
+                      (Q-1) R[u][v] + Q R[u][t]    otherwise:
 
-    so the whole matrix costs O(n!^2) scalar operations."""
-    _check_gram_limit(n)
+    hecke._gen_step read as a functional, O(n!^2) scalar operations."""
+    if n > GRAM_LIMIT:
+        raise ValueError(f"Gram computations limited to {GRAM_LIMIT} strands")
     tbl = perm_table(n)
-    q = p.q
-    qm1 = q - 1
+    ln, rm = tbl.length, tbl.rmul
+    nbr = tbl.lmul if sign > 0 else tbl.rmul
+    qs = p.q_pow(sign)
+    qs1 = qs - 1
     rows: list[tuple[Scalar, ...]] = [tuple(p.lift(v) for v in _trace_vector(p, max(n, 1)))]
     for u in range(1, tbl.size):
-        i = next(i for i in range(n - 1) if tbl.length[tbl.rmul[u][i]] < tbl.length[u])
-        parent = rows[tbl.rmul[u][i]]
-        lm = tbl.lmul
-        ln = tbl.length
-        row = [
-            parent[lm[v][i]] if ln[lm[v][i]] > ln[v]
-            else qm1 * parent[v] + q * parent[lm[v][i]]
+        i = next(i for i in range(n - 1) if ln[rm[u][i]] < ln[u])
+        parent = rows[rm[u][i]]
+        rows.append(tuple(
+            parent[nbr[v][i]] if (ln[nbr[v][i]] - ln[v]) * sign > 0
+            else qs1 * parent[v] + qs * parent[nbr[v][i]]
             for v in range(tbl.size)
-        ]
-        rows.append(tuple(row))
-    return tuple(rows)
+        ))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def gram_bilinear(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
+    """G[u][v] = Tr(T_u T_v): the forward rows of ``_gram_rows``."""
+    return tuple(_gram_rows(p, n, 1))
 
 
 @lru_cache(maxsize=None)
@@ -221,44 +234,23 @@ def gram_hermitian(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
     """K[u][v] = (T_u, T_v) = Tr((T_v)^(-1) T_u), the matrix of the
     hermitian form (x,y) = Tr(y* x) on the T_w basis (star conjugates
     the coordinates of y, so the form's matrix itself carries no
-    conjugation).  The transposed matrix W[v][u] = Tr((T_v)^(-1) T_u)
-    is assembled by a cyclic-invariance recursion: for l(v s_i) = l(v)+1,
-
-        W[v s_i][u] = W[v][u s_i]                             if l(u s_i) < l(u),
-                      q^(-1) W[v][u s_i] + (q^(-1)-1) W[v][u] otherwise."""
-    _check_gram_limit(n)
-    tbl = perm_table(n)
-    qi = p.q_pow(-1)
-    qim1 = qi - 1
-    rows: list[tuple[Scalar, ...]] = [tuple(p.lift(v) for v in _trace_vector(p, max(n, 1)))]
-    for v in range(1, tbl.size):
-        i = next(i for i in range(n - 1) if tbl.length[tbl.rmul[v][i]] < tbl.length[v])
-        parent = rows[tbl.rmul[v][i]]
-        rm = tbl.rmul
-        ln = tbl.length
-        row = [
-            parent[rm[u][i]] if ln[rm[u][i]] < ln[u]
-            else qi * parent[rm[u][i]] + qim1 * parent[u]
-            for u in range(tbl.size)
-        ]
-        rows.append(tuple(row))
-    return tuple(zip(*rows))
+    conjugation): the transpose of the inverse rows of ``_gram_rows``,
+    whose row v is Tr((T_v)^(-1) T_u) over u."""
+    return tuple(zip(*_gram_rows(p, n, -1)))
 
 
-def _check_gram_limit(n: int):
-    if n > GRAM_LIMIT:
-        raise ValueError(f"Gram computations limited to {GRAM_LIMIT} strands")
+def _gram_matrix(p: Params, n: int, form: str) -> tuple[tuple[Scalar, ...], ...]:
+    return gram_bilinear(p, n) if form == "bilinear" else gram_hermitian(p, n)
 
 
 @lru_cache(maxsize=None)
-def gram_rref(p: Params, n: int, form: str = "bilinear") -> tuple[tuple[tuple[Scalar, ...], ...], tuple[int, ...]]:
-    """Cached reduced row echelon form of a Gram matrix.
+def gram_rref(p: Params, n: int) -> tuple[tuple[tuple[Scalar, ...], ...], tuple[int, ...]]:
+    """Cached reduced row echelon form of the bilinear Gram matrix.
 
     Returns (R, pivots).  Because row operations preserve column
     relations, column w of R expresses column w of the Gram matrix over
     the pivot columns; this is what the purified-algebra quotient uses."""
-    mat = gram_bilinear(p, n) if form == "bilinear" else gram_hermitian(p, n)
-    red, piv = rref(p, [list(r) for r in mat])
+    red, piv = rref(p, [list(r) for r in gram_bilinear(p, n)])
     return tuple(tuple(r) for r in red), tuple(piv)
 
 
@@ -275,7 +267,7 @@ class GramData:
 
     @property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        return gram_bilinear(self.p, self.n) if self.form == "bilinear" else gram_hermitian(self.p, self.n)
+        return _gram_matrix(self.p, self.n, self.form)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the embedded matrix (hermitian form)."""
@@ -305,15 +297,12 @@ def gram(p: Params, n: int, form: str = "bilinear") -> GramData:
     matrices equals the right kernel of the transpose."""
     if form not in ("bilinear", "hermitian"):
         raise ValueError("form must be 'bilinear' or 'hermitian'")
-    _check_gram_limit(n)
-    mat = gram_bilinear(p, n) if form == "bilinear" else gram_hermitian(p, n)
+    mat = _gram_matrix(p, n, form)
     size = len(mat)
     if form == "bilinear":
-        red, piv = gram_rref(p, n, "bilinear")
+        red, piv = gram_rref(p, n)
     else:
-        cols = [[mat[u][v] for u in range(size)] for v in range(size)]
-        r2, p2 = rref(p, cols)
-        red, piv = tuple(tuple(r) for r in r2), tuple(p2)
+        red, piv = rref(p, [list(col) for col in zip(*mat)])
     kern = kernel_from_rref(p, red, piv, size)
     elements = tuple(
         HeckeElement(p, n, {w: c for w, c in enumerate(vec) if not c.is_zero()})

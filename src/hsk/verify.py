@@ -233,21 +233,8 @@ def _check_pad_bijection(p: Params, max_n: int, rng: Random) -> str:
             )
             image.add(q.rows)
 
-        def targets(n: int):
-            def rec(prefix, remaining, maximum):
-                if len(prefix) == p.N:
-                    if remaining == 0:
-                        first = prefix[0] if prefix else 0
-                        last = prefix[-1] if prefix else 0
-                        if first - last <= p.K:
-                            yield tuple(x for x in prefix if x)
-                    return
-                for r in range(min(maximum, remaining), -1, -1):
-                    yield from rec(prefix + [r], remaining - r, r)
-
-            yield from rec([], n, n)
-
-        target = set(targets(n))
+        target = {d.rows for d in _partitions(n)
+                  if d.nrows <= p.N and d.row(0) - d.row(p.N - 1) <= p.K}
         _assert(
             image == target,
             f"pad image at n={n} is {sorted(image)} but expected {sorted(target)}",

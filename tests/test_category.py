@@ -39,7 +39,7 @@ from hsk import (
     twist,
     young_idempotent,
 )
-from hsk.hecke import _rmul_gen
+from hsk.hecke import _gen_step
 from hsk.linalg import rref
 from hsk.perms import perm_table
 from hsk.trace import CURL_MATCH_SIGN
@@ -290,7 +290,8 @@ def _basis_row_table(a, v):
     for w in range(1, tbl.size):
         i = next(i for i in range(a.n - 1)
                  if tbl.length[tbl.lmul[w][i]] < tbl.length[w])
-        rho[w] = _mat_vec(a.p, a.left_gen[i], rho[tbl.lmul[w][i]])
+        prev = a.lift(rho[tbl.lmul[w][i]]).terms
+        rho[w] = a.reduce_terms(_gen_step(a.p, tbl.length, tbl.lmul, prev, i))
     return rho
 
 
@@ -302,7 +303,7 @@ def _compressed_rank(p, a, u, v):
     for j in a.pivots:
         uterms = dict(u.terms)
         for i in tbl.word[j]:
-            uterms = _rmul_gen(p, tbl, uterms, i)
+            uterms = _gen_step(p, tbl.length, tbl.rmul, uterms, i)
         col = [p.zero] * a.dim
         for w, c in uterms.items():
             for r, x in enumerate(rho[w]):

@@ -263,6 +263,18 @@ class TestExitCodes:
         assert got == run_json(capsys, "qint", str(99999999 % 8), "--N", "2", "--K", "2")
 
     @pytest.mark.parametrize("argv", [
+        ["labels", "--N", "13", "--K", "13"],
+        ["qdim", "1", "--N", "40", "--K", "40"],
+        ["qint", "3", "--N", "80", "--K", "80"],
+    ])
+    def test_oversized_theory_fails_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ["jw", "--strands", "9", "--kind", "sym"],
         ["yidem", "9"],
         ["qdim", "3,3,3"],

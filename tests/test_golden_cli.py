@@ -70,6 +70,12 @@ def commands() -> list[list[str]]:
     for genus in (1, 2, 5):
         cmds.append(["mfdim", *pk, "--genus", str(genus)])
     cmds.append(["mfdim", *pk, "--genus", "2", "--label", "1", "--label", "1"])
+    # central idempotents pin the centre of the purified algebra
+    for N, K in THEORIES:
+        pk = ["--N", str(N), "--K", str(K)]
+        for n in range(5):
+            cmds.append(["blocks", *pk, "--strands", str(n), "--full"])
+        cmds.append(["purify", *pk, "--strands", "4"])
     return cmds
 
 

@@ -21,8 +21,9 @@ from hsk import (
     tensor_embed,
     young_idempotent,
 )
-from hsk.hecke import random_element
+from hsk.hecke import _gen_step, random_element
 from hsk.perms import perm_table
+from hsk.scalar import Scalar
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
@@ -51,6 +52,58 @@ class TestQuadraticRelation:
         qi = p.q_pow(-1)
         tinv = t.scale(qi) + HeckeElement.identity(p, 2).scale(qi - p.one)
         assert t * tinv == HeckeElement.identity(p, 2)
+
+
+def _inversions(w):
+    return sum(1 for a in range(len(w)) for b in range(a + 1, len(w)) if w[a] > w[b])
+
+
+def _gen_product(p, n, terms, i, sign, left):
+    """T_{s_i}^sign x (left) or x T_{s_i}^sign from one-line permutations
+    alone: s_i w swaps the values i, i+1 of w and w s_i its positions;
+    T_s T_w = T_{sw} when the length goes up and (q-1) T_w + q T_{sw}
+    otherwise (likewise on the right), and T_s^-1 = q^-1 T_s + (q^-1 - 1)."""
+    tbl = perm_table(n)
+    field = next(iter(terms.values())).field
+    q = p.q_pow_in(field, 1)
+    zero = Scalar.from_rational(field, 0)
+    a, b = (zero + 1, zero) if sign > 0 else (q.inverse(), q.inverse() - 1)
+    out = {}
+    for w, c in terms.items():
+        perm = tbl.perms[w]
+        if left:
+            sp = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
+        else:
+            sp = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2:]
+        v = tbl.index[sp]
+        if _inversions(sp) > _inversions(perm):
+            parts = [(v, c * a), (w, c * b)]
+        else:
+            parts = [(w, c * a * (q - 1) + c * b), (v, c * a * q)]
+        for u, x in parts:
+            out[u] = out.get(u, zero) + x
+    return {u: x for u, x in out.items() if not x.is_zero()}
+
+
+class TestGeneratorStep:
+    @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (4, 1)])
+    def test_matches_products_on_both_sides(self, N, K):
+        p = Params(N, K)
+        rng = Random(f"gen-step:{N},{K}")
+        for n in range(2, 6):
+            tbl = perm_table(n)
+            for field in (p.field, p.subfield):
+                for _ in range(3):
+                    terms = {}
+                    for _ in range(6):
+                        c = Scalar.zeta_power(field, rng.randrange(field.m)) * rng.randint(1, 3)
+                        terms[rng.randrange(tbl.size)] = c
+                    for i in range(n - 1):
+                        for sign in (1, -1):
+                            for nbr, left in ((tbl.lmul, True), (tbl.rmul, False)):
+                                got = _gen_step(p, tbl.length, nbr, terms, i, sign)
+                                assert got == _gen_product(p, n, terms, i, sign, left)
+                                assert all(c.field is field for c in got.values())
 
 
 class TestBraidLift:

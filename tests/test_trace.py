@@ -38,9 +38,9 @@ from hsk import (
     tensor_embed,
     trace_parameter,
 )
-from hsk.hecke import _rmul_gen, full_twist_word, random_element
+from hsk.hecke import _gen_step, full_twist_word, random_element
 from hsk.perms import perm_table
-from hsk.trace import CURL_MATCH_SIGN, _trace_vector
+from hsk.trace import CURL_MATCH_SIGN, _trace_vector, gram_bilinear, gram_hermitian
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
@@ -149,7 +149,7 @@ def _trace_vector_oracle(p, n, memo=None):
             continue
         terms = {sub.index[pw[:j] + pw[j + 1:]]: p.one}
         for i in range(n - 3, j - 1, -1):
-            terms = _rmul_gen(p, sub, terms, i)
+            terms = _gen_step(p, sub.length, sub.rmul, terms, i)
         acc = p.zero
         for u, c in terms.items():
             acc = acc + c * prev[u]
@@ -251,6 +251,19 @@ class TestGram:
     def test_gram_limit(self):
         with pytest.raises(ValueError):
             gram(Params(2, 1), GRAM_LIMIT + 1)
+
+    @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (4, 1)])
+    def test_entries_are_traces(self, N, K):
+        # entry by entry, so a swapped side or sign in the row
+        # recursion cannot hide behind an unchanged rank
+        p = Params(N, K)
+        for n in range(1, 5):
+            bil, herm = gram_bilinear(p, n), gram_hermitian(p, n)
+            basis = [HeckeElement.basis(p, n, w) for w in range(perm_table(n).size)]
+            for u, tu in enumerate(basis):
+                for v, tv in enumerate(basis):
+                    assert bil[u][v] == markov_trace(p, tu * tv), (n, u, v)
+                    assert herm[u][v] == markov_trace(p, star(tv) * tu), (n, u, v)
 
     def test_json_shape(self):
         g = gram(Params(2, 2), 2, "bilinear")
