@@ -19,8 +19,9 @@ generator step on either side (``hecke._gen_step``) and reduced through
 ``rmap``.  Central idempotents are recovered from trace characters: a
 central element z decomposes as sum over blocks of psi_mu(z) z_mu where
 psi_mu(z) = Tr(z e_mu)/Tr(e_mu) for any minimal idempotent e_mu of the
-block mu, so one exact linear solve inside the centre produces each
-z_lambda.
+block mu.  The z_lambda are dual to the psi_mu, so inverting the matrix
+of the psi_mu on a basis of the centre, one elimination, produces all
+of them.
 
 Fusion coefficients are trace ratios.  A_n is split semisimple,
 A_n = sum over nu of M_{d_nu}, and the Markov trace restricts to the
@@ -41,7 +42,7 @@ from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_count
 from .hecke import (BraidWord, HeckeElement, _acc, _gen_step, from_braid,
                     full_twist_word, block_transposition_word, jones_wenzl,
                     tensor_embed, young_idempotent)
-from .linalg import determinant, nullspace, solve
+from .linalg import determinant, nullspace, rref
 from .perms import perm_table
 from .scalar import Params, Scalar
 from .trace import (CURL_MATCH_SIGN, GRAM_LIMIT, curl_scalar, gram_bilinear,
@@ -213,16 +214,20 @@ def central_idempotents(p: Params, n: int) -> BlockData:
         weights[mu] = markov_trace(p, e_mu)
         if weights[mu].is_zero():
             raise RuntimeError("vanishing Markov weight on a block")
-    psi = []
-    for mu in labs:
+    # one elimination of [psi | I] gives [I | psi^-1]; column k of psi^-1
+    # holds the coordinates of z_k over the centre basis
+    size = len(labs)
+    aug = []
+    for k, mu in enumerate(labs):
         inv = weights[mu].inverse()
-        psi.append([a.trace_pair(cvec, reduced_minimal[mu]) * inv for cvec in centre])
+        aug.append([a.trace_pair(cvec, reduced_minimal[mu]) * inv for cvec in centre]
+                   + [p.one if j == k else p.zero for j in range(size)])
+    red, piv = rref(p, aug)
+    if piv != list(range(size)):
+        raise RuntimeError("singular character system")
     blocks: dict[YoungDiagram, BlockEntry] = {}
     for k, lam in enumerate(labs):
-        rhs = [p.one if j == k else p.zero for j in range(len(labs))]
-        coeffs = solve(p, psi, rhs)
-        if coeffs is None:
-            raise RuntimeError("inconsistent character system")
+        coeffs = [row[size + k] for row in red]
         zvec = [p.zero] * d
         for c, cvec in zip(coeffs, centre):
             if not c.is_zero():
@@ -396,7 +401,7 @@ class SMatrix:
             "K": self.p.K,
             "labels": [list(d.rows) for d in self.labels],
             "entries": [
-                [{**c.to_json(), "embed": [c.embed().real, c.embed().imag]} for c in row]
+                [c.to_json(embed=True) for c in row]
                 for row in self.entries
             ],
         }

@@ -13,10 +13,11 @@ also exits 1 when the report contains a failed check.
 Expensive results (projectors, Gram data, blocks, fusion, modular
 data) are cached on disk.  The cache directory comes from --cache,
 else the HSK_CACHE environment variable, else ./.hsk-cache.  Entries
-are keyed by schema version, parameters and the defining arguments,
-carry a content checksum, and are written atomically; a corrupt or
-mismatched entry is treated as absent, so a warm cache returns byte
-for byte the same JSON as a cold one.
+are keyed by a fingerprint of the code (the sha256 of the package's
+.py sources), parameters and the defining arguments, carry a content
+checksum, and are written atomically; an entry written by other code,
+or a corrupt or mismatched one, is treated as absent, so a warm cache
+returns byte for byte the same JSON as a cold one.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from math import comb
 
 from .diagrams import YoungDiagram, branch, dagger, labels, path_count
 from .hecke import BraidWord, from_braid, jones_wenzl, young_idempotent
-from .scalar import Params, Scalar, qint
+from .scalar import Params, qint
 from .trace import GRAM_LIMIT, TRACE_LIMIT, closure_invariant, gram, markov_trace
 from .category import (
     central_idempotents,
@@ -45,8 +47,6 @@ from .category import (
 )
 from .verify import run_verify
 
-SCHEMA_VERSION = 1
-
 # Bound on the label count C(N+K-1, K) and on m^2, m = 2N(N+K): `labels`
 # lists every label, and Q(zeta_m) keeps an m x phi(m) reduction table.
 # Theories up to (5,5) (126 labels, m^2 = 10^4) run in well under a second.
@@ -59,11 +59,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _scalar_json(x: Scalar) -> dict:
-    e = x.embed()
-    return {**x.to_json(), "embed": [e.real, e.imag]}
 
 
 def _parse_diagram(text: str) -> YoungDiagram:
@@ -96,8 +91,8 @@ def _parse_label(p: Params, text: str) -> YoungDiagram:
 def _strands_or_size(args, d: YoungDiagram) -> int:
     if args.strands is None:
         return d.size
-    if args.strands < 0:
-        raise UsageError("--strands must be nonnegative")
+    if not 0 <= args.strands <= 1000:  # path counts stay far below JSON's digit limit
+        raise UsageError("--strands must be between 0 and 1000")
     return args.strands
 
 
@@ -129,8 +124,22 @@ def _parse_braid(word: str, strands: int | None) -> BraidWord:
 # result cache
 
 
+@lru_cache(maxsize=None)
+def _code_fingerprint() -> str:
+    """sha256 of the package's .py sources (first 64 bits), read once
+    per process: a cache entry never outlives a change to the code that
+    computed it."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()[:16]
+
+
 class ResultCache:
-    """Best-effort JSON store keyed by (schema, N, K, kind, args).
+    """Best-effort JSON store keyed by (code fingerprint, N, K, kind, args).
 
     Entries are self-describing files {version, key, checksum, payload};
     a read that fails the key or checksum comparison is a miss.  Writes
@@ -152,7 +161,7 @@ class ResultCache:
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-            if entry.get("version") != SCHEMA_VERSION or entry.get("key") != key:
+            if entry.get("key") != key:
                 return None
             payload = entry.get("payload")
             digest = hashlib.sha256(self._canon(payload).encode()).hexdigest()
@@ -166,7 +175,7 @@ class ResultCache:
         try:
             os.makedirs(self.root, exist_ok=True)
             entry = {
-                "version": SCHEMA_VERSION,
+                "version": _code_fingerprint(),
                 "key": key,
                 "checksum": hashlib.sha256(self._canon(payload).encode()).hexdigest(),
                 "payload": payload,
@@ -191,7 +200,7 @@ def _cache_dir(args) -> str:
 
 def _cached(args, kind: str, extra: list, compute):
     cache = ResultCache(_cache_dir(args))
-    key = [SCHEMA_VERSION, args.N, args.K, kind] + extra
+    key = [_code_fingerprint(), args.N, args.K, kind] + extra
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -209,7 +218,7 @@ def _cmd_labels(p: Params, args):
 
 
 def _cmd_qint(p: Params, args):
-    return _scalar_json(qint(p, args.j)), 0
+    return qint(p, args.j).to_json(embed=True), 0
 
 
 def _cmd_dagger(p: Params, args):
@@ -243,7 +252,7 @@ def _cmd_yidem(p: Params, args):
         y = young_idempotent(p, d)
         return {
             "diagram": list(d.rows),
-            "hook": _scalar_json(y.hook),
+            "hook": y.hook.to_json(embed=True),
             "quasi": y.quasi.to_json(),
             "idempotent": None if y.idem is None else y.idem.to_json(),
         }
@@ -255,14 +264,14 @@ def _cmd_trace(p: Params, args):
     b = _parse_braid(args.braid, args.strands)
     if b.strands > TRACE_LIMIT:
         raise ValueError(f"traces are limited to {TRACE_LIMIT} strands")
-    return _scalar_json(markov_trace(p, from_braid(p, b))), 0
+    return markov_trace(p, from_braid(p, b)).to_json(embed=True), 0
 
 
 def _cmd_closure(p: Params, args):
     b = _parse_braid(args.braid, args.strands)
     if b.strands > TRACE_LIMIT:
         raise ValueError(f"closures are limited to {TRACE_LIMIT} strands")
-    return _scalar_json(closure_invariant(p, b)), 0
+    return closure_invariant(p, b).to_json(embed=True), 0
 
 
 def _cmd_gram(p: Params, args):
@@ -315,7 +324,7 @@ def _cmd_qdim(p: Params, args):
     d = _parse_label(p, args.diagram)
 
     def compute():
-        return _scalar_json(qdim(p, d))
+        return qdim(p, d).to_json(embed=True)
 
     return _cached(args, "qdim", [list(d.rows)], compute), 0
 
@@ -324,7 +333,7 @@ def _cmd_twist(p: Params, args):
     d = _parse_label(p, args.diagram)
 
     def compute():
-        return _scalar_json(twist(p, d))
+        return twist(p, d).to_json(embed=True)
 
     return _cached(args, "twist", [list(d.rows)], compute), 0
 

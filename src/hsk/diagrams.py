@@ -201,41 +201,40 @@ def gamma_n(p: Params, n: int) -> list[YoungDiagram]:
     return list(_gamma_n(p.N, p.K, n))
 
 
+def _on_strands(p: Params, n: int, d: YoungDiagram) -> bool:
+    """d is in Gamma^n: a label of size at most n, congruent to n mod N."""
+    return _in_gamma(p, d) and d.size <= n and (n - d.size) % p.N == 0
+
+
 def branch(p: Params, n: int, d: YoungDiagram) -> list[YoungDiagram]:
     """Restriction rule: the labels of Gamma^(n-1) whose block appears
     in the restriction of the block of d from n to n-1 strands.
 
     Predecessors are obtained by removing one box, or (when padding is
     available, n > |d|) by adding one box to each of the first N-1 rows,
-    which is removing the bottom box of a padded column."""
-    if d not in set(_gamma_n(p.N, p.K, n)):
+    which is removing the bottom box of a padded column.  Both stay in
+    Gamma^(n-1): a removal keeps a label a label, and padding means
+    n >= |d| + N."""
+    if not _on_strands(p, n, d):
         raise ValueError("diagram is not a label on n strands")
-    out = [r for r in d.box_removals() if _in_gamma(p, r)]
+    out = d.box_removals()
     if n > d.size and d.row(0) + 1 <= p.K:
-        grown = YoungDiagram(tuple(d.row(i) + 1 for i in range(p.N - 1)))
-        out.append(grown)
-    seen = set(_gamma_n(p.N, p.K, n - 1))
-    out = [r for r in out if r in seen]
-    return sorted(set(out), key=lambda x: (x.size, x.rows))
-
-
-@lru_cache(maxsize=None)
-def _path_count(N: int, K: int, n: int, rows: tuple[int, ...]) -> int:
-    d = YoungDiagram(rows)
-    if d not in set(_gamma_n(N, K, n)):
-        return 0
-    if n == 0:
-        return 1
-    p = Params(N, K)
-    return sum(
-        _path_count(N, K, n - 1, b.rows) for b in branch(p, n, d)
-    )
+        out.append(YoungDiagram(tuple(d.row(i) + 1 for i in range(p.N - 1))))
+    return sorted(out, key=lambda x: (x.size, x.rows))
 
 
 def path_count(p: Params, n: int, d: YoungDiagram) -> int:
     """Number of Bratteli paths from the empty diagram to d in n steps;
-    0 when d is not a label on n strands."""
-    return _path_count(p.N, p.K, n, d.rows)
+    0 when d is not a label on n strands.  One forward pass over the
+    strand counts, each label summing its predecessors' counts."""
+    if not _on_strands(p, n, d):
+        return 0
+    labs = [e for e in _labels(p.N, p.K) if e.size <= n]
+    counts = {YoungDiagram(): 1}
+    for k in range(1, n + 1):
+        counts = {e: sum(counts[b] for b in branch(p, k, e))
+                  for e in labs if _on_strands(p, k, e)}
+    return counts[d]
 
 
 def pad(p: Params, d: YoungDiagram, n: int) -> YoungDiagram:

@@ -52,7 +52,6 @@ __all__ = [
     "HeckeElement",
     "YoungIdempotent",
     "from_braid",
-    "multiply",
     "star",
     "e_idempotent",
     "jones_wenzl",
@@ -255,10 +254,6 @@ def _mul_elements(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         for v, cv in z.items():
             _acc(out, v, c * cv)
     return HeckeElement(x.p, x.n, out)
-
-
-def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    return x * y
 
 
 def star(x: HeckeElement) -> HeckeElement:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .scalar import Params, Scalar
 
-__all__ = ["rref", "rank", "nullspace", "solve", "determinant", "hermitian_min_eigenvalue"]
+__all__ = ["rref", "nullspace", "determinant", "hermitian_min_eigenvalue"]
 
 Matrix = list[list[Scalar]]
 
@@ -58,10 +58,6 @@ def rref(p: Params, rows: Matrix) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def rank(p: Params, rows: Matrix) -> int:
-    return len(rref(p, rows)[1])
-
-
 def nullspace(p: Params, rows: Matrix, ncols: int | None = None) -> Matrix:
     """Basis of the right kernel, one vector per free column.  Each
     basis vector has a single 1 in its free column, so the output is
@@ -88,21 +84,6 @@ def kernel_from_rref(p: Params, red, pivots, ncols: int) -> Matrix:
             vec[c] = -red[r][f]
         basis.append(vec)
     return basis
-
-
-def solve(p: Params, rows: Matrix, rhs: list[Scalar]) -> list[Scalar] | None:
-    """One solution of A x = b, or None if the system is inconsistent."""
-    if not rows:
-        return None if any(not c.is_zero() for c in rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(p, aug)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [p.zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
 
 
 def determinant(p: Params, mat: Matrix) -> Scalar:

@@ -11,9 +11,11 @@ Q(q) = Q(zeta_{N+K}), with phi(N+K) coefficients, carries what involves
 q alone (Hecke relations, traces of the T_w).  It is Q(zeta_{m'}) with
 m' = N+K or 2(N+K), whichever is even: phi(m') <= m'/2 keeps products
 inside the reduction table.  ``Params.lift`` embeds it, zeta_{m'} ->
-zeta^(m/m').  Embedding, complex conjugation (zeta -> zeta^-1) and the
-reduction of an inverse's polynomial are one substitution of monomials,
-``_Field.monomial_map``.
+zeta^(m/m').  Embedding and the Galois automorphisms zeta -> zeta^k
+(k prime to m; complex conjugation is k = -1) are one substitution of
+monomials, ``_Field.monomial_map``.  Inversion uses them too: x^-1 is
+the product of the other Galois conjugates of x over the rational norm
+N(x), so the field needs no polynomial division beyond building Phi_m.
 
 A scalar is a polynomial in zeta with rational coefficients, reduced
 modulo the m-th cyclotomic polynomial Phi_m.  It is stored as an integer
@@ -133,8 +135,8 @@ class _Field:
 
     def monomial_map(self, a, step: int, k: int = 0) -> list[int]:
         """Coefficients of sum_j a_j zeta^(j*step + k) reduced mod Phi_m:
-        step = -1 conjugates, step = m/m' embeds Q(zeta_m'), and step = 1
-        reduces a polynomial of any degree."""
+        a step prime to m is the Galois automorphism zeta -> zeta^step
+        (step = -1 conjugates), and step = m/m' embeds Q(zeta_m')."""
         out = [0] * self.phi
         m, red = self.m, self.red
         for j, aj in enumerate(a):
@@ -304,30 +306,26 @@ class Scalar:
         return Scalar._make(self.field, self.field.monomial_map(self.num, -1), self.den)
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        modulo Phi_m (irreducible over Q, so every nonzero scalar is a
-        unit)."""
+        """Multiplicative inverse as a Galois norm quotient.
+
+        The automorphisms sigma_k: zeta -> zeta^k, k prime to m, fix
+        exactly Q, so N(x) = x * prod_{k != 1} sigma_k(x) is rational and
+        x^-1 = prod_{k != 1} sigma_k(x) / N(x).  The product runs over
+        the integer numerator a (x = a/d): x^-1 = d * prod sigma_k(a) / N(a),
+        with N(a) an integer.  A norm that is not rational means Phi_m
+        is wrong and raises ArithmeticError."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        phim = [Fraction(c) for c in self.field.phim]
-        a = [Fraction(c) for c in self.num]
-        # r0 = Phi_m, r1 = a; track s only against a.
-        r0, r1 = phim, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0] != 0:
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        g = r0
-        if len(g) != 1:
-            raise ArithmeticError("cyclotomic modulus not irreducible?")
-        inv = [c / g[0] for c in s0]
-        # inv * a = 1 mod Phi_m; inv may exceed degree phi - reduce.
-        den = 1
-        for c in inv:
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = self.field.monomial_map([int(c * den) for c in inv], 1)
-        return Scalar._make(self.field, [v * self.den for v in vec], den)
+        field = self.field
+        m = field.m
+        prod = [1] + [0] * (field.phi - 1)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                prod = field.mul_vec(prod, field.monomial_map(self.num, k))
+        norm = field.mul_vec(self.num, prod)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError("norm is not a nonzero rational")
+        return Scalar._make(field, [v * self.den for v in prod], norm[0])
 
     def embed(self) -> complex:
         z = 0j
@@ -339,8 +337,14 @@ class Scalar:
 
     # -- serialization -----------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"den": self.den, "num": list(self.num)}
+    def to_json(self, embed: bool = False) -> dict:
+        """Exact coordinates; with ``embed``, also the float embedding
+        as [re, im] for human inspection."""
+        data = {"den": self.den, "num": list(self.num)}
+        if embed:
+            e = self.embed()
+            data["embed"] = [e.real, e.imag]
+        return data
 
     @staticmethod
     def from_json(field: _Field, data: dict) -> "Scalar":
@@ -348,48 +352,6 @@ class Scalar:
         if len(num) != field.phi:
             raise ValueError("coefficient vector has wrong length")
         return Scalar._make(field, num, int(data["den"]))
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    k = len(p)
-    while k > 1 and p[k - 1] == 0:
-        k -= 1
-    return p[:k]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(a) - 1 < db:
-        return [Fraction(0)], a
-    quot = [Fraction(0)] * (len(a) - db)
-    for k in range(len(quot) - 1, -1, -1):
-        c = a[k + db] / lead
-        quot[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[k + j] -= c * bj
-    return quot, a
 
 
 @dataclass(frozen=True)

@@ -277,13 +277,13 @@ class GramData:
         data = {
             "n": self.n,
             "form": self.form,
-            "dim": len(self.matrix),
+            "dim": self.rank + len(self.kernel_basis),
             "rank": self.rank,
             "kernel_dim": len(self.kernel_basis),
         }
         if full:
             data["matrix"] = [
-                [{**c.to_json(), "embed": [c.embed().real, c.embed().imag]} for c in row]
+                [c.to_json(embed=True) for c in row]
                 for row in self.matrix
             ]
             data["kernel_basis"] = [x.to_json() for x in self.kernel_basis]
@@ -292,17 +292,16 @@ class GramData:
 
 def gram(p: Params, n: int, form: str = "bilinear") -> GramData:
     """Full Gram matrix of the chosen trace form with exact rank and
-    kernel.  The kernel of the hermitian form is computed on the left
-    (coordinates of x in (x,y) enter unconjugated), which for these
-    matrices equals the right kernel of the transpose."""
+    kernel.  The kernel of the hermitian form is taken on the left
+    (coordinates of x in (x,y) enter unconjugated): x with
+    Tr(T_v^-1 x) = 0 for all v.  The T_v^-1 span H_n, so that is the
+    bilinear radical itself; equal kernels give equal row spaces, and
+    the reduced echelon form of K^T is ``gram_rref``.  One elimination
+    serves both forms."""
     if form not in ("bilinear", "hermitian"):
         raise ValueError("form must be 'bilinear' or 'hermitian'")
-    mat = _gram_matrix(p, n, form)
-    size = len(mat)
-    if form == "bilinear":
-        red, piv = gram_rref(p, n)
-    else:
-        red, piv = rref(p, [list(col) for col in zip(*mat)])
+    red, piv = gram_rref(p, n)
+    size = perm_table(n).size
     kern = kernel_from_rref(p, red, piv, size)
     elements = tuple(
         HeckeElement(p, n, {w: c for w, c in enumerate(vec) if not c.is_zero()})

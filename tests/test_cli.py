@@ -4,14 +4,22 @@ Exit code contract: 0 on success, 1 on domain errors (invalid diagram,
 strand limits, bad parameters), 2 on usage errors (malformed braid
 words, missing arguments, out-of-range verify bounds)."""
 
+import hashlib
 import json
 import math
 import os
+import pathlib
+import sys
 import time
 
 import pytest
 
+from hsk import Params, YoungDiagram, qdim
+from hsk import cli
 from hsk.cli import main
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from hskbench.oracles import path_counts  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -249,6 +257,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("usage error")
 
+    @pytest.mark.parametrize("cmd", ["paths", "branch"])
+    def test_strand_cap_is_usage_error(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd, "", "--N", "2", "--K", "2", "--strands", "1001")
+        assert code == 2 and out == ""
+        assert err == "usage error: --strands must be between 0 and 1000\n"
+
+    def test_deep_path_count(self, capsys):
+        # the count at 900 strands, which a recursion over n could not reach
+        got = run_json(capsys, "paths", "", "--N", "2", "--K", "2", "--strands", "900")
+        assert got == {"n": 900, "diagram": [], "count": path_counts(2, 2, 900)[()]}
+
     def test_negative_table_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "fusion", "--table", "--max-strands", "-3", "--N", "2", "--K", "2"
@@ -345,6 +364,25 @@ class TestCache:
         entry["payload"] = {"num": [[9, 1]], "den": 1, "embed": [9.0, 0.0]}
         target.write_text(json.dumps(entry))
         assert run_cli(capsys, *argv)[1] == cold
+
+    def test_entry_from_other_code_recomputed(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "c"
+        argv = ["qdim", "2", "--N", "2", "--K", "2", "--cache", str(cache)]
+        real = cli._code_fingerprint()
+        # an entry written by other code, with a wrong but well-formed payload
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "0" * 16)
+        run_cli(capsys, *argv)
+        target = next(cache.glob("*.json"))
+        entry = json.loads(target.read_text())
+        entry["payload"] = {"den": 1, "num": [9] + [0] * 7, "embed": [9.0, 0.0]}
+        entry["checksum"] = hashlib.sha256(
+            cli.ResultCache._canon(entry["payload"]).encode()).hexdigest()
+        target.write_text(json.dumps(entry))
+        assert run_json(capsys, *argv)["num"][0] == 9  # that code still reads it
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: real)
+        want = qdim(Params(2, 2), YoungDiagram.of(2)).to_json(embed=True)
+        assert run_json(capsys, *argv) == want
+        assert len(list(cache.glob("*.json"))) == 2
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HSK_CACHE", str(tmp_path / "envc"))

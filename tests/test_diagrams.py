@@ -1,6 +1,9 @@
 """Young-diagram combinatorics: labels, duality, restriction,
 admissible paths and weights."""
 
+import pathlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,10 @@ from hsk import (
     path_count,
     weight,
 )
+
+# the benchmark's closed forms import no hsk, so they serve as oracles
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from hskbench.oracles import path_counts  # noqa: E402
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
@@ -156,6 +163,20 @@ class TestPathCount:
     def test_empty_path(self):
         for p in PARAMS:
             assert path_count(p, 0, YoungDiagram.of()) == 1
+
+    def test_matches_diagram_enumeration(self):
+        # hskbench.oracles counts box-adding paths through N-row diagrams
+        for p in PARAMS + [Params(2, 3)]:
+            for n in range(13):
+                want = path_counts(p.N, p.K, n)
+                assert set(want) <= {d.rows for d in gamma_n(p, n)}
+                for d in labels(p):
+                    assert path_count(p, n, d) == want.get(d.rows, 0), (p, n, d)
+
+    def test_deep_tower(self):
+        # 900 steps: a recursion over n would overflow the stack
+        for p, d in ((Params(2, 2), YoungDiagram.of()), (Params(3, 2), YoungDiagram.of(2, 1))):
+            assert path_count(p, 900, d) == path_counts(p.N, p.K, 900)[d.rows]
 
 
 class TestPad:

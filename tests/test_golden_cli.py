@@ -76,6 +76,25 @@ def commands() -> list[list[str]]:
         for n in range(5):
             cmds.append(["blocks", *pk, "--strands", str(n), "--full"])
         cmds.append(["purify", *pk, "--strands", "4"])
+    # small commands pin inverses (q-factorials, hooks) and path counts
+    for (N, K), labs in THEORIES.items():
+        pk = ["--N", str(N), "--K", str(K)]
+        cmds.append(["labels", *pk])
+        for j in (0, 1, 2, 3, N + K, 2 * (N + K) + 1, 99):
+            cmds.append(["qint", str(j), *pk])
+        for lab in labs:
+            size = sum(int(t) for t in lab.split(",") if t)
+            cmds.append(["dagger", lab, *pk])
+            for n in (size, size + N, size + 2 * N + 1):
+                cmds.append(["branch", lab, *pk, "--strands", str(n)])
+                cmds.append(["paths", lab, *pk, "--strands", str(n)])
+        for n in (249, 250):
+            cmds.append(["paths", "", *pk, "--strands", str(n)])
+        for lab in [*labs, "3", "3,1"]:
+            cmds.append(["yidem", lab, *pk])
+        for n in (2, 3, 4):
+            for kind in ("sym", "antisym"):
+                cmds.append(["jw", *pk, "--strands", str(n), "--kind", kind])
     return cmds
 
 

@@ -2,6 +2,8 @@
 conjugation, embedding and serialization."""
 
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -243,3 +245,125 @@ class TestSubfield:
             f = p.subfield
             images = {p.lift(Scalar.zeta_power(f, k)) for k in range(f.phi)}
             assert len(images) == f.phi
+
+
+# ---------------------------------------------------------------------------
+# the extended Euclidean algorithm over Fraction polynomials: the inverse
+# route that the Galois norm form replaced, kept as its oracle
+
+
+def _trim(p):
+    k = len(p)
+    while k > 1 and p[k - 1] == 0:
+        k -= 1
+    return p[:k]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, ai in enumerate(a):
+        out[i] += ai
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    return out
+
+
+def _frac_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return [Fraction(0)], a
+    quot = [Fraction(0)] * (len(a) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        c = a[k + db] / b[-1]
+        quot[k] = c
+        if c:
+            for j, bj in enumerate(b):
+                a[k + j] -= c * bj
+    return quot, a
+
+
+def _euclid_inverse(x):
+    """s with s*a = 1 mod Phi_m from the remainder sequence of (Phi_m, a),
+    reduced mod Phi_m and put over one denominator."""
+    phim = [Fraction(c) for c in x.field.phim]
+    r0, r1 = phim, _trim([Fraction(c, x.den) for c in x.num])
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1 or r1[0] != 0:
+        q, r = _frac_divmod(r0, r1)
+        r0, r1 = r1, _trim(r)
+        s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
+    assert len(r0) == 1
+    inv = _frac_divmod([c / r0[0] for c in s0], phim)[1][:x.field.phi]
+    inv += [Fraction(0)] * (x.field.phi - len(inv))
+    den = 1
+    for c in inv:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return Scalar._make(x.field, [int(c * den) for c in inv], den)
+
+
+class TestNormInverse:
+    """Scalar.inverse, the Galois norm quotient, equals the Euclid oracle
+    in every ambient field and subfield Q(q) of the grid and (2,3)."""
+
+    THEORIES = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3)]
+
+    @staticmethod
+    def _fields():
+        for N, K in TestNormInverse.THEORIES:
+            p = Params(N, K)
+            yield p.field
+            yield p.subfield
+
+    @staticmethod
+    def _draw(field, rng, bits):
+        """A dense or a sparse scalar with numerators of about `bits` bits."""
+        nums = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(field.phi)]
+        if rng.random() < 0.5:
+            nums = [c if rng.random() < 0.3 else 0 for c in nums]
+        return Scalar._make(field, nums, rng.randint(1, 2 ** bits))
+
+    def test_matches_euclid_small_coefficients(self):
+        rng = Random(61)
+        for field in self._fields():
+            one = Scalar.from_rational(field, 1)
+            for _ in range(25):
+                x = self._draw(field, rng, 3)
+                if x.is_zero():
+                    continue
+                inv = x.inverse()
+                assert inv == _euclid_inverse(x), (field.m, x)
+                assert x * inv == one
+
+    def test_matches_euclid_200_bit_coefficients(self):
+        rng = Random(62)
+        for field in self._fields():
+            for _ in range(3):
+                x = self._draw(field, rng, 200)
+                if not x.is_zero():
+                    assert x.inverse() == _euclid_inverse(x), (field.m, x)
+
+    def test_quantum_integers_and_roots_of_unity(self):
+        for N, K in self.THEORIES:
+            p = Params(N, K)
+            for j in range(1, p.N + p.K):
+                assert qint(p, j).inverse() == _euclid_inverse(qint(p, j))
+            for k in range(p.m):
+                assert p.zeta_pow(k).inverse() == p.zeta_pow(-k)
+
+    def test_non_rational_norm_raises(self, monkeypatch):
+        # with every sigma_k replaced by the identity the "norm" is x^phi,
+        # which is not rational for x = 1 + zeta
+        field = Params(2, 1).field
+        monkeypatch.setattr(type(field), "monomial_map", lambda self, a, step, k=0: list(a))
+        with pytest.raises(ArithmeticError):
+            Scalar._make(field, [1, 1] + [0] * (field.phi - 2), 1).inverse()

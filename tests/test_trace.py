@@ -40,7 +40,8 @@ from hsk import (
 )
 from hsk.hecke import _gen_step, full_twist_word, random_element
 from hsk.perms import perm_table
-from hsk.trace import CURL_MATCH_SIGN, _trace_vector, gram_bilinear, gram_hermitian
+from hsk.linalg import rref
+from hsk.trace import CURL_MATCH_SIGN, _trace_vector, gram_bilinear, gram_hermitian, gram_rref
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
@@ -235,6 +236,14 @@ class TestGram:
         for p in PARAMS[:3]:
             for n in (2, 3):
                 assert gram(p, n, "hermitian").rank == gram(p, n, "bilinear").rank
+
+    def test_hermitian_elimination_is_the_bilinear_one(self):
+        # the left kernel of K is the bilinear radical, so K^T and G share
+        # their row space and hence their reduced echelon form
+        for p in PARAMS:
+            for n in range(1, 5):
+                red, piv = rref(p, [list(col) for col in zip(*gram_hermitian(p, n))])
+                assert (tuple(map(tuple, red)), tuple(piv)) == gram_rref(p, n), (p, n)
 
     def test_psd(self):
         for p in PARAMS:
