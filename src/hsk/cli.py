@@ -17,15 +17,19 @@ are keyed by a fingerprint of the code (the sha256 of the package's
 .py sources), parameters and the defining arguments, carry a content
 checksum, and are written atomically; an entry written by other code,
 or a corrupt or mismatched one, is treated as absent, so a warm cache
-returns byte for byte the same JSON as a cold one.
+returns byte for byte the same JSON as a cold one.  The first write of
+a process deletes the entries of other code versions; other files in
+the directory are never touched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from functools import lru_cache
@@ -141,17 +145,23 @@ def _code_fingerprint() -> str:
 class ResultCache:
     """Best-effort JSON store keyed by (code fingerprint, N, K, kind, args).
 
-    Entries are self-describing files {version, key, checksum, payload};
-    a read that fails the key or checksum comparison is a miss.  Writes
-    go through a temporary file in the same directory and an atomic
-    rename, so concurrent readers never observe a partial entry."""
+    Entries are self-describing files {version, key, checksum, payload}
+    named <fingerprint>-<digest>.json; a read that fails the key or
+    checksum comparison is a miss.  Writes go through a temporary file
+    in the same directory and an atomic rename, so concurrent readers
+    never observe a partial entry.  The first write of a process to a
+    directory deletes the entries (names matching ``_ENTRY_NAME``) that
+    do not carry the current fingerprint, so the directory holds the
+    results of one code version; processes running different code
+    versions on one directory evict each other's entries.  Files that do
+    not match ``_ENTRY_NAME`` are never deleted."""
 
     def __init__(self, root: str):
         self.root = root
 
     def _path(self, key: list) -> str:
         digest = hashlib.sha256(self._canon(key).encode()).hexdigest()[:32]
-        return os.path.join(self.root, digest + ".json")
+        return os.path.join(self.root, f"{_code_fingerprint()}-{digest}.json")
 
     @staticmethod
     def _canon(obj) -> str:
@@ -188,8 +198,24 @@ class ResultCache:
             except BaseException:
                 os.unlink(tmp)
                 raise
+            _prune(self.root, _code_fingerprint())
         except OSError:
             pass  # the cache is an optimization, never a failure
+
+
+# The names ResultCache writes: <fingerprint>-<digest>.json, and the
+# unprefixed <digest>.json of earlier versions.
+_ENTRY_NAME = re.compile(r"(?:[0-9a-f]{16}-)?[0-9a-f]{32}\.json")
+
+
+@lru_cache(maxsize=None)
+def _prune(root: str, fingerprint: str) -> None:
+    """Delete the cache entries in root written under another code
+    fingerprint, once per process and directory."""
+    for name in os.listdir(root):
+        if _ENTRY_NAME.fullmatch(name) and not name.startswith(fingerprint + "-"):
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.join(root, name))
 
 
 def _cache_dir(args) -> str:

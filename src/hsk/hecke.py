@@ -280,17 +280,22 @@ def from_braid(p: Params, b: BraidWord) -> HeckeElement:
     """Image of a braid word under sigma_i -> -q^(-(N-1)/2N) T_{s_i}.
 
     The word is expanded in bare generators T_{s_i}^(+/-1) over Q(q);
-    each term is embedded times the normalisation
-    (-1)^len zeta^((1-N) #pos + (N-1) #neg), with -1 = zeta^(m/2)."""
+    each term is embedded times the normalisation zeta^braid_phase."""
     n = b.strands
     tbl = perm_table(n)
     terms = {0: Scalar.from_rational(p.subfield, 1)}
     for e in reversed(b.word):
         terms = _gen_step(p, tbl.length, tbl.lmul, terms, abs(e) - 1, 1 if e > 0 else -1)
+    k = braid_phase(p, b)
+    return HeckeElement(p, n, {w: p.lift(v, k) for w, v in terms.items()})
+
+
+def braid_phase(p: Params, b: BraidWord) -> int:
+    """The k with image(b) = zeta^k times the bare word in T_{s_i}^(+/-1):
+    (-1)^len zeta^((1-N) #pos + (N-1) #neg), with -1 = zeta^(m/2)."""
     npos = sum(1 for e in b.word if e > 0)
     nneg = len(b.word) - npos
-    k = (1 - p.N) * npos + (p.N - 1) * nneg + len(b.word) % 2 * (p.m // 2)
-    return HeckeElement(p, n, {w: p.lift(v, k) for w, v in terms.items()})
+    return (1 - p.N) * npos + (p.N - 1) * nneg + len(b.word) % 2 * (p.m // 2)
 
 
 def e_idempotent(p: Params, n: int, i: int) -> HeckeElement:

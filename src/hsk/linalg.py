@@ -9,8 +9,6 @@ RREF expresses column j of the input in terms of the pivot columns.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .scalar import Params, Scalar
 
 __all__ = ["rref", "nullspace", "determinant", "hermitian_min_eigenvalue"]
@@ -108,7 +106,10 @@ def determinant(p: Params, mat: Matrix) -> Scalar:
 
 def hermitian_min_eigenvalue(mat: Matrix) -> float:
     """Smallest eigenvalue of a hermitian Scalar matrix under the
-    distinguished complex embedding."""
+    distinguished complex embedding.  numpy is imported here, at its
+    only use: at module level it was half the package's import time."""
+    import numpy as np
+
     n = len(mat)
     if n == 0:
         return 0.0

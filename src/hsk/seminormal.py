@@ -1,0 +1,227 @@
+"""Young's seminormal form of the level-K quotient of H_n: the path
+model in which dense braid words are traced.
+
+The basis of the block of a label lambda is its set of Bratteli paths
+(Wenzl, Invent. Math. 92 (1988); Ram, Proc. LMS 75 (1997)): standard
+tableaux on N-row shapes with lambda_1 - lambda_N <= K at every step,
+one box per strand.  Full columns are kept, so a path on n strands ends
+at ``pad(lambda, n)``; a path is stored as the row of each box.
+
+T_i acts by q on columns and by -1 on rows (``jones_wenzl``'s antisym
+is sum T_w), so the content of a box is row - column.  With
+d = c(i+1) - c(i) and a_d = (q-1) q^d / (q^d - 1):
+
+    T_i v_t     = a_d v_t + v_{s_i t},
+    T_i v_{s_i t} = a_{-d} v_{s_i t} + (a_d a_{-d} + q) v_t
+
+when s_i t (boxes i, i+1 swapped) is also a path and t comes first,
+here meaning d > 0; otherwise T_i v_t = a_d v_t.  That covers boxes in
+one row or column (d = -1, +1: a_d = -1, q) and the level wall
+|d| = N+K-1, where a_d is q or -1.  Contents of consecutive boxes
+differ by 0 < |d| < N+K, so only q^d - 1 with 0 < |d| < N+K is ever
+inverted, once per d.  All entries lie in Q(q).
+
+The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
+with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
+a closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the
+braid normalisation of ``hecke.braid_phase``.
+
+``block_trace`` multiplies the word out row by row.  Every generator
+row is scaled by the common denominator s of all entries, so rows hold
+integers; each row is stored as phi packed integers, one per
+coefficient of Q(q), with the matrix columns in fixed-width slots.  An
+entry of Q(q) then acts on a packed row as its phi x phi integer
+multiplication matrix, and a letter costs O(phi^2) big-integer
+multiply-adds per row.  The slot width comes from a bound on the
+entries, the product of the letters' row norms, fixed before the
+product starts; the trace is s^-len times the sum of the diagonal
+slots.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from math import lcm
+
+from .diagrams import YoungDiagram, gamma_n, path_count
+from .scalar import Params, Scalar, qint
+
+__all__ = ["Block", "PathModel", "path_model", "dimension", "block_trace"]
+
+# One generator row: (diagonal entry, partner path or -1, off-diagonal
+# entry T[t][partner] or None), in Q(q).
+Row = tuple[Scalar, int, "Scalar | None"]
+
+
+@dataclass(frozen=True)
+class Block:
+    """One block: its label, its paths (paths[t][k] = row of box k), its
+    weight d_lambda in the ambient field, and gens[i][t], row t of T_i."""
+
+    label: YoungDiagram
+    paths: tuple[tuple[int, ...], ...]
+    weight: Scalar
+    gens: tuple[tuple[Row, ...], ...]
+
+
+@dataclass(frozen=True)
+class PathModel:
+    """The blocks of H_n's level-K quotient, with the integer form of
+    each generator row for ``block_trace``: ops[b][(i, sign)] is
+    (rows, growth), a row being (diag, partner, off) as multiplication
+    matrices of s times the entries of T_i^sign, and growth bounding
+    the factor by which a letter can enlarge the largest entry."""
+
+    p: Params
+    n: int
+    blocks: tuple[Block, ...]
+    scale: int
+    ops: tuple[dict, ...]
+
+
+@lru_cache(maxsize=None)
+def dimension(p: Params, n: int) -> int:
+    """sum_lambda f_lambda^2, the dimension of the quotient of H_n,
+    from path counts alone."""
+    return sum(path_count(p, n, d) ** 2 for d in gamma_n(p, n))
+
+
+def _paths(p: Params, n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Bratteli paths on n strands, grouped by the N-row shape they end at."""
+    N, K = p.N, p.K
+    level = {(0,) * N: [()]}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for shape, paths in level.items():
+            for r in range(N):
+                if r and shape[r] == shape[r - 1]:
+                    continue
+                new = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
+                if new[0] - new[-1] <= K:
+                    nxt.setdefault(new, []).extend(t + (r,) for t in paths)
+        level = nxt
+    return level
+
+
+def _contents(path: tuple[int, ...]) -> list[int]:
+    filled: dict[int, int] = {}
+    out = []
+    for r in path:
+        c = filled.get(r, 0)
+        filled[r] = c + 1
+        out.append(r - c)
+    return out
+
+
+def _weight_numerator(p: Params, rows: tuple[int, ...]) -> Scalar:
+    acc = p.one
+    for i in range(p.N):
+        for j in range(i + 1, p.N):
+            acc = acc * qint(p, rows[i] - rows[j] + j - i)
+    return acc
+
+
+@lru_cache(maxsize=16)
+def path_model(p: Params, n: int) -> PathModel:
+    F = p.subfield
+    q = p.q_pow_in(F, 1)
+    qinv = p.q_pow_in(F, -1)
+    one = Scalar.from_rational(F, 1)
+    a: dict[int, Scalar] = {}
+    for d in range(1 - p.N - p.K, p.N + p.K):
+        if d:
+            qd = p.q_pow_in(F, d)
+            a[d] = (q - 1) * qd * (qd - 1).inverse()
+    den_inv = _weight_numerator(p, (0,) * p.N).inverse()
+    blocks = []
+    by_shape = _paths(p, n)
+    for lab in gamma_n(p, n):
+        rows = tuple(lab.row(i) for i in range(p.N))
+        shape = tuple(x + (n - lab.size) // p.N for x in rows)
+        paths = tuple(sorted(by_shape[shape]))
+        index = {t: j for j, t in enumerate(paths)}
+        contents = [_contents(t) for t in paths]
+        gens = []
+        for i in range(n - 1):
+            gen = []
+            for j, t in enumerate(paths):
+                d = contents[j][i + 1] - contents[j][i]
+                u = index.get(t[:i] + (t[i + 1], t[i]) + t[i + 2:], -1) if t[i] != t[i + 1] else -1
+                if u < 0:
+                    gen.append((a[d], -1, None))
+                else:
+                    gen.append((a[d], u, a[d] * a[-d] + q if d > 0 else one))
+            gens.append(tuple(gen))
+        weight = _weight_numerator(p, rows) * den_inv
+        blocks.append(Block(lab, paths, weight, tuple(gens)))
+    # T^-1 = q^-1 T + (q^-1 - 1), row by row
+    signed = []
+    for b in blocks:
+        table = {}
+        for i, gen in enumerate(b.gens):
+            table[(i, 1)] = gen
+            table[(i, -1)] = tuple((qinv * dg + qinv - 1, u, None if off is None else qinv * off)
+                                   for dg, u, off in gen)
+        signed.append(table)
+    scale = lcm(*(x.den for table in signed for gen in table.values() for row in gen
+                  for x in (row[0], row[2]) if x is not None))
+    ops = tuple({key: _compile(gen, scale) for key, gen in table.items()} for table in signed)
+    return PathModel(p, n, tuple(blocks), scale, ops)
+
+
+def _mul_matrix(x: Scalar, scale: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rows of the integer matrix of multiplication by scale * x on the
+    coefficient vectors of Q(q), each row as its nonzero (column, entry)."""
+    F = x.field
+    num = [c * (scale // x.den) for c in x.num]
+    cols = []
+    for k in range(F.phi):
+        unit = [0] * F.phi
+        unit[k] = 1
+        cols.append(F.mul_vec(num, unit))
+    return tuple(tuple((k, cols[k][s]) for k in range(F.phi) if cols[k][s])
+                 for s in range(F.phi))
+
+
+def _compile(gen, scale: int):
+    rows = []
+    growth = 1
+    for dg, u, off in gen:
+        md = _mul_matrix(dg, scale)
+        mo = _mul_matrix(off, scale) if u >= 0 else ()
+        for s in range(len(md)):
+            g = sum(abs(c) for _, c in md[s]) + (sum(abs(c) for _, c in mo[s]) if mo else 0)
+            growth = max(growth, g)
+        rows.append((md, u, mo))
+    return tuple(rows), growth
+
+
+def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
+    """tr rho_lambda(T_{s_|e1|}^sign(e1) ... ) over Q(q) for block b of the
+    model and a braid word read as bare generators."""
+    F = model.p.subfield
+    phi = F.phi
+    steps = [model.ops[b][(abs(e) - 1, 1 if e > 0 else -1)] for e in reversed(word)]
+    bound = 1
+    for _, growth in steps:
+        bound *= growth
+    w = bound.bit_length() + 1
+    f = len(model.blocks[b].paths)
+    X = [[1 << (w * t)] + [0] * (phi - 1) for t in range(f)]
+    for rows, _ in steps:
+        new = []
+        for t, (md, u, mo) in enumerate(rows):
+            xt = X[t]
+            if u < 0:
+                new.append([sum(c * xt[k] for k, c in r) for r in md])
+            else:
+                xu = X[u]
+                new.append([sum(c * xt[k] for k, c in r) + sum(c * xu[k] for k, c in ro)
+                            for r, ro in zip(md, mo)])
+        X = new
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    offset = sum(half << (w * t) for t in range(f))
+    tr = [sum((((X[t][k] + offset) >> (w * t)) & mask) - half for t in range(f))
+          for k in range(phi)]
+    return Scalar._make(F, tr, model.scale ** len(word))

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -382,7 +383,25 @@ class TestCache:
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: real)
         want = qdim(Params(2, 2), YoungDiagram.of(2)).to_json(embed=True)
         assert run_json(capsys, *argv) == want
-        assert len(list(cache.glob("*.json"))) == 2
+        assert not target.exists()  # the write pruned the other code's entry
+        assert len(list(cache.glob("*.json"))) == 1
+
+    def test_pruning_spares_other_files(self, capsys, tmp_path):
+        cache = tmp_path / "c"
+        cache.mkdir()
+        stale = cache / ("0" * 16 + "-" + "1" * 32 + ".json")
+        unprefixed = cache / ("2" * 32 + ".json")
+        for f in (stale, unprefixed, cache / "notes.json", cache / "abc.json"):
+            f.write_text("{}")
+        run_cli(capsys, "qdim", "2", "--N", "2", "--K", "2", "--cache", str(cache))
+        assert not stale.exists() and not unprefixed.exists()
+        assert (cache / "notes.json").exists() and (cache / "abc.json").exists()
+        assert len(list(cache.glob("*.json"))) == 3
+        # the directory is pruned once per process: a later write leaves
+        # an entry of other code in place
+        stale.write_text("{}")
+        run_cli(capsys, "qdim", "1", "--N", "2", "--K", "2", "--cache", str(cache))
+        assert stale.exists()
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HSK_CACHE", str(tmp_path / "envc"))
@@ -395,3 +414,12 @@ class TestCache:
         run_cli(capsys, "qdim", "2", "--N", "2", "--K", "2", "--cache", cache)
         run_cli(capsys, "qdim", "1", "--N", "2", "--K", "1", "--cache", cache)
         assert len(list((tmp_path / "c").glob("*.json"))) == 3
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is about half of the import time of a CLI call; only the
+    # eigenvalue bound of linalg uses it, and imports it there
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, hsk.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -95,6 +95,16 @@ def commands() -> list[list[str]]:
         for n in (2, 3, 4):
             for kind in ("sym", "antisym"):
                 cmds.append(["jw", *pk, "--strands", str(n), "--kind", kind])
+    # closures at two more theories: full twists and their inverses on
+    # 6-7 strands (traced in the path model) and a mixed 8-strand word
+    # (expanded over the T_w at (2,3); at (4,1), where every block has
+    # one path, it too is traced in the path model)
+    for N, K in ((4, 1), (2, 3)):
+        pk = ["--N", str(N), "--K", str(K)]
+        for n in (6, 7):
+            for sign in (1, -1):
+                cmds.append(["closure", *pk, "--strands", str(n), "--braid", _full_twist(n, sign)])
+        cmds.append(["closure", *pk, "--strands", "8", "--braid", "1 -2 3 -4 5 -6 7 -1 2"])
     return cmds
 
 

@@ -1,0 +1,178 @@
+"""The path (seminormal) model of H_n's level-K quotient, and the
+closure route that traces braid words in it.
+
+Each block must be a representation of the Hecke algebra (quadratic,
+braid and far-commutation relations), have one basis vector per
+Bratteli path, and carry the q-Weyl dimension as its weight; together
+the weighted block traces must reproduce the Markov trace of the
+T-basis expansion."""
+
+import os
+import pathlib
+import subprocess
+import sys
+from random import Random
+
+import pytest
+
+from hsk import BraidWord, Params, from_braid, labels, loop_power, markov_trace, path_count, qdim, qint
+from hsk import trace
+from hsk.hecke import full_twist_word
+from hsk.perms import perm_table
+from hsk.scalar import Scalar
+from hsk.seminormal import dimension, path_model
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from hskbench import oracles  # noqa: E402
+
+THEORIES = [Params(2, 1), Params(2, 2), Params(3, 2), Params(4, 1), Params(2, 3)]
+ids = [f"{p.N},{p.K}" for p in THEORIES]
+
+
+def _dense(block, i: int, field) -> list[list[Scalar]]:
+    f = len(block.paths)
+    zero = Scalar.from_rational(field, 0)
+    mat = [[zero] * f for _ in range(f)]
+    for t, (diag, u, off) in enumerate(block.gens[i]):
+        mat[t][t] = diag
+        if u >= 0:
+            mat[t][u] = off
+    return mat
+
+
+def _mul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+def _t_route(p, b):
+    return loop_power(p, b.strands) * markov_trace(p, from_braid(p, b))
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_blocks_satisfy_the_hecke_relations(p):
+    F = p.subfield
+    q = p.q_pow_in(F, 1)
+    for n in range(2, 7):
+        for block in path_model(p, n).blocks:
+            gens = [_dense(block, i, F) for i in range(n - 1)]
+            f = len(block.paths)
+            for i, T in enumerate(gens):
+                # (T - q)(T + 1) = T^2 - (q-1) T - q = 0
+                sq = _mul(T, T)
+                assert all(sq[r][c] - (q - 1) * T[r][c] - (q if r == c else 0) == 0
+                           for r in range(f) for c in range(f)), (n, block.label, i)
+                for j in range(i + 1, n - 1):
+                    U = gens[j]
+                    if j == i + 1:
+                        assert _mul(_mul(T, U), T) == _mul(_mul(U, T), U), (n, block.label, i)
+                    else:
+                        assert _mul(T, U) == _mul(U, T), (n, block.label, i, j)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_paths_count_and_weights_sum_to_the_unlink(p):
+    for n in range(0, 7):
+        model = path_model(p, n)
+        total = p.zero
+        for block in model.blocks:
+            f = len(block.paths)
+            assert f == path_count(p, n, block.label)
+            assert len(set(block.paths)) == f
+            total = total + block.weight * f
+        assert total == loop_power(p, n)  # sum_lambda d_lambda f_lambda = [N]^n
+        assert dimension(p, n) == sum(len(b.paths) ** 2 for b in model.blocks)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_weights_are_quantum_dimensions(p):
+    """The closed-form q-Weyl weight against the Hecke-algebra qdim and
+    against the float oracle of the benchmark, which imports no hsk."""
+    for lab in labels(p):
+        n = lab.size
+        block = next(b for b in path_model(p, n).blocks if b.label == lab)
+        assert block.weight == qdim(p, lab)
+        assert block.weight.embed() == pytest.approx(oracles.qdim(p.N, p.K, lab.rows), abs=1e-9)
+    assert qint(p, p.N) == path_model(p, 1).blocks[0].weight
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_path_route_matches_t_route_on_mixed_words(p):
+    rng = Random(f"seminormal:{p.N},{p.K}")
+    for n in range(1, 8):
+        for _ in range(6 if n < 7 else 2):
+            length = 0 if n == 1 else rng.randint(0, 12)
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+            b = BraidWord(n, word)
+            assert trace._path_closure(p, b) == _t_route(p, b), (n, word)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_path_route_matches_t_route_on_full_twists(p):
+    for n in (5, 6, 7):
+        ft = full_twist_word(n).word
+        for word in (ft, tuple(-e for e in reversed(ft))):
+            b = BraidWord(n, word)
+            assert trace._path_closure(p, b) == _t_route(p, b), (n, word[0])
+
+
+def test_route_choice(monkeypatch):
+    p = Params(3, 2)
+    calls = []
+    real = trace.from_braid
+
+    def spy(p_, b):
+        calls.append(b)
+        return real(p_, b)
+
+    monkeypatch.setattr(trace, "from_braid", spy)
+    ft = full_twist_word(7).word
+    inverse = BraidWord(7, tuple(-e for e in reversed(ft)))
+    got = trace.closure_invariant(p, inverse)
+    assert calls == []
+    assert got == trace._path_closure(p, inverse)
+    short = BraidWord(7, (1, -3, 2))
+    trace.closure_invariant(p, short)
+    assert calls == [short]
+
+
+def _route_by_table(p, b) -> bool:
+    """The route rule on the supports of the T expansion, followed over
+    perm_table(n) to the end of the word."""
+    tbl = perm_table(b.strands)
+    support, work = {0}, 0
+    for e in reversed(b.word):
+        i, sign = abs(e) - 1, 1 if e > 0 else -1
+        grown = set()
+        for w in support:
+            v = tbl.lmul[w][i]
+            grown.add(v)
+            if (tbl.length[v] - tbl.length[w]) * sign < 0:
+                grown.add(w)
+        support = grown
+        work += len(support)
+    return work > trace.PATH_ROUTE_RATIO * len(b.word) * dimension(p, b.strands)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_route_prepass_follows_the_t_expansion(p):
+    rng = Random(f"route:{p.N},{p.K}")
+    for n in range(2, 9):
+        for _ in range(12):
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 24)))
+            b = BraidWord(n, word)
+            assert trace._takes_path_route(p, b) == _route_by_table(p, b), (n, word)
+
+
+def test_path_routed_closure_builds_no_permutation_table():
+    code = (
+        "from hsk import Params, BraidWord, closure_invariant\n"
+        "from hsk.hecke import full_twist_word\n"
+        "from hsk.perms import perm_table\n"
+        "ft = full_twist_word(8).word\n"
+        "closure_invariant(Params(3, 2), BraidWord(8, tuple(-e for e in reversed(ft))))\n"
+        "print(perm_table.cache_info().misses)\n")
+    src = str(pathlib.Path(trace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.strip() == "0"
