@@ -3,9 +3,10 @@
 The algebra H_n is taken at q = exp(2*pi*i/(N+K)), with all scalars in
 the cyclotomic field Q(zeta_{2N(N+K)}).  The Markov trace at the
 distinguished weight purifies H_n to a semisimple quotient whose
-blocks are indexed by level-bounded Young diagrams; quantum
-dimensions, twists, the S-matrix and modular-functor dimensions are
-computed from braids, idempotents and Gram matrices, all exactly.
+blocks are indexed by level-bounded Young diagrams.  Quantum
+dimensions come from Young idempotents; fusion rules, twists, the
+S-matrix and modular-functor dimensions from traces in the Bratteli
+path model of the quotient (``seminormal``), all exactly.
 """
 
 from .scalar import Params, Scalar, conjugate, embed, invert, qfact, qint

@@ -23,14 +23,19 @@ block mu.  The z_lambda are dual to the psi_mu, so inverting the matrix
 of the psi_mu on a basis of the centre, one elimination, produces all
 of them.
 
-Fusion coefficients are trace ratios.  A_n is split semisimple,
-A_n = sum over nu of M_{d_nu}, and the Markov trace restricts to the
-block nu as w_nu tr with w_nu = Tr(e_nu).  The idempotent
-pi = y_lambda (x) y_mu projects onto V_lambda (x) V_mu, so its image
-z_nu pi in the block nu has rank N_{lambda mu}^nu, the multiplicity
-of V_nu; hence N_{lambda mu}^nu = Tr(z_nu pi) / Tr(e_nu), one pairing
-against the pivot Gram matrix.  Branching multiplicities are the same
-ratio with pi replaced by an embedded minimal idempotent of A_{n-1}.
+Branching multiplicities are trace ratios.  A_n is split semisimple,
+and an idempotent x has rank Tr(z_nu x) / Tr(e_nu) in the block nu,
+one pairing against the pivot Gram matrix; for an embedded minimal
+idempotent of A_{n-1} that rank is the branching multiplicity.
+
+The modular data never build A_n: they are traces in the blocks of the
+path model (``seminormal``), whose bases are Bratteli paths, not the
+n! permutations.  N_{lam mu}^nu is the rank in the block nu of a
+product of two commuting path projections (``_fusion_row``); the
+twist theta_d is the central full twist's block trace over the path
+count; S~ follows from the balancing identity
+S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu.
+The Gram route serves ``blocks``, ``purify``, ``gram`` and ``branch``.
 """
 from __future__ import annotations
 
@@ -39,12 +44,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_count
-from .hecke import (BraidWord, HeckeElement, _acc, _gen_step, from_braid,
-                    full_twist_word, block_transposition_word, jones_wenzl,
-                    tensor_embed, young_idempotent)
+from .hecke import (BraidWord, HeckeElement, _acc, _gen_step, block_transposition_word,
+                    braid_phase, full_twist_word, jones_wenzl, tensor_embed,
+                    young_idempotent)
 from .linalg import determinant, nullspace, rref
-from .perms import perm_table
+from .perms import TRACE_LIMIT, perm_table
 from .scalar import Params, Scalar
+from .seminormal import block_matrix, block_trace, path_model
 from .trace import (CURL_MATCH_SIGN, GRAM_LIMIT, curl_scalar, gram_bilinear,
                     gram_rref, loop_power, markov_trace)
 
@@ -64,7 +70,6 @@ __all__ = [
     "fusion_matrix",
     "qdim",
     "twist",
-    "full_twist_eigenvalue",
     "s_matrix",
     "mf_dim",
 ]
@@ -270,25 +275,14 @@ def branching_multiplicity(p: Params, n: int, lam: YoungDiagram, sub: YoungDiagr
 
 
 def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> int:
-    """N_{lam mu}^nu = Tr(z_nu (y_lam (x) y_mu)) / Tr(e_nu), the rank of
-    y_lam (x) y_mu in the matrix block nu of A_n."""
+    """N_{lam mu}^nu, read off the cached fusion row of (lam, mu)."""
     for d in (lam, mu):
         if d not in labels(p):
             raise ValueError(f"{d.rows} is not a label of the category")
     n = lam.size + mu.size
     if nu not in labels(p) or nu not in gamma_n(p, n):
         return 0
-    if n == 0:
-        return 1
-    if n > GRAM_LIMIT:
-        raise ValueError(f"fusion at {n} strands exceeds the Gram limit")
-    return _block_multiplicity(purified_algebra(p, n), central_idempotents(p, n).blocks[nu],
-                               _pair_idempotent(p, lam, mu), "fusion coefficient")
-
-
-def _pair_idempotent(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> HeckeElement:
-    """y_lam (x) y_mu, the projection onto V_lam (x) V_mu."""
-    return tensor_embed(young_idempotent(p, lam).idem, young_idempotent(p, mu).idem)
+    return _fusion_row(p, lam, mu)[labels(p).index(nu)]
 
 
 @dataclass(frozen=True)
@@ -333,11 +327,45 @@ def fusion_table(p: Params, max_strands: int | None = None) -> FusionTable:
     return FusionTable(p, entries)
 
 
+def _first_path(p: Params, d: YoungDiagram) -> tuple[int, ...]:
+    """The first Bratteli path to the label d on |d| strands."""
+    return path_model(p, d.size).blocks[gamma_n(p, d.size).index(d)].paths[0] if d.size else ()
+
+
 @lru_cache(maxsize=None)
 def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
-    """N_{lam mu}^{L_j} over the label list."""
-    n = lam.size + mu.size
-    return tuple(fusion(p, lam, mu, nu) if nu in gamma_n(p, n) else 0 for nu in labels(p))
+    """N_{lam mu}^{L_j} over the label list, one trace per block nu of
+    the (a+b)-strand path model, a = |lam| and b = |mu|:
+
+        N_{lam mu}^nu = tr_nu(P_t rho(beta)^-1 P_s rho(beta)),
+
+    beta the bare block transposition carrying the first b strands past
+    the last a.  P_t projects onto the paths that begin with a fixed
+    path t to lam, P_s onto those that begin with a fixed path s to mu;
+    conjugated by beta, P_s projects onto mu on the last b strands, so
+    the product is a minimal idempotent of lam (x) mu, whose rank in
+    the block nu is the multiplicity of V_nu."""
+    a, b = lam.size, mu.size
+    n = a + b
+    if n > GRAM_LIMIT:
+        raise ValueError(f"fusion at {n} strands exceeds the Gram limit")
+    t, s = _first_path(p, lam), _first_path(p, mu)
+    model = path_model(p, n)
+    word = block_transposition_word(b, a).word if a and b else ()
+    inverse = tuple(-e for e in reversed(word))
+    found = {}
+    for j, block in enumerate(model.blocks):
+        rows_t = [i for i, path in enumerate(block.paths) if path[:a] == t]
+        rows_s = [k for k, path in enumerate(block.paths) if path[:b] == s]
+        if not rows_t or not rows_s:
+            continue
+        fwd, back = block_matrix(model, j, word), block_matrix(model, j, inverse)
+        tr = sum((back[i][k] * fwd[k][i] for i in rows_t for k in rows_s),
+                 Scalar.from_rational(p.subfield, 0))
+        if not tr.is_rational() or tr.den != 1 or tr.num[0] < 0:
+            raise RuntimeError("fusion coefficient is not a nonnegative integer")
+        found[block.label] = tr.num[0]
+    return tuple(found.get(nu, 0) for nu in labels(p))
 
 
 def fusion_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
@@ -354,34 +382,28 @@ def qdim(p: Params, d: YoungDiagram) -> Scalar:
     return loop_power(p, d.size) * markov_trace(p, yi.idem)
 
 
-def full_twist_eigenvalue(p: Params, d: YoungDiagram, sign: int = 1) -> Scalar:
-    """The scalar c with y_d . (Delta^2)^sign = c y_d, Delta^2 the
-    (positive) full twist braid on |d| strands."""
+def twist(p: Params, d: YoungDiagram) -> Scalar:
+    """Ribbon twist theta_d: the full twist, taken with the library's
+    framing sign, is central and acts on the block d of the |d|-strand
+    path model by its block trace over f_d; with the braid phase and
+    one curl scalar per strand, theta of the single box is exactly the
+    curl scalar."""
+    if d not in labels(p):
+        raise ValueError(f"{d.rows} is not a label of the category")
     n = d.size
     if n == 0:
         return p.one
-    yi = young_idempotent(p, d)
-    if yi.idem is None:
-        raise ValueError("vanishing hook product; no idempotent")
-    word = full_twist_word(n).word
-    if sign < 0:
-        word = tuple(-i for i in reversed(word))
-    ft = from_braid(p, BraidWord(n, word))
-    c = (yi.idem * ft).proportionality(yi.idem)
-    if c is None:
-        raise RuntimeError("full twist is not proportional on the block")
-    return c
-
-
-def twist(p: Params, d: YoungDiagram) -> Scalar:
-    """Ribbon twist theta_d: the full-twist eigenvalue taken with the
-    library's framing sign, corrected by one curl scalar per strand, so
-    that theta of the single box is exactly the curl scalar."""
-    eps = CURL_MATCH_SIGN
-    c = full_twist_eigenvalue(p, d, eps)
-    curl = curl_scalar(p, eps)
-    out = c
-    for _ in range(d.size):
+    if n > TRACE_LIMIT:  # the strand limit twists had as T-basis elements
+        raise ValueError(f"permutation tables are limited to {TRACE_LIMIT} strands")
+    # as a braid the full twist equals its reversed word, so negating
+    # every letter gives its inverse
+    word = tuple(CURL_MATCH_SIGN * i for i in full_twist_word(n).word)
+    model = path_model(p, n)
+    j = gamma_n(p, n).index(d)
+    c = block_trace(model, j, word) * Fraction(1, len(model.blocks[j].paths))
+    out = p.lift(c, braid_phase(p, BraidWord(n, word)))
+    curl = curl_scalar(p, CURL_MATCH_SIGN)
+    for _ in range(n):
         out = out * curl
     return out
 
@@ -407,34 +429,34 @@ class SMatrix:
         }
 
 
-def _hopf_value(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> Scalar:
-    """Closure of the two-block Hopf cabling, crossings taken with the
-    library's framing sign so the linking chirality matches the twist."""
-    a, b = lam.size, mu.size
-    if a + b == 0:
-        return p.one
-    pi = _pair_idempotent(p, lam, mu)
-    if a == 0 or b == 0:
-        return loop_power(p, a + b) * markov_trace(p, pi)
-    word = block_transposition_word(a, b).word + block_transposition_word(b, a).word
-    beta2 = from_braid(p, BraidWord(a + b, tuple(CURL_MATCH_SIGN * i for i in word)))
-    return loop_power(p, a + b) * markov_trace(p, pi * beta2)
-
-
 @lru_cache(maxsize=None)
 def s_matrix(p: Params) -> SMatrix:
-    """S~_{lam mu}: the closure of the two-component Hopf cabling with
-    blocks colored lam and mu; row/column ∅ reproduces qdim."""
+    """S~_{lam mu}, the closure of the two-component Hopf cabling with
+    blocks colored lam and mu, from the balancing identity
+
+        S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu,
+
+    d_nu the block weight of the path model; row/column ∅ reproduces
+    qdim.  Twists are roots of unity, so theta^-1 is the conjugate.
+    S~ is symmetric, and each entry below the diagonal is mirrored."""
     labs = labels(p)
     for lam in labs:
         for mu in labs:
             if lam.size + mu.size > GRAM_LIMIT:
                 raise ValueError(
                     "label sizes exceed the strand limit for Hopf closures")
-    rows = tuple(
-        tuple(_hopf_value(p, lam, mu) for mu in labs) for lam in labs
-    )
-    return SMatrix(p, tuple(labs), rows)
+    theta = [twist(p, d) for d in labs]
+    rows = [[p.zero] * len(labs) for _ in labs]
+    for i, lam in enumerate(labs):
+        for j in range(i, len(labs)):
+            n = lam.size + labs[j].size
+            weight = {b.label: b.weight for b in path_model(p, n).blocks}
+            acc = p.zero
+            for nu, th, m in zip(labs, theta, _fusion_row(p, lam, labs[j])):
+                if m:
+                    acc = acc + th * weight[nu] * m
+            rows[i][j] = rows[j][i] = acc * (theta[i] * theta[j]).conjugate()
+    return SMatrix(p, tuple(labs), tuple(tuple(r) for r in rows))
 
 
 def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungDiagram]) -> int:

@@ -35,7 +35,8 @@ multiplication matrix, and a letter costs O(phi^2) big-integer
 multiply-adds per row.  The slot width comes from a bound on the
 entries, the product of the letters' row norms, fixed before the
 product starts; the trace is s^-len times the sum of the diagonal
-slots.
+slots, and ``block_matrix`` unpacks every slot (the fusion traces of
+``category``).
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from math import lcm
 from .diagrams import YoungDiagram, gamma_n, path_count
 from .scalar import Params, Scalar, qint
 
-__all__ = ["Block", "PathModel", "path_model", "dimension", "block_trace"]
+__all__ = ["Block", "PathModel", "path_model", "dimension", "block_trace", "block_matrix"]
 
 # One generator row: (diagonal entry, partner path or -1, off-diagonal
 # entry T[t][partner] or None), in Q(q).
@@ -196,11 +197,12 @@ def _compile(gen, scale: int):
     return tuple(rows), growth
 
 
-def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
-    """tr rho_lambda(T_{s_|e1|}^sign(e1) ... ) over Q(q) for block b of the
-    model and a braid word read as bare generators."""
-    F = model.p.subfield
-    phi = F.phi
+def _product(model: PathModel, b: int, word: tuple[int, ...]):
+    """s^len times rho_lambda(word) for block b as packed rows (row t
+    holds phi integers, column c of the row in slot c of each), and the
+    (offset, shift, mask, half) that read the signed slot c of such an
+    integer x as ((x + offset) >> shift * c & mask) - half."""
+    phi = model.p.subfield.phi
     steps = [model.ops[b][(abs(e) - 1, 1 if e > 0 else -1)] for e in reversed(word)]
     bound = 1
     for _, growth in steps:
@@ -220,8 +222,22 @@ def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
                             for r, ro in zip(md, mo)])
         X = new
     half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    offset = sum(half << (w * t) for t in range(f))
-    tr = [sum((((X[t][k] + offset) >> (w * t)) & mask) - half for t in range(f))
-          for k in range(phi)]
+    return X, (sum(half << (w * t) for t in range(f)), w, (1 << w) - 1, half)
+
+
+def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
+    """tr rho_lambda(T_{s_|e1|}^sign(e1) ... ) over Q(q) for block b of the
+    model and a braid word read as bare generators."""
+    X, (offset, w, mask, half) = _product(model, b, word)
+    F = model.p.subfield
+    tr = [sum(((row[k] + offset) >> w * t & mask) - half for t, row in enumerate(X))
+          for k in range(F.phi)]
     return Scalar._make(F, tr, model.scale ** len(word))
+
+
+def block_matrix(model: PathModel, b: int, word: tuple[int, ...]) -> list[list[Scalar]]:
+    """rho_lambda(word) over Q(q) for block b, entry [t][c] in row t."""
+    X, (offset, w, mask, half) = _product(model, b, word)
+    F, den = model.p.subfield, model.scale ** len(word)
+    return [[Scalar._make(F, [((x + offset) >> w * c & mask) - half for x in row], den)
+             for c in range(len(X))] for row in X]

@@ -7,6 +7,8 @@ ring with S~ = [[1, [2], 1], [[2], 0, -[2]], [1, -[2], 1]] where
 
 import cmath
 import math
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -39,10 +41,14 @@ from hsk import (
     twist,
     young_idempotent,
 )
-from hsk.hecke import _gen_step
+from hsk import category, hecke, linalg
+from hsk.category import _block_multiplicity
+from hsk.hecke import (BraidWord, _gen_step, block_transposition_word, from_braid,
+                       full_twist_word)
 from hsk.linalg import rref
 from hsk.perms import perm_table
-from hsk.trace import CURL_MATCH_SIGN
+from hsk.seminormal import path_model
+from hsk.trace import CURL_MATCH_SIGN, markov_trace
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 EMPTY = YoungDiagram.of()
@@ -315,6 +321,53 @@ def _compressed_rank(p, a, u, v):
     return len(rref(p, form)[1])
 
 
+def pair_idempotent(p, lam, mu):
+    """y_lam (x) y_mu, the projection onto V_lam (x) V_mu."""
+    return tensor_embed(young_idempotent(p, lam).idem, young_idempotent(p, mu).idem)
+
+
+def fusion_by_trace_ratio(p, lam, mu, nu):
+    """The Gram route: N_{lam mu}^nu = Tr(z_nu pi) / Tr(e_nu), the rank
+    of pi = y_lam (x) y_mu in the block nu of the purified algebra A_n,
+    paired against its pivot Gram matrix."""
+    n = lam.size + mu.size
+    if n == 0:
+        return 1
+    return _block_multiplicity(purified_algebra(p, n), central_idempotents(p, n).blocks[nu],
+                               pair_idempotent(p, lam, mu), "fusion coefficient")
+
+
+def twist_by_full_twist(p, d):
+    """theta_d from the T-basis expansion: y_d (Delta^2)^eps = c y_d for
+    the framing sign eps, times one curl scalar per strand."""
+    n = d.size
+    if n == 0:
+        return p.one
+    word = full_twist_word(n).word
+    if CURL_MATCH_SIGN < 0:
+        word = tuple(-i for i in reversed(word))
+    y = young_idempotent(p, d).idem
+    out = (y * from_braid(p, BraidWord(n, word))).proportionality(y)
+    assert out is not None, "full twist is not proportional on the block"
+    for _ in range(n):
+        out = out * curl_scalar(p, CURL_MATCH_SIGN)
+    return out
+
+
+def hopf_value(p, lam, mu):
+    """Closure of the two-block Hopf cabling, expanded over the T_w,
+    crossings taken with the library's framing sign."""
+    a, b = lam.size, mu.size
+    if a + b == 0:
+        return p.one
+    pi = pair_idempotent(p, lam, mu)
+    if a == 0 or b == 0:
+        return loop_power(p, a + b) * markov_trace(p, pi)
+    word = block_transposition_word(a, b).word + block_transposition_word(b, a).word
+    beta2 = from_braid(p, BraidWord(a + b, tuple(CURL_MATCH_SIGN * i for i in word)))
+    return loop_power(p, a + b) * markov_trace(p, pi * beta2)
+
+
 def fusion_by_compressed_rank(p, lam, mu, nu):
     """N_{lam mu}^nu as the integer square root of the rank of the trace
     form on z_nu pi A_n pi z_nu, pi = y_lam (x) y_mu: the block nu of
@@ -322,8 +375,7 @@ def fusion_by_compressed_rank(p, lam, mu, nu):
     has dimension N^2.  An oracle independent of the block weights."""
     n = lam.size + mu.size
     a = purified_algebra(p, n)
-    pi = tensor_embed(young_idempotent(p, lam).idem if lam.size else HeckeElement.identity(p, 0),
-                      young_idempotent(p, mu).idem if mu.size else HeckeElement.identity(p, 0))
+    pi = pair_idempotent(p, lam, mu)
     z = central_idempotents(p, n).blocks[nu].z
     r = _compressed_rank(p, a, z * pi, pi * z)
     s = math.isqrt(r)
@@ -348,6 +400,93 @@ class TestFusionOracle:
                             (lam.rows, mu.rows, nu.rows)
                         checked += 1
         assert checked
+
+
+FIVE = [Params(2, 1), Params(2, 2), Params(3, 1), Params(4, 1), Params(2, 3)]
+
+
+class TestOldRoutes:
+    """The Gram, Hopf-cabling and T-basis full-twist routes that the path
+    model replaced, kept as oracles."""
+
+    @pytest.mark.parametrize("N,K,cap", [(2, 2, 4), (3, 1, 4), (3, 2, 4), (4, 1, 5), (2, 3, 5)])
+    def test_fusion_matches_the_gram_route(self, N, K, cap):
+        p = Params(N, K)
+        labs = labels(p)
+        checked = 0
+        for lam in labs:
+            for mu in labs:
+                n = lam.size + mu.size
+                if n > cap:
+                    continue
+                for nu in gamma_n(p, n):
+                    assert fusion(p, lam, mu, nu) == fusion_by_trace_ratio(p, lam, mu, nu), \
+                        (lam.rows, mu.rows, nu.rows)
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("p", FIVE[:4], ids=str)
+    def test_s_matrix_matches_the_hopf_closures(self, p):
+        s = s_matrix(p)
+        for i, lam in enumerate(s.labels):
+            for j, mu in enumerate(s.labels):
+                assert s.entries[i][j] == hopf_value(p, lam, mu), (lam.rows, mu.rows)
+
+    @pytest.mark.parametrize("p", FIVE + [Params(3, 2)], ids=str)
+    def test_twist_matches_the_full_twist_eigenvalue(self, p):
+        for d in labels(p):
+            assert twist(p, d) == twist_by_full_twist(p, d), d.rows
+
+    def test_modular_data_skips_the_gram_route(self, monkeypatch):
+        """fusion, twist, s_matrix and mf_dim build no purified algebra, no
+        central idempotent, no echelon form and no T-basis braid."""
+        forbidden = {id(f): f.__name__ for f in (category.purified_algebra,
+                                                  category.central_idempotents,
+                                                  linalg.rref, hecke.from_braid)}
+
+        def spy(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        for name, mod in list(sys.modules.items()):
+            if name == "hsk" or name.startswith("hsk."):
+                for key, value in list(vars(mod).items()):
+                    if id(value) in forbidden:
+                        monkeypatch.setattr(mod, key, spy(forbidden[id(value)]))
+        category._fusion_row.cache_clear()
+        category.s_matrix.cache_clear()
+        for p in (Params(2, 2), Params(4, 1), Params(2, 3)):
+            labs = labels(p)
+            for d in labs:
+                twist(p, d)
+            s_matrix(p)
+            assert mf_dim(p, 1, ()) == len(labs)
+            assert mf_dim(p, 0, (labs[-1], dagger(p, labs[-1]))) == 1
+            assert fusion(p, labs[1], labs[-1], labs[0]) in (0, 1)
+        assert mf_dim(Params(3, 2), 0, (YoungDiagram.of(2, 1),) * 2) == 1
+
+
+    def test_path_models_of_a_theory_stay_cached(self):
+        """A theory's modular data up to 6 strands fits the path-model
+        cache: recomputing them builds no model again."""
+        for p in (Params(2, 3), Params(4, 1), Params(3, 2)):
+            cap = 6 if p != Params(3, 2) else 4
+
+            def modular_data():
+                category._fusion_row.cache_clear()
+                labs = labels(p)
+                for d in labs:
+                    twist(p, d)
+                for lam in labs:
+                    for mu in labs:
+                        if lam.size + mu.size <= cap:
+                            fusion(p, lam, mu, labs[0])
+
+            modular_data()
+            misses = path_model.cache_info().misses
+            modular_data()
+            assert path_model.cache_info().misses == misses, p
 
 
 class TestQdim:
@@ -499,6 +638,13 @@ class TestModularFunctor:
         assert mf_dim(Params(2, 1), 1, ()) == 2
         assert mf_dim(Params(2, 2), 1, ()) == 3
         assert mf_dim(Params(3, 1), 1, ()) == 3
+
+    def test_torus_with_six_strand_handle_is_bounded(self):
+        # the handle operator needs every fusion matrix, (3) x (3) included
+        category._fusion_row.cache_clear()
+        start = time.perf_counter()
+        assert mf_dim(Params(2, 3), 1, ()) == 4
+        assert time.perf_counter() - start < 10.0
 
     def test_genus_two(self):
         assert mf_dim(Params(2, 1), 2, ()) == 4

@@ -20,7 +20,7 @@ from hsk import cli
 from hsk.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-from hskbench.oracles import path_counts  # noqa: E402
+from hskbench.oracles import path_counts, verlinde_mf_dim  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -176,6 +176,16 @@ class TestCategoryCommands:
         assert time.perf_counter() - start < 10.0
         assert got == {"genus": 0, "labels": [[1], [1, 1]], "dim": 1}
 
+    def test_mfdim_six_strand_fold_is_bounded(self, capsys):
+        # the second (2,1) fold reaches the 6-strand row (2,1) x (2,1)
+        start = time.perf_counter()
+        got = run_json(
+            capsys, "mfdim", "--N", "3", "--K", "2", "--genus", "0",
+            "--label", "2,1", "--label", "2,1",
+        )
+        assert time.perf_counter() - start < 10.0
+        assert got["dim"] == verlinde_mf_dim(3, 2, 0, [(2, 1), (2, 1)])
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -312,6 +322,15 @@ class TestExitCodes:
         assert err.startswith("usage error")
         got = run_json(capsys, "mfdim", "--N", "2", "--K", "1", "--genus", "1000")
         assert got["dim"] == 2 ** 1000
+
+    def test_arithmetic_error_is_domain_error(self, capsys, monkeypatch):
+        def divide(p, args):
+            raise ArithmeticError("zero has no inverse")
+
+        monkeypatch.setattr(cli, "_cmd_qdim", divide)
+        code, out, err = run_cli(capsys, "qdim", "1", "--N", "2", "--K", "2")
+        assert code == 1 and out == ""
+        assert err == "error: zero has no inverse\n"
 
     def test_malformed_diagram_is_usage_error(self, capsys):
         # non-decreasing rows are a syntax problem, not a domain one

@@ -105,6 +105,19 @@ def commands() -> list[list[str]]:
             for sign in (1, -1):
                 cmds.append(["closure", *pk, "--strands", str(n), "--braid", _full_twist(n, sign)])
         cmds.append(["closure", *pk, "--strands", "8", "--braid", "1 -2 3 -4 5 -6 7 -1 2"])
+    # modular data at more theories: S~, fusion tables, one handle, and
+    # the qdim and twist of every label
+    for N, K in ((2, 1), (3, 1), (4, 1), (2, 3)):
+        cmds.append(["smatrix", "--N", str(N), "--K", str(K)])
+    for N, K in ((4, 1), (2, 3)):
+        cmds.append(["fusion", "--table", "--max-strands", "5", "--N", str(N), "--K", str(K)])
+    for N, K in ((2, 2), (3, 1), (4, 1)):
+        cmds.append(["mfdim", "--N", str(N), "--K", str(K), "--genus", "1"])
+    for (N, K), labs in (((4, 1), ["", "1", "1,1", "1,1,1"]), ((2, 3), ["", "1", "2", "3"])):
+        pk = ["--N", str(N), "--K", str(K)]
+        for lab in labs:
+            cmds.append(["qdim", lab, *pk])
+            cmds.append(["twist", lab, *pk])
     return cmds
 
 

@@ -1,0 +1,127 @@
+"""Exact modular relations of S~, the twists and the quantum dimensions.
+
+Every check is an identity in Q(zeta_m), compared coefficient by
+coefficient, with D^2 = sum d_lam^2, C the dagger permutation, T the
+diagonal of twists and p_+- = sum theta_lam^(+-1) d_lam^2:
+
+    S~^2 = D^2 C,    p_+ p_- = D^2,    (S~ T^-1)^3 = p_- S~^2,
+
+and the Verlinde formula recovers every fusion coefficient exactly
+from S~.  Relative to these twists S~ is the complex conjugate of the
+s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds only where C = 1.
+Dimensions and twists are also compared with the closed forms of the
+benchmark's oracles, which import no hsk.  None of the checks uses the
+balancing identity from which S~ is computed."""
+
+import cmath
+import math
+import pathlib
+import sys
+
+import pytest
+
+from hsk import Params, dagger, fusion, gamma_n, labels, mf_dim, path_count, qdim, qint, s_matrix, twist
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from hskbench import oracles  # noqa: E402
+
+THEORIES = [Params(2, 1), Params(2, 2), Params(3, 1), Params(4, 1), Params(2, 3)]
+ids = [f"{p.N},{p.K}" for p in THEORIES]
+
+
+def _mul(p, a, b):
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            acc = p.zero
+            for k, x in enumerate(row):
+                if not x.is_zero() and not b[k][j].is_zero():
+                    acc = acc + x * b[k][j]
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def _data(p):
+    s = s_matrix(p)
+    labs = list(s.labels)
+    d = [qdim(p, lam) for lam in labs]
+    theta = [twist(p, lam) for lam in labs]
+    dim2 = sum((x * x for x in d), p.zero)
+    return s, labs, d, theta, dim2
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_s_squared_is_charge_conjugation(p):
+    s, labs, _, _, dim2 = _data(p)
+    sq = _mul(p, s.entries, s.entries)
+    for i, lam in enumerate(labs):
+        for j, mu in enumerate(labs):
+            assert sq[i][j] == (dim2 if mu == dagger(p, lam) else p.zero), (lam.rows, mu.rows)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_gauss_sums_multiply_to_the_global_dimension(p):
+    _, _, d, theta, dim2 = _data(p)
+    plus = sum((t * x * x for t, x in zip(theta, d)), p.zero)
+    minus = sum((t.inverse() * x * x for t, x in zip(theta, d)), p.zero)
+    assert plus * minus == dim2
+    # arg p_+ = 2 pi c / 8 with the central charge c = K (N^2 - 1) / (N + K)
+    c = p.K * (p.N ** 2 - 1) / (p.N + p.K)
+    z = plus.embed()
+    assert z / abs(z) == pytest.approx(cmath.exp(2j * math.pi * c / 8), abs=1e-9)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_modular_relation(p):
+    s, labs, d, theta, _ = _data(p)
+    minus = sum((t.inverse() * x * x for t, x in zip(theta, d)), p.zero)
+    st = [[x * theta[j].inverse() for j, x in enumerate(row)] for row in s.entries]
+    cube = _mul(p, _mul(p, st, st), st)
+    sq = _mul(p, s.entries, s.entries)
+    for i in range(len(labs)):
+        for j in range(len(labs)):
+            assert cube[i][j] == minus * sq[i][j], (labs[i].rows, labs[j].rows)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_verlinde_recovers_fusion(p):
+    """N_{lam mu}^nu = D^-2 sum_k S~_{lam k} S~_{mu k} conj(S~_{nu k}) / S~_{0 k}."""
+    s, labs, _, _, dim2 = _data(p)
+    S = s.entries
+    k = len(labs)
+    # one factor per column k: 1 / (D^2 S~_{0 k})
+    col = [(dim2 * S[0][c]).inverse() for c in range(k)]
+    for a, lam in enumerate(labs):
+        for b, mu in enumerate(labs):
+            for c, nu in enumerate(labs):
+                got = sum((S[a][x] * S[b][x] * S[c][x].conjugate() * col[x] for x in range(k)),
+                          p.zero)
+                assert got == p.scalar(fusion(p, lam, mu, nu)), (lam.rows, mu.rows, nu.rows)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_closed_forms(p):
+    """qdim is the q-Weyl product prod_{i<j} [l_i - l_j + j - i]/[j - i],
+    exactly and against the float oracle; theta is zeta^x with the
+    oracle's twist exponent x."""
+    for lam in labels(p):
+        rows = [lam.row(i) for i in range(p.N)]
+        want = p.one
+        for i in range(p.N):
+            for j in range(i + 1, p.N):
+                want = want * qint(p, rows[i] - rows[j] + j - i) * qint(p, j - i).inverse()
+        assert qdim(p, lam) == want, lam.rows
+        assert qdim(p, lam).embed() == pytest.approx(oracles.qdim(p.N, p.K, lam.rows), abs=1e-9)
+        assert twist(p, lam) == p.zeta_pow(oracles.twist_exponent(p.N, lam.rows)), lam.rows
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_box_folds_count_paths(p):
+    """mf_dim(0, [box] * n + [nu dagger]) = path_count(n, nu): folding
+    boxes into the vacuum walks the Bratteli diagram."""
+    box = labels(p)[1]
+    for n in range(7):
+        for nu in gamma_n(p, n):
+            assert mf_dim(p, 0, (box,) * n + (dagger(p, nu),)) == path_count(p, n, nu), (n, nu.rows)

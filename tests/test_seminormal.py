@@ -20,7 +20,7 @@ from hsk import trace
 from hsk.hecke import full_twist_word
 from hsk.perms import perm_table
 from hsk.scalar import Scalar
-from hsk.seminormal import dimension, path_model
+from hsk.seminormal import block_matrix, block_trace, dimension, path_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from hskbench import oracles  # noqa: E402
@@ -67,6 +67,34 @@ def test_blocks_satisfy_the_hecke_relations(p):
                         assert _mul(_mul(T, U), T) == _mul(_mul(U, T), U), (n, block.label, i)
                     else:
                         assert _mul(T, U) == _mul(U, T), (n, block.label, i, j)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_block_matrix_is_the_product_of_the_generators(p):
+    """block_matrix against dense products of T_i and T_i^-1 = q^-1 T_i +
+    (q^-1 - 1), and its diagonal against block_trace."""
+    F = p.subfield
+    qinv = p.q_pow_in(F, -1)
+    rng = Random(f"block-matrix:{p.N},{p.K}")
+    for n in range(1, 6):
+        model = path_model(p, n)
+        for j, block in enumerate(model.blocks):
+            f = len(block.paths)
+            one = [[Scalar.from_rational(F, int(r == c)) for c in range(f)] for r in range(f)]
+            for _ in range(3):
+                length = 0 if n == 1 else rng.randint(0, 8)
+                word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+                want = one
+                for e in word:
+                    T = _dense(block, abs(e) - 1, F)
+                    if e < 0:
+                        T = [[qinv * x + (qinv - 1) * one[r][c] for c, x in enumerate(row)]
+                             for r, row in enumerate(T)]
+                    want = _mul(want, T)
+                got = block_matrix(model, j, word)
+                assert got == want, (n, block.label, word)
+                assert sum(got[t][t] for t in range(1, f)) + got[0][0] == \
+                    block_trace(model, j, word), (n, block.label, word)
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
