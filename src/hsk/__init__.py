@@ -3,10 +3,12 @@
 The algebra H_n is taken at q = exp(2*pi*i/(N+K)), with all scalars in
 the cyclotomic field Q(zeta_{2N(N+K)}).  The Markov trace at the
 distinguished weight purifies H_n to a semisimple quotient whose
-blocks are indexed by level-bounded Young diagrams.  Quantum
-dimensions come from Young idempotents; fusion rules, twists, the
-S-matrix and modular-functor dimensions from traces in the Bratteli
-path model of the quotient (``seminormal``), all exactly.
+blocks are indexed by level-bounded Young diagrams.  The Bratteli
+path model of the quotient (``seminormal``) holds each block's data:
+quantum dimensions are its q-Weyl weights, central idempotents the
+Gram duals of its weighted characters, and fusion rules, twists, the
+S-matrix and modular-functor dimensions traces in its blocks, all
+exactly.
 """
 
 from .scalar import Params, Scalar, conjugate, embed, invert, qfact, qint

@@ -13,20 +13,22 @@ products against the pivot-restricted Gram matrix, so no element
 products are needed on the hot paths.  ``PurifiedAlgebra`` holds just
 this: the pivots, the echelon map ``rmap`` and the pivot Gram matrix.
 
-The centre of A_n is the joint kernel of the commutators
-T_{s_i} T_j - T_j T_{s_i} over the pivots j, each built by one
-generator step on either side (``hecke._gen_step``) and reduced through
-``rmap``.  Central idempotents are recovered from trace characters: a
-central element z decomposes as sum over blocks of psi_mu(z) z_mu where
-psi_mu(z) = Tr(z e_mu)/Tr(e_mu) for any minimal idempotent e_mu of the
-block mu.  The z_lambda are dual to the psi_mu, so inverting the matrix
-of the psi_mu on a basis of the centre, one elimination, produces all
-of them.
+The centre comes from the path model (``seminormal``), which holds
+every block's data exactly: its path count f_lambda, its weight
+Tr(e_lambda) = d_lambda/[N]^n for a minimal idempotent e_lambda, d_lambda
+the q-Weyl dimension, and its character tr rho_lambda.  Since z_lambda
+is the identity on the block lambda and zero on the others,
+Tr(z_lambda T_j) = (d_lambda/[N]^n) tr rho_lambda(T_j), and z_lambda is
+the Gram dual of these traces: the vector on the pivots J with
+G_J z_lambda = b_lambda, b_lambda[j] = Tr(z_lambda T_j).  G_J is
+nonsingular, since J picks r independent rows and columns of a rank-r
+symmetric matrix, so one elimination of [G_J | B] gives every z_lambda.
 
-Branching multiplicities are trace ratios.  A_n is split semisimple,
-and an idempotent x has rank Tr(z_nu x) / Tr(e_nu) in the block nu,
-one pairing against the pivot Gram matrix; for an embedded minimal
-idempotent of A_{n-1} that rank is the branching multiplicity.
+Branching multiplicities (``branching_multiplicity``) are trace ratios.
+A_n is split semisimple, and an idempotent x has rank
+Tr(z_nu x) / Tr(e_nu) in the block nu, one pairing against the pivot
+Gram matrix; for an embedded minimal idempotent of A_{n-1} that rank is
+the branching multiplicity.
 
 The modular data never build A_n: they are traces in the blocks of the
 path model (``seminormal``), whose bases are Bratteli paths, not the
@@ -35,7 +37,9 @@ product of two commuting path projections (``_fusion_row``); the
 twist theta_d is the central full twist's block trace over the path
 count; S~ follows from the balancing identity
 S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu.
-The Gram route serves ``blocks``, ``purify``, ``gram`` and ``branch``.
+The quantum dimension of a label is its block weight, the q-Weyl
+product.  The Gram route serves ``central_idempotents``,
+``purified_dim`` and ``branching_multiplicity``.
 """
 from __future__ import annotations
 
@@ -43,16 +47,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_count
-from .hecke import (BraidWord, HeckeElement, _acc, _gen_step, block_transposition_word,
-                    braid_phase, full_twist_word, jones_wenzl, tensor_embed,
-                    young_idempotent)
-from .linalg import determinant, nullspace, rref
+from .diagrams import YoungDiagram, dagger, gamma_n, labels
+from .hecke import (BraidWord, HeckeElement, block_transposition_word, braid_phase,
+                    full_twist_word, jones_wenzl, tensor_embed, young_idempotent)
+from .linalg import determinant, rref
 from .perms import TRACE_LIMIT, perm_table
 from .scalar import Params, Scalar
-from .seminormal import block_matrix, block_trace, path_model
+from .seminormal import block_matrix, block_trace, path_model, q_weyl_dimension
 from .trace import (CURL_MATCH_SIGN, GRAM_LIMIT, curl_scalar, gram_bilinear,
-                    gram_rref, loop_power, markov_trace)
+                    gram_rref, loop_power)
 
 __all__ = [
     "PurifiedAlgebra",
@@ -91,18 +94,14 @@ class PurifiedAlgebra:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def reduce_terms(self, terms: dict[int, Scalar]) -> list[Scalar]:
+    def reduce(self, x: HeckeElement) -> list[Scalar]:
         vec = [self.p.zero] * self.dim
-        for w, c in terms.items():
-            col = w
+        for w, c in x.terms.items():
             for r in range(self.dim):
-                e = self.rmap[r][col]
+                e = self.rmap[r][w]
                 if not e.is_zero():
                     vec[r] = vec[r] + c * e
         return vec
-
-    def reduce(self, x: HeckeElement) -> list[Scalar]:
-        return self.reduce_terms(x.terms)
 
     def lift(self, vec) -> HeckeElement:
         return HeckeElement(self.p, self.n, {j: c for j, c in zip(self.pivots, vec)})
@@ -191,87 +190,50 @@ class BlockData:
 @lru_cache(maxsize=None)
 def central_idempotents(p: Params, n: int) -> BlockData:
     """The minimal central idempotents z_lambda of A_n, one per label
-    of Gamma^n, as representatives in H_n (well defined mod radical)."""
+    of Gamma^n, as representatives in H_n (well defined mod radical):
+    the solutions of G_J z_lambda = b_lambda, with b_lambda[j] =
+    Tr(z_lambda T_j) the weighted block character of the path model."""
     a = purified_algebra(p, n)
-    labs = gamma_n(p, n)
-    d = a.dim
-    # centre of A as the joint kernel of the commutators T_{s_i} T_j - T_j T_{s_i}
-    tbl = perm_table(n)
-    stacked: list[list[Scalar]] = []
-    for i in range(n - 1):
-        cols = []
-        for j in a.pivots:
-            comm = _gen_step(p, tbl.length, tbl.lmul, {j: p.one}, i)
-            for w, c in _gen_step(p, tbl.length, tbl.rmul, {j: p.one}, i).items():
-                _acc(comm, w, -c)
-            cols.append(a.reduce_terms(comm))
-        stacked.extend(list(row) for row in zip(*cols))
-    centre = nullspace(p, stacked, d) if stacked else [[p.one]]
-    if len(centre) != len(labs):
-        raise RuntimeError(
-            f"centre dimension {len(centre)} != |Gamma^{n}| = {len(labs)}")
-    # character functionals psi_mu(z) = Tr(z e_mu)/Tr(e_mu)
-    reduced_minimal = {}
-    weights = {}
-    for mu in labs:
-        e_mu = minimal_idempotent(p, n, mu)
-        reduced_minimal[mu] = a.reduce(e_mu)
-        weights[mu] = markov_trace(p, e_mu)
-        if weights[mu].is_zero():
-            raise RuntimeError("vanishing Markov weight on a block")
-    # one elimination of [psi | I] gives [I | psi^-1]; column k of psi^-1
-    # holds the coordinates of z_k over the centre basis
-    size = len(labs)
-    aug = []
-    for k, mu in enumerate(labs):
-        inv = weights[mu].inverse()
-        aug.append([a.trace_pair(cvec, reduced_minimal[mu]) * inv for cvec in centre]
-                   + [p.one if j == k else p.zero for j in range(size)])
+    model = path_model(p, n)
+    words = perm_table(n).word
+    norm = loop_power(p, n).inverse()
+    weights = [block.weight * norm for block in model.blocks]
+    aug = [list(row) + [w * p.lift(block_trace(model, k, tuple(i + 1 for i in words[j])))
+                        for k, w in enumerate(weights)]
+           for j, row in zip(a.pivots, a.gram_pivots)]
     red, piv = rref(p, aug)
-    if piv != list(range(size)):
-        raise RuntimeError("singular character system")
+    if piv != list(range(a.dim)):
+        raise RuntimeError("singular pivot Gram matrix")
+    zvecs = [tuple(row[a.dim + k] for row in red) for k in range(len(weights))]
+    # the z_lambda sum to the identity, whose coordinates are column 0 of rmap
+    if [sum(col, p.zero) for col in zip(*zvecs)] != [row[0] for row in a.rmap]:
+        raise RuntimeError("central idempotents do not sum to the identity")
     blocks: dict[YoungDiagram, BlockEntry] = {}
-    for k, lam in enumerate(labs):
-        coeffs = [row[size + k] for row in red]
-        zvec = [p.zero] * d
-        for c, cvec in zip(coeffs, centre):
-            if not c.is_zero():
-                for r in range(d):
-                    zvec[r] = zvec[r] + c * cvec[r]
-        blocks[lam] = BlockEntry(
-            z=a.lift(zvec),
-            dim=path_count(p, n, lam),
-            weight=weights[lam],
-            zvec=tuple(zvec),
-        )
+    for block, w, zvec in zip(model.blocks, weights, zvecs):
+        blocks[block.label] = BlockEntry(z=a.lift(zvec), dim=len(block.paths), weight=w, zvec=zvec)
     return BlockData(p, n, blocks)
-
-
-def _block_multiplicity(a: PurifiedAlgebra, blk: BlockEntry, x: HeckeElement, what: str) -> int:
-    """The rank of the idempotent x in the matrix block of `blk`:
-    m = Tr(z x) / Tr(e), with Tr(z x) paired against the pivot Gram
-    matrix.  m is read off one coefficient and checked on all of them,
-    which needs no inversion."""
-    num = a.trace_pair(blk.zvec, a.reduce(x))
-    weight = blk.weight
-    j = next(i for i, c in enumerate(weight.num) if c)
-    m = Fraction(num.num[j] * weight.den, num.den * weight.num[j])
-    if m.denominator != 1 or m < 0 or weight * m != num:
-        raise RuntimeError(f"{what} is not a nonnegative integer")
-    return int(m)
 
 
 def branching_multiplicity(p: Params, n: int, lam: YoungDiagram, sub: YoungDiagram) -> int:
     """Multiplicity of the block `sub` of A_{n-1} in the restriction of
-    the block `lam` of A_n: Tr(z_lam i(e_sub)) / Tr(e_lam)."""
+    the block `lam` of A_n: the rank Tr(z_lam e) / Tr(e_lam) of the
+    embedded minimal idempotent e of `sub`, with Tr(z_lam e) paired
+    against the pivot Gram matrix.  The ratio is read off one
+    coefficient and checked on all of them, which needs no inversion."""
     bd = central_idempotents(p, n)
     if lam not in bd.blocks:
         raise ValueError("lam is not a label of Gamma^n")
     if sub not in gamma_n(p, n - 1):
         raise ValueError("sub is not a label of Gamma^{n-1}")
     e_sub = tensor_embed(minimal_idempotent(p, n - 1, sub), HeckeElement.identity(p, 1))
-    return _block_multiplicity(purified_algebra(p, n), bd.blocks[lam], e_sub,
-                               "branching multiplicity")
+    a, blk = purified_algebra(p, n), bd.blocks[lam]
+    num = a.trace_pair(blk.zvec, a.reduce(e_sub))
+    weight = blk.weight
+    j = next(i for i, c in enumerate(weight.num) if c)
+    m = Fraction(num.num[j] * weight.den, num.den * weight.num[j])
+    if m.denominator != 1 or m < 0 or weight * m != num:
+        raise RuntimeError("branching multiplicity is not a nonnegative integer")
+    return int(m)
 
 
 def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> int:
@@ -375,11 +337,13 @@ def fusion_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
 
 
 def qdim(p: Params, d: YoungDiagram) -> Scalar:
-    """[N]^{|d|} Tr(y_d): the closed loop colored by d."""
-    yi = young_idempotent(p, d)
-    if yi.idem is None:
-        raise ValueError("vanishing hook product; no idempotent")
-    return loop_power(p, d.size) * markov_trace(p, yi.idem)
+    """The closed loop colored by d, [N]^{|d|} Tr(e_d): the weight of the
+    block d in the path model, the q-Weyl product."""
+    if d not in labels(p):
+        raise ValueError(f"{d.rows} is not a label of the category")
+    if d.size > TRACE_LIMIT:  # the strand limit qdim had as a Young idempotent
+        raise ValueError(f"permutation tables are limited to {TRACE_LIMIT} strands")
+    return q_weyl_dimension(p, d)
 
 
 def twist(p: Params, d: YoungDiagram) -> Scalar:

@@ -515,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "ribbon twist eigenvalue of a label",
         lambda sp: sp.add_argument("diagram"),
     )
-    cmd("smatrix", _cmd_smatrix, "unnormalized S-matrix from Hopf cablings")
+    cmd("smatrix", _cmd_smatrix, "unnormalized S-matrix from the balancing identity")
     cmd(
         "mfdim",
         _cmd_mfdim,

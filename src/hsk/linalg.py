@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .scalar import Params, Scalar
 
-__all__ = ["rref", "nullspace", "determinant", "hermitian_min_eigenvalue"]
+__all__ = ["rref", "determinant", "hermitian_min_eigenvalue"]
 
 Matrix = list[list[Scalar]]
 
@@ -56,21 +56,11 @@ def rref(p: Params, rows: Matrix) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def nullspace(p: Params, rows: Matrix, ncols: int | None = None) -> Matrix:
-    """Basis of the right kernel, one vector per free column.  Each
-    basis vector has a single 1 in its free column, so the output is
-    sparse whenever the RREF is."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    red, pivots = rref(p, rows)
-    return kernel_from_rref(p, red, pivots, ncols)
-
-
 def kernel_from_rref(p: Params, red, pivots, ncols: int) -> Matrix:
-    """The kernel basis of `nullspace` from a reduced echelon form and
-    its pivot columns."""
+    """Basis of the right kernel from a reduced echelon form and its
+    pivot columns, one vector per free column.  Each basis vector has a
+    single 1 in its free column, so the output is sparse whenever the
+    RREF is."""
     pivot_set = set(pivots)
     basis: Matrix = []
     for f in range(ncols):

@@ -47,7 +47,8 @@ from math import lcm
 from .diagrams import YoungDiagram, gamma_n, path_count
 from .scalar import Params, Scalar, qint
 
-__all__ = ["Block", "PathModel", "path_model", "dimension", "block_trace", "block_matrix"]
+__all__ = ["Block", "PathModel", "path_model", "dimension", "q_weyl_dimension", "block_trace",
+           "block_matrix"]
 
 # One generator row: (diagonal entry, partner path or -1, off-diagonal
 # entry T[t][partner] or None), in Q(q).
@@ -114,12 +115,15 @@ def _contents(path: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _weight_numerator(p: Params, rows: tuple[int, ...]) -> Scalar:
-    acc = p.one
+def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
+    """prod_{i<j} [d_i - d_j + j - i] / [j - i] over the N rows of d: the
+    weight of the block of d, and the quantum dimension of a label."""
+    num = den = p.one
     for i in range(p.N):
         for j in range(i + 1, p.N):
-            acc = acc * qint(p, rows[i] - rows[j] + j - i)
-    return acc
+            num = num * qint(p, d.row(i) - d.row(j) + j - i)
+            den = den * qint(p, j - i)
+    return num * den.inverse()
 
 
 @lru_cache(maxsize=16)
@@ -133,7 +137,6 @@ def path_model(p: Params, n: int) -> PathModel:
         if d:
             qd = p.q_pow_in(F, d)
             a[d] = (q - 1) * qd * (qd - 1).inverse()
-    den_inv = _weight_numerator(p, (0,) * p.N).inverse()
     blocks = []
     by_shape = _paths(p, n)
     for lab in gamma_n(p, n):
@@ -153,8 +156,7 @@ def path_model(p: Params, n: int) -> PathModel:
                 else:
                     gen.append((a[d], u, a[d] * a[-d] + q if d > 0 else one))
             gens.append(tuple(gen))
-        weight = _weight_numerator(p, rows) * den_inv
-        blocks.append(Block(lab, paths, weight, tuple(gens)))
+        blocks.append(Block(lab, paths, q_weyl_dimension(p, lab), tuple(gens)))
     # T^-1 = q^-1 T + (q^-1 - 1), row by row
     signed = []
     for b in blocks:

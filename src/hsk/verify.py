@@ -10,8 +10,8 @@ generator, so two runs with the same (N, K, max_n, seed) produce the
 same sequence of test elements and the same pass/fail verdicts.  A
 check that is out of scope for the given parameters (for example
 Jones-Wenzl projectors beyond the vanishing quantum factorial, or
-S-matrix entries whose Hopf cabling would exceed the Gram strand
-limit) is reported as skipped with the reason, never silently dropped.
+S-matrix entries whose label pair would exceed the Gram strand limit)
+is reported as skipped with the reason, never silently dropped.
 
 Gram-based checks (forms, blocks, fusion) are capped at five strands
 regardless of max_n; the 720 x 720 exact Gram matrix at six strands is

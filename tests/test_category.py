@@ -6,6 +6,7 @@ ring with S~ = [[1, [2], 1], [[2], 0, -[2]], [1, -[2], 1]] where
 [2] = sqrt(2).  Level-1 theories are the abelian Z_N anyons."""
 
 import cmath
+import dataclasses
 import math
 import sys
 import time
@@ -41,8 +42,7 @@ from hsk import (
     twist,
     young_idempotent,
 )
-from hsk import category, hecke, linalg
-from hsk.category import _block_multiplicity
+from hsk import category, hecke, linalg, trace
 from hsk.hecke import (BraidWord, _gen_step, block_transposition_word, from_braid,
                        full_twist_word)
 from hsk.linalg import rref
@@ -138,6 +138,41 @@ class TestBlocks:
     def test_minimal_idempotent_rejects_non_label(self):
         with pytest.raises(ValueError):
             minimal_idempotent(Params(2, 2), 3, YoungDiagram.of(3))
+
+    def test_wrong_block_weight_is_caught(self, monkeypatch):
+        """A path model whose weight on one block is off breaks the sum
+        of the z_lambda, which must be the identity."""
+        real = category.path_model
+
+        def skewed(p, n):
+            model = real(p, n)
+            first = model.blocks[0]
+            first = dataclasses.replace(first, weight=first.weight * 2)
+            return dataclasses.replace(model, blocks=(first,) + model.blocks[1:])
+
+        monkeypatch.setattr(category, "path_model", skewed)
+        category.central_idempotents.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="sum to the identity"):
+                central_idempotents(Params(2, 2), 4)
+        finally:
+            category.central_idempotents.cache_clear()
+
+    def test_singular_pivot_gram_is_caught(self, monkeypatch):
+        real = category.purified_algebra
+
+        def degenerate(p, n):
+            a = real(p, n)
+            rows = (a.gram_pivots[0],) * a.dim
+            return dataclasses.replace(a, gram_pivots=rows)
+
+        monkeypatch.setattr(category, "purified_algebra", degenerate)
+        category.central_idempotents.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="singular pivot Gram"):
+                central_idempotents(Params(2, 2), 3)
+        finally:
+            category.central_idempotents.cache_clear()
 
     def test_json_shape(self):
         bd = central_idempotents(Params(2, 2), 3)
@@ -297,7 +332,7 @@ def _basis_row_table(a, v):
         i = next(i for i in range(a.n - 1)
                  if tbl.length[tbl.lmul[w][i]] < tbl.length[w])
         prev = a.lift(rho[tbl.lmul[w][i]]).terms
-        rho[w] = a.reduce_terms(_gen_step(a.p, tbl.length, tbl.lmul, prev, i))
+        rho[w] = a.reduce(HeckeElement(a.p, a.n, _gen_step(a.p, tbl.length, tbl.lmul, prev, i)))
     return rho
 
 
@@ -333,8 +368,17 @@ def fusion_by_trace_ratio(p, lam, mu, nu):
     n = lam.size + mu.size
     if n == 0:
         return 1
-    return _block_multiplicity(purified_algebra(p, n), central_idempotents(p, n).blocks[nu],
-                               pair_idempotent(p, lam, mu), "fusion coefficient")
+    a = purified_algebra(p, n)
+    blk = central_idempotents(p, n).blocks[nu]
+    m = a.trace_pair(blk.zvec, a.reduce(pair_idempotent(p, lam, mu))) * blk.weight.inverse()
+    assert m.is_rational() and m.den == 1 and m.num[0] >= 0, "fusion coefficient"
+    return m.num[0]
+
+
+def qdim_by_young_idempotent(p, d):
+    """[N]^{|d|} Tr(y_d): the closed loop colored by d, from the Young
+    idempotent in H_{|d|}."""
+    return loop_power(p, d.size) * markov_trace(p, young_idempotent(p, d).idem)
 
 
 def twist_by_full_twist(p, d):
@@ -405,9 +449,26 @@ class TestFusionOracle:
 FIVE = [Params(2, 1), Params(2, 2), Params(3, 1), Params(4, 1), Params(2, 3)]
 
 
+def forbid(monkeypatch, *funcs):
+    """Rebind every hsk module's name for each of funcs to a spy that
+    fails the test when called."""
+    forbidden = {id(f): f.__name__ for f in funcs}
+
+    def spy(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hsk" or name.startswith("hsk."):
+            for key, value in list(vars(mod).items()):
+                if id(value) in forbidden:
+                    monkeypatch.setattr(mod, key, spy(forbidden[id(value)]))
+
+
 class TestOldRoutes:
-    """The Gram, Hopf-cabling and T-basis full-twist routes that the path
-    model replaced, kept as oracles."""
+    """The Gram, Hopf-cabling, T-basis full-twist and Young-idempotent
+    routes that the path model replaced, kept as oracles."""
 
     @pytest.mark.parametrize("N,K,cap", [(2, 2, 4), (3, 1, 4), (3, 2, 4), (4, 1, 5), (2, 3, 5)])
     def test_fusion_matches_the_gram_route(self, N, K, cap):
@@ -437,28 +498,23 @@ class TestOldRoutes:
         for d in labels(p):
             assert twist(p, d) == twist_by_full_twist(p, d), d.rows
 
+    @pytest.mark.parametrize("p", FIVE + [Params(3, 2)], ids=str)
+    def test_qdim_matches_the_young_idempotent(self, p):
+        for d in labels(p):
+            assert qdim(p, d) == qdim_by_young_idempotent(p, d), d.rows
+
     def test_modular_data_skips_the_gram_route(self, monkeypatch):
-        """fusion, twist, s_matrix and mf_dim build no purified algebra, no
-        central idempotent, no echelon form and no T-basis braid."""
-        forbidden = {id(f): f.__name__ for f in (category.purified_algebra,
-                                                  category.central_idempotents,
-                                                  linalg.rref, hecke.from_braid)}
-
-        def spy(name):
-            def call(*args, **kwargs):
-                raise AssertionError(f"{name} called")
-            return call
-
-        for name, mod in list(sys.modules.items()):
-            if name == "hsk" or name.startswith("hsk."):
-                for key, value in list(vars(mod).items()):
-                    if id(value) in forbidden:
-                        monkeypatch.setattr(mod, key, spy(forbidden[id(value)]))
+        """qdim, fusion, twist, s_matrix and mf_dim build no purified
+        algebra, no central idempotent, no echelon form, no T-basis braid,
+        no Young idempotent and no Markov trace."""
+        forbid(monkeypatch, category.purified_algebra, category.central_idempotents,
+               linalg.rref, hecke.from_braid, hecke.young_idempotent, trace.markov_trace)
         category._fusion_row.cache_clear()
         category.s_matrix.cache_clear()
         for p in (Params(2, 2), Params(4, 1), Params(2, 3)):
             labs = labels(p)
             for d in labs:
+                qdim(p, d)
                 twist(p, d)
             s_matrix(p)
             assert mf_dim(p, 1, ()) == len(labs)
@@ -466,6 +522,15 @@ class TestOldRoutes:
             assert fusion(p, labs[1], labs[-1], labs[0]) in (0, 1)
         assert mf_dim(Params(3, 2), 0, (YoungDiagram.of(2, 1),) * 2) == 1
 
+    def test_central_idempotents_skip_the_idempotent_route(self, monkeypatch):
+        """The centre is the Gram dual of the path model's characters: no
+        minimal or Young idempotent and no Markov trace is built."""
+        forbid(monkeypatch, category.minimal_idempotent, hecke.young_idempotent,
+               trace.markov_trace)
+        category.central_idempotents.cache_clear()
+        for p in FIVE:
+            for n in range(5):
+                assert set(central_idempotents(p, n).blocks) == set(gamma_n(p, n)), (p, n)
 
     def test_path_models_of_a_theory_stay_cached(self):
         """A theory's modular data up to 6 strands fits the path-model

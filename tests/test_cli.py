@@ -14,6 +14,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hsk import Params, YoungDiagram, qdim
 from hsk import cli
@@ -336,6 +338,79 @@ class TestExitCodes:
         # non-decreasing rows are a syntax problem, not a domain one
         code, _, _ = run_cli(capsys, "qdim", "1,2", "--N", "2", "--K", "2")
         assert code == 2
+
+
+# argv fuzzing: every subcommand but verify, on the theories of the test
+# grid and invalid ones, with strand counts -1..4 and malformed diagrams,
+# braid words and genera
+THEORIES = st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3),
+                            (1, 2), (2, 0), (0, 0), (-2, 3), (40, 40)])
+STRANDS = st.integers(-1, 4).map(str)
+DIAGRAMS = st.sampled_from(["", "1", "2", "1,1", "2,1", "2,2", "3", "1,1,1", "3,3,3",
+                            "1,2", "0", "-1", "x", "1,,1", "2 1", "1.5"])
+BRAIDS = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=6).map(lambda w: " ".join(map(str, w))),
+    st.sampled_from(["a", "1 x", "--", "1.0", "+1 -1"]))
+GENERA = st.sampled_from(["-1", "0", "1", "2", "1000", "1001", "x"])
+
+
+def _maybe(*parts):
+    return st.one_of(st.just([]), st.tuples(*parts).map(list))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["labels", "qint", "dagger", "branch", "paths", "jw", "yidem",
+                                "trace", "closure", "gram", "purify", "blocks", "fusion",
+                                "qdim", "twist", "smatrix", "mfdim"]))
+    N, K = draw(THEORIES)
+    argv = [cmd, "--N", str(N), "--K", str(K)]
+    if cmd == "qint":
+        argv.append(draw(st.one_of(st.integers(-3, 20).map(str), st.just("x"))))
+    elif cmd in ("dagger", "yidem", "qdim", "twist"):
+        argv.append(draw(DIAGRAMS))
+    elif cmd in ("branch", "paths"):
+        argv += [draw(DIAGRAMS), *draw(_maybe(st.just("--strands"), STRANDS))]
+    elif cmd == "jw":
+        argv += ["--strands", draw(STRANDS), "--kind", draw(st.sampled_from(["sym", "antisym", "x"]))]
+    elif cmd in ("trace", "closure"):
+        argv += ["--braid", draw(BRAIDS), *draw(_maybe(st.just("--strands"), STRANDS))]
+    elif cmd == "gram":
+        argv += ["--strands", draw(STRANDS), "--form", draw(st.sampled_from(["bilinear", "hermitian"])),
+                 *draw(_maybe(st.just("--full")))]
+    elif cmd in ("purify", "blocks"):
+        argv += ["--strands", draw(STRANDS)]
+        if cmd == "blocks":
+            argv += draw(_maybe(st.just("--full")))
+    elif cmd == "fusion":
+        if draw(st.booleans()):
+            argv += ["--table", *draw(_maybe(st.just("--max-strands"), STRANDS))]
+        else:
+            argv += draw(st.lists(DIAGRAMS, min_size=1, max_size=3))
+    elif cmd == "mfdim":
+        argv += ["--genus", draw(GENERA)]
+        for d in draw(st.lists(DIAGRAMS, max_size=3)):
+            argv += ["--label", d]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv())
+    def test_every_input_ends_in_json_or_a_short_error(self, capsys, argv):
+        """Exit 0 with JSON on stdout, or exit 1/2 with nothing on stdout;
+        never a traceback, and each call within a fixed time bound."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 10.0, argv
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 0:
+            json.loads(out)
+        else:
+            assert out == "", argv
+            assert err, argv
 
 
 class TestOutputModes:

@@ -118,6 +118,13 @@ def commands() -> list[list[str]]:
         for lab in labs:
             cmds.append(["qdim", lab, *pk])
             cmds.append(["twist", lab, *pk])
+    # central idempotents and purified dimensions at four more theories;
+    # at (4,1) every block has one path, so 5 strands stay cheap
+    for N, K in ((2, 1), (3, 1), (4, 1), (2, 3)):
+        pk = ["--N", str(N), "--K", str(K)]
+        for n in range(6 if (N, K) == (4, 1) else 5):
+            cmds.append(["blocks", *pk, "--strands", str(n), "--full"])
+        cmds.append(["purify", *pk, "--strands", "4"])
     return cmds
 
 

@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from hsk import BraidWord, Params, from_braid, labels, loop_power, markov_trace, path_count, qdim, qint
+from hsk import BraidWord, Params, from_braid, labels, loop_power, markov_trace, path_count, qint
 from hsk import trace
 from hsk.hecke import full_twist_word
 from hsk.perms import perm_table
@@ -23,7 +23,9 @@ from hsk.scalar import Scalar
 from hsk.seminormal import block_matrix, block_trace, dimension, path_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from hskbench import oracles  # noqa: E402
+from test_category import qdim_by_young_idempotent  # noqa: E402
 
 THEORIES = [Params(2, 1), Params(2, 2), Params(3, 2), Params(4, 1), Params(2, 3)]
 ids = [f"{p.N},{p.K}" for p in THEORIES]
@@ -113,12 +115,13 @@ def test_paths_count_and_weights_sum_to_the_unlink(p):
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_weights_are_quantum_dimensions(p):
-    """The closed-form q-Weyl weight against the Hecke-algebra qdim and
-    against the float oracle of the benchmark, which imports no hsk."""
+    """The closed-form q-Weyl weight against [N]^{|d|} Tr(y_d) of the Young
+    idempotent and against the float oracle of the benchmark, which
+    imports no hsk."""
     for lab in labels(p):
         n = lab.size
         block = next(b for b in path_model(p, n).blocks if b.label == lab)
-        assert block.weight == qdim(p, lab)
+        assert block.weight == qdim_by_young_idempotent(p, lab)
         assert block.weight.embed() == pytest.approx(oracles.qdim(p.N, p.K, lab.rows), abs=1e-9)
     assert qint(p, p.N) == path_model(p, 1).blocks[0].weight
 
