@@ -1,8 +1,9 @@
 """Print the modular data of the desk-scale parameter sets.
 
-For each (N, K) whose label sizes keep the Hopf-link cablings within
-the Gram strand limit, tabulate quantum dimensions, ribbon twists and
-the unnormalized S-matrix, both as exact cyclotomic data and as
+For each (N, K) whose label pairs fit within the 6-strand limit of
+the fusion coefficients (|lam| + |mu| <= 6), tabulate quantum
+dimensions, ribbon twists and the unnormalized S-matrix, all read off
+the seminormal path model, both as exact cyclotomic data and as
 complex approximations.  The (2,1) row is the semion, (2,2) the Ising
 anyons, (3,1) the Z_3 theory.
 """

@@ -92,14 +92,6 @@ def _parse_label(p: Params, text: str) -> YoungDiagram:
     return d
 
 
-def _strands_or_size(args, d: YoungDiagram) -> int:
-    if args.strands is None:
-        return d.size
-    if not 0 <= args.strands <= 1000:  # path counts stay far below JSON's digit limit
-        raise UsageError("--strands must be between 0 and 1000")
-    return args.strands
-
-
 def _parse_braid(word: str, strands: int | None) -> BraidWord:
     letters = []
     for t in word.split():
@@ -254,13 +246,13 @@ def _cmd_dagger(p: Params, args):
 
 def _cmd_branch(p: Params, args):
     d = _parse_diagram(args.diagram)
-    n = _strands_or_size(args, d)
+    n = d.size if args.strands is None else args.strands
     return [list(b.rows) for b in branch(p, n, d)], 0
 
 
 def _cmd_paths(p: Params, args):
     d = _parse_diagram(args.diagram)
-    n = _strands_or_size(args, d)
+    n = d.size if args.strands is None else args.strands
     return {"n": n, "diagram": list(d.rows), "count": path_count(p, n, d)}, 0
 
 
@@ -287,14 +279,14 @@ def _cmd_yidem(p: Params, args):
 
 
 def _cmd_trace(p: Params, args):
-    b = _parse_braid(args.braid, args.strands)
+    b = _parse_braid(args.braid, args.braid_strands)
     if b.strands > TRACE_LIMIT:
         raise ValueError(f"traces are limited to {TRACE_LIMIT} strands")
     return markov_trace(p, from_braid(p, b)).to_json(embed=True), 0
 
 
 def _cmd_closure(p: Params, args):
-    b = _parse_braid(args.braid, args.strands)
+    b = _parse_braid(args.braid, args.braid_strands)
     if b.strands > TRACE_LIMIT:
         raise ValueError(f"closures are limited to {TRACE_LIMIT} strands")
     return closure_invariant(p, b).to_json(embed=True), 0
@@ -409,10 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--N", type=int, required=True, help="rank (N >= 2)")
     common.add_argument("--K", type=int, required=True, help="level (K >= 1)")
     common.add_argument("--cache", metavar="DIR", help="cache directory")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="compact JSON output (default)")
-    fmt.add_argument("--pretty", action="store_true", help="indented JSON output")
+    common.add_argument("--pretty", action="store_true", help="indented JSON output")
 
     def cmd(name, handler, help_text, configure=None):
         sp = sub.add_parser(name, parents=[common], help=help_text)
@@ -457,7 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     def braid_args(sp):
-        sp.add_argument("--strands", type=int, help="strand count n")
+        # checked with the word in _parse_braid, not by main's range check
+        sp.add_argument("--strands", type=int, dest="braid_strands", metavar="STRANDS",
+                        help="strand count n")
         sp.add_argument(
             "--braid",
             required=True,
@@ -533,7 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify",
         _cmd_verify,
         "run the invariant battery and print a report",
-        lambda sp: sp.add_argument("--max-n", type=int, default=5, dest="max_n"),
+        lambda sp: (
+            sp.add_argument("--max-n", type=int, default=5, dest="max_n"),
+            sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks"),
+        ),
     )
     return parser
 
@@ -549,6 +543,10 @@ def main(argv=None) -> int:
         p = Params(args.N, args.K)
         if p.m ** 2 > _THEORY_LIMIT or comb(p.N + p.K - 1, p.K) > _THEORY_LIMIT:
             raise ValueError(f"theory (N, K) = ({p.N}, {p.K}) exceeds the size limit")
+        # path counts at 1000 strands stay far below JSON's digit limit
+        strands = getattr(args, "strands", None)
+        if strands is not None and not 0 <= strands <= 1000:
+            raise UsageError("--strands must be between 0 and 1000")
         payload, code = args.handler(p, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -4,18 +4,23 @@ Executes the library's invariant battery -- scalar arithmetic, diagram
 combinatorics, Hecke algebra conventions, Markov trace axioms, Gram
 positivity, block decomposition, fusion, modular data, and skein
 closures -- and collects the outcome of each named check in a report.
+The acceptance criteria of the test suite are timed runs of these
+same checks, so each invariant has one implementation.
 
 Checks are deterministic: all randomness is drawn from a seeded
 generator, so two runs with the same (N, K, max_n, seed) produce the
 same sequence of test elements and the same pass/fail verdicts.  A
 check that is out of scope for the given parameters (for example
 Jones-Wenzl projectors beyond the vanishing quantum factorial, or
-S-matrix entries whose label pair would exceed the Gram strand limit)
-is reported as skipped with the reason, never silently dropped.
+S-matrix entries whose label pair would exceed the fusion strand
+limit) is reported as skipped with the reason, never silently dropped.
 
-Gram-based checks (forms, blocks, fusion) are capped at five strands
-regardless of max_n; the 720 x 720 exact Gram matrix at six strands is
-outside desk-scale budgets and is skipped with an explicit entry.
+The checks on the Gram matrices of the trace forms (ranks, positivity,
+blocks, branching) stop at five strands (``FORM_CHECK_LIMIT``) whatever
+max_n is: the 720 x 720 exact Gram matrix at six strands is outside
+desk-scale budgets.  Fusion and modular-functor dimensions run in the
+seminormal path model and build no Gram matrix; they keep the same
+five-strand budget.
 """
 
 from __future__ import annotations
@@ -344,7 +349,7 @@ def _check_jw(p: Params, max_n: int, rng: Random) -> str:
 
 
 def _check_young_quasi(p: Params, max_n: int, rng: Random) -> str:
-    cap = min(max_n, 4)
+    cap = min(max_n, 5)
     limit = p.N + p.K
     count = 0
     for n in range(1, cap + 1):
@@ -540,7 +545,7 @@ def _check_stabilization(p: Params, max_n: int, rng: Random) -> str:
         for _ in range(5):
             word = tuple(
                 rng.choice([1, -1]) * rng.randint(1, max(1, n - 1))
-                for _ in range(rng.randint(0, 4))
+                for _ in range(rng.randint(0, 5))
             ) if n > 1 else ()
             base = closure_invariant(p, BraidWord(n, word))
             for sign in (1, -1):
@@ -594,13 +599,6 @@ def _check_branching(p: Params, max_n: int, rng: Random) -> str:
                     f"branching multiplicity ({lam.rows} -> {sub.rows}) = {m}, expected {expected}",
                 )
                 checked += 1
-            # multiset identity: dim of the block equals the sum of the
-            # dims of the blocks it restricts to
-            _assert(
-                path_count(p, n, lam)
-                == sum(path_count(p, n - 1, b) for b in branch(p, n, lam)),
-                f"restriction dims do not add up for {lam.rows}",
-            )
     return f"0/1 branching indicator matches the lattice on {checked} pairs, n <= {cap}"
 
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hsk import Params, YoungDiagram, qdim
-from hsk import cli
+from hsk import Params, YoungDiagram, qdim, run_verify
+from hsk import cli, verify
 from hsk.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
@@ -215,6 +215,36 @@ class TestVerifyCommand:
         assert code == 2
         assert "usage error" in err
 
+    # a library function broken in verify's namespace, and the checks
+    # that must catch it
+    BREAKS = {
+        "fusion": (lambda f: lambda *a: f(*a) + 1, {"category.fusion", "category.mf_dim"}),
+        "twist": (lambda f: lambda p, d: f(p, d) + f(p, d), {"category.qdim_twist"}),
+        "qdim": (lambda f: lambda p, d: f(p, d) + p.one,
+                 {"category.qdim_twist", "category.smatrix"}),
+        "closure_invariant": (lambda f: lambda p, b: f(p, b) * p.zeta_pow(b.strands),
+                              {"trace.framing", "trace.stabilization"}),
+    }
+
+    @pytest.mark.parametrize("name", list(BREAKS))
+    def test_broken_function_fails_its_checks(self, monkeypatch, name):
+        wrap, affected = self.BREAKS[name]
+        monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+        report = run_verify(Params(2, 1), max_n=3)
+        failed = {c.name: c.details for c in report.checks if c.status == "fail"}
+        assert set(failed) == affected
+        assert all(failed.values())
+        assert report.overall == "fail"
+
+    def test_failed_check_exits_one_with_the_report(self, capsys, monkeypatch):
+        wrap, affected = self.BREAKS["fusion"]
+        monkeypatch.setattr(verify, "fusion", wrap(verify.fusion))
+        code, out, err = run_cli(capsys, "verify", "--N", "2", "--K", "1", "--max-n", "3")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["overall"] == "fail"
+        assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == affected
+
 
 class TestExitCodes:
     def test_empty_braid_needs_strands(self, capsys):
@@ -264,17 +294,37 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: (1, 1) is not a label of the category\n"
 
-    @pytest.mark.parametrize("cmd", ["paths", "branch"])
-    def test_negative_strands_is_usage_error(self, capsys, cmd):
-        code, out, err = run_cli(capsys, cmd, "1", "--N", "2", "--K", "2", "--strands", "-1")
-        assert code == 2 and out == ""
-        assert err.startswith("usage error")
+    # the subcommands with a --strands range check, and their other arguments
+    STRANDS_ARGV = {"paths": ["1"], "branch": ["1"], "jw": ["--kind", "sym"],
+                    "gram": [], "purify": [], "blocks": []}
 
-    @pytest.mark.parametrize("cmd", ["paths", "branch"])
-    def test_strand_cap_is_usage_error(self, capsys, cmd):
-        code, out, err = run_cli(capsys, cmd, "", "--N", "2", "--K", "2", "--strands", "1001")
+    @pytest.mark.parametrize("cmd", list(STRANDS_ARGV))
+    def test_negative_strands_is_usage_error(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd, *self.STRANDS_ARGV[cmd],
+                                 "--N", "2", "--K", "2", "--strands", "-1")
         assert code == 2 and out == ""
         assert err == "usage error: --strands must be between 0 and 1000\n"
+
+    @pytest.mark.parametrize("cmd", list(STRANDS_ARGV))
+    def test_strand_cap_is_usage_error(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd, *self.STRANDS_ARGV[cmd],
+                                 "--N", "2", "--K", "2", "--strands", "1001")
+        assert code == 2 and out == ""
+        assert err == "usage error: --strands must be between 0 and 1000\n"
+
+    @pytest.mark.parametrize("cmd", ["trace", "closure"])
+    @pytest.mark.parametrize("strands", ["-1", "0"])
+    def test_braid_strands_must_be_positive(self, capsys, cmd, strands):
+        code, out, err = run_cli(capsys, cmd, "--braid", "", "--N", "2", "--K", "2",
+                                 "--strands", strands)
+        assert code == 2 and out == ""
+        assert err == "usage error: --strands must be positive\n"
+
+    @pytest.mark.parametrize("option", [["--json"], ["--seed", "1"]])
+    def test_removed_options_are_usage_errors(self, capsys, option):
+        # compact JSON is the default, and only verify draws random elements
+        code, out, _ = run_cli(capsys, "labels", "--N", "2", "--K", "2", *option)
+        assert code == 2 and out == ""
 
     def test_deep_path_count(self, capsys):
         # the count at 900 strands, which a recursion over n could not reach
@@ -340,9 +390,10 @@ class TestExitCodes:
         assert code == 2
 
 
-# argv fuzzing: every subcommand but verify, on the theories of the test
-# grid and invalid ones, with strand counts -1..4 and malformed diagrams,
-# braid words and genera
+# argv fuzzing: every subcommand, on the theories of the test grid and
+# invalid ones, with strand counts -1..4, malformed diagrams, braid words
+# and genera, and verify bounds in and out of range (a valid verify call
+# at --max-n 3 takes well under a second)
 THEORIES = st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3),
                             (1, 2), (2, 0), (0, 0), (-2, 3), (40, 40)])
 STRANDS = st.integers(-1, 4).map(str)
@@ -352,6 +403,8 @@ BRAIDS = st.one_of(
     st.lists(st.integers(-5, 5), max_size=6).map(lambda w: " ".join(map(str, w))),
     st.sampled_from(["a", "1 x", "--", "1.0", "+1 -1"]))
 GENERA = st.sampled_from(["-1", "0", "1", "2", "1000", "1001", "x"])
+MAX_N = st.sampled_from(["2", "3", "1", "7", "x"])
+SEEDS = st.one_of(st.integers(-3, 10**6).map(str), st.just("x"))
 
 
 def _maybe(*parts):
@@ -362,7 +415,7 @@ def _maybe(*parts):
 def _argv(draw):
     cmd = draw(st.sampled_from(["labels", "qint", "dagger", "branch", "paths", "jw", "yidem",
                                 "trace", "closure", "gram", "purify", "blocks", "fusion",
-                                "qdim", "twist", "smatrix", "mfdim"]))
+                                "qdim", "twist", "smatrix", "mfdim", "verify"]))
     N, K = draw(THEORIES)
     argv = [cmd, "--N", str(N), "--K", str(K)]
     if cmd == "qint":
@@ -391,6 +444,8 @@ def _argv(draw):
         argv += ["--genus", draw(GENERA)]
         for d in draw(st.lists(DIAGRAMS, max_size=3)):
             argv += ["--label", d]
+    elif cmd == "verify":
+        argv += ["--max-n", draw(MAX_N), *draw(_maybe(st.just("--seed"), SEEDS))]
     return argv
 
 
