@@ -1,11 +1,12 @@
 """Print the modular data of the desk-scale parameter sets.
 
-For each (N, K) whose label pairs fit within the 6-strand limit of
-the fusion coefficients (|lam| + |mu| <= 6), tabulate quantum
-dimensions, ribbon twists and the unnormalized S-matrix, all read off
-the seminormal path model, both as exact cyclotomic data and as
-complex approximations.  The (2,1) row is the semion, (2,2) the Ising
-anyons, (3,1) the Z_3 theory.
+For each (N, K) of the grid, tabulate quantum dimensions, ribbon
+twists and the unnormalized S-matrix, all read off the seminormal path
+model, both as exact cyclotomic data and as complex approximations.
+Any theory whose largest label pair fits the path model's bound (sum
+f^2 <= 8!) can be given with --params.  The (2,1) row is the semion,
+(2,2) the Ising anyons, (3,1) the Z_3 theory, (3,2) the smallest whose
+S~ needs 8 strands.
 """
 
 import argparse
@@ -16,7 +17,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hsk import Params, labels, qdim, s_matrix, twist
 
-GRID = [(2, 1), (2, 2), (3, 1)]
+GRID = [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def fmt(x) -> str:

@@ -38,8 +38,10 @@ twist theta_d is the central full twist's block trace over the path
 count; S~ follows from the balancing identity
 S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu.
 The quantum dimension of a label is its block weight, the q-Weyl
-product.  The Gram route serves ``central_idempotents``,
-``purified_dim`` and ``branching_multiplicity``.
+product, which needs no model; the other data are bounded only by the
+path model's size check (``seminormal.check_size``).  The Gram route
+serves ``central_idempotents``, ``purified_dim`` and
+``branching_multiplicity``.
 """
 from __future__ import annotations
 
@@ -51,9 +53,9 @@ from .diagrams import YoungDiagram, dagger, gamma_n, labels
 from .hecke import (BraidWord, HeckeElement, block_transposition_word, braid_phase,
                     full_twist_word, jones_wenzl, tensor_embed, young_idempotent)
 from .linalg import determinant, rref
-from .perms import TRACE_LIMIT, perm_table
+from .perms import perm_table
 from .scalar import Params, Scalar
-from .seminormal import block_matrix, block_trace, path_model, q_weyl_dimension
+from .seminormal import block_matrix, block_trace, check_size, path_model, q_weyl_dimension
 from .trace import (CURL_MATCH_SIGN, GRAM_LIMIT, curl_scalar, gram_bilinear,
                     gram_rref, loop_power)
 
@@ -241,8 +243,7 @@ def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> 
     for d in (lam, mu):
         if d not in labels(p):
             raise ValueError(f"{d.rows} is not a label of the category")
-    n = lam.size + mu.size
-    if nu not in labels(p) or nu not in gamma_n(p, n):
+    if nu not in gamma_n(p, lam.size + mu.size):  # gamma_n lists only labels
         return 0
     return _fusion_row(p, lam, mu)[labels(p).index(nu)]
 
@@ -272,8 +273,8 @@ class FusionTable:
 
 @lru_cache(maxsize=None)
 def fusion_table(p: Params, max_strands: int | None = None) -> FusionTable:
-    """All coefficients N_{lam mu}^nu with |lam|+|mu| within the Gram
-    limit (or a stricter cap)."""
+    """All coefficients N_{lam mu}^nu with |lam|+|mu| within the default
+    reach GRAM_LIMIT (or a stricter cap)."""
     cap = GRAM_LIMIT if max_strands is None else min(max_strands, GRAM_LIMIT)
     labs = labels(p)
     entries = {}
@@ -283,15 +284,8 @@ def fusion_table(p: Params, max_strands: int | None = None) -> FusionTable:
             if n > cap:
                 continue
             for nu in gamma_n(p, n):
-                if nu not in labs:
-                    continue
                 entries[(lam, mu, nu)] = fusion(p, lam, mu, nu)
     return FusionTable(p, entries)
-
-
-def _first_path(p: Params, d: YoungDiagram) -> tuple[int, ...]:
-    """The first Bratteli path to the label d on |d| strands."""
-    return path_model(p, d.size).blocks[gamma_n(p, d.size).index(d)].paths[0] if d.size else ()
 
 
 @lru_cache(maxsize=None)
@@ -308,11 +302,9 @@ def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ..
     the product is a minimal idempotent of lam (x) mu, whose rank in
     the block nu is the multiplicity of V_nu."""
     a, b = lam.size, mu.size
-    n = a + b
-    if n > GRAM_LIMIT:
-        raise ValueError(f"fusion at {n} strands exceeds the Gram limit")
-    t, s = _first_path(p, lam), _first_path(p, mu)
-    model = path_model(p, n)
+    model = path_model(p, a + b)
+    # the row reading of a label, row i filled left to right, is its first path
+    t, s = (tuple(i for i, r in enumerate(d.rows) for _ in range(r)) for d in (lam, mu))
     word = block_transposition_word(b, a).word if a and b else ()
     inverse = tuple(-e for e in reversed(word))
     found = {}
@@ -341,8 +333,6 @@ def qdim(p: Params, d: YoungDiagram) -> Scalar:
     block d in the path model, the q-Weyl product."""
     if d not in labels(p):
         raise ValueError(f"{d.rows} is not a label of the category")
-    if d.size > TRACE_LIMIT:  # the strand limit qdim had as a Young idempotent
-        raise ValueError(f"permutation tables are limited to {TRACE_LIMIT} strands")
     return q_weyl_dimension(p, d)
 
 
@@ -357,12 +347,10 @@ def twist(p: Params, d: YoungDiagram) -> Scalar:
     n = d.size
     if n == 0:
         return p.one
-    if n > TRACE_LIMIT:  # the strand limit twists had as T-basis elements
-        raise ValueError(f"permutation tables are limited to {TRACE_LIMIT} strands")
+    model = path_model(p, n)
     # as a braid the full twist equals its reversed word, so negating
     # every letter gives its inverse
     word = tuple(CURL_MATCH_SIGN * i for i in full_twist_word(n).word)
-    model = path_model(p, n)
     j = gamma_n(p, n).index(d)
     c = block_trace(model, j, word) * Fraction(1, len(model.blocks[j].paths))
     out = p.lift(c, braid_phase(p, BraidWord(n, word)))
@@ -379,7 +367,7 @@ class SMatrix:
     entries: tuple[tuple[Scalar, ...], ...]
 
     def determinant(self) -> Scalar:
-        return determinant(self.p, [list(r) for r in self.entries])
+        return determinant(self.p, self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -400,25 +388,21 @@ def s_matrix(p: Params) -> SMatrix:
 
         S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu,
 
-    d_nu the block weight of the path model; row/column ∅ reproduces
-    qdim.  Twists are roots of unity, so theta^-1 is the conjugate.
+    d_nu the q-Weyl product; row/column ∅ reproduces qdim.  Twists are
+    roots of unity, so theta^-1 is the conjugate.  The largest label
+    pair meets the path model's size check before any work.
     S~ is symmetric, and each entry below the diagonal is mirrored."""
     labs = labels(p)
-    for lam in labs:
-        for mu in labs:
-            if lam.size + mu.size > GRAM_LIMIT:
-                raise ValueError(
-                    "label sizes exceed the strand limit for Hopf closures")
+    check_size(p, 2 * max(d.size for d in labs))
     theta = [twist(p, d) for d in labs]
+    dims = [q_weyl_dimension(p, d) for d in labs]
     rows = [[p.zero] * len(labs) for _ in labs]
     for i, lam in enumerate(labs):
         for j in range(i, len(labs)):
-            n = lam.size + labs[j].size
-            weight = {b.label: b.weight for b in path_model(p, n).blocks}
             acc = p.zero
-            for nu, th, m in zip(labs, theta, _fusion_row(p, lam, labs[j])):
+            for th, d, m in zip(theta, dims, _fusion_row(p, lam, labs[j])):
                 if m:
-                    acc = acc + th * weight[nu] * m
+                    acc = acc + th * d * m
             rows[i][j] = rows[j][i] = acc * (theta[i] * theta[j]).conjugate()
     return SMatrix(p, tuple(labs), tuple(tuple(r) for r in rows))
 
@@ -429,7 +413,8 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
     decomposition: fold the fusion matrices of the labels into the
     vacuum vector, apply the handle operator sum_mu N_mu N_{mu-dagger}
     per handle, and read off the vacuum coefficient.  A fold computes
-    only the fusion rows its vector reaches."""
+    only the fusion rows its vector reaches; a handle needs every label
+    pair, so the largest meets the path model's size check first."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     labs = labels(p)
@@ -437,6 +422,8 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
     for d in marked:
         if d not in index:
             raise ValueError(f"{tuple(d.rows)} is not a label of the category")
+    if genus:
+        check_size(p, 2 * max(d.size for d in labs))
     size = len(labs)
     vec = [0] * size
     vec[index[YoungDiagram.of()]] = 1

@@ -75,23 +75,27 @@ def kernel_from_rref(p: Params, red, pivots, ncols: int) -> Matrix:
 
 
 def determinant(p: Params, mat: Matrix) -> Scalar:
-    """Exact determinant by first-column Laplace expansion; intended
-    for the small matrices of modular data (a handful of labels)."""
-    n = len(mat)
-    if n == 0:
-        return p.one
-    if n == 1:
-        return mat[0][0]
-    acc = p.zero
-    sign = 1
-    for r in range(n):
-        c = mat[r][0]
-        if not c.is_zero():
-            minor = [row[1:] for i, row in enumerate(mat) if i != r]
-            term = c * determinant(p, minor)
-            acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
+    """Exact determinant: the product of the pivots of one Gaussian
+    elimination, negated once per row swap; O(k^3) scalar operations
+    and at most one inversion per pivot.  The input is not modified."""
+    work = [list(r) for r in mat]
+    det = p.one
+    for col in range(len(work)):
+        piv = next((r for r in range(col, len(work)) if not work[r][col].is_zero()), None)
+        if piv is None:
+            return p.zero
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        row = work[col]
+        det = det * row[col]
+        below = [other for other in work[col + 1:] if not other[col].is_zero()]
+        inv = row[col].inverse() if below else None
+        for other in below:
+            f = other[col] * inv
+            for j in range(col + 1, len(row)):
+                other[j] = other[j] - f * row[j]
+    return det
 
 
 def hermitian_min_eigenvalue(mat: Matrix) -> float:

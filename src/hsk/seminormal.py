@@ -37,18 +37,23 @@ entries, the product of the letters' row norms, fixed before the
 product starts; the trace is s^-len times the sum of the diagonal
 slots, and ``block_matrix`` unpacks every slot (the fusion traces of
 ``category``).
+
+``path_model`` refuses, before it lists a path, a quotient of
+dimension sum_lambda f_lambda^2 beyond 8!, the order of the largest
+permutation table (``check_size``): the one bound on path-model work.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
-from .diagrams import YoungDiagram, gamma_n, path_count
+from .diagrams import YoungDiagram, gamma_n
+from .perms import TRACE_LIMIT
 from .scalar import Params, Scalar, qint
 
-__all__ = ["Block", "PathModel", "path_model", "dimension", "q_weyl_dimension", "block_trace",
-           "block_matrix"]
+__all__ = ["Block", "PathModel", "path_model", "dimension", "check_size", "q_weyl_dimension",
+           "block_trace", "block_matrix"]
 
 # One generator row: (diagonal entry, partner path or -1, off-diagonal
 # entry T[t][partner] or None), in Q(q).
@@ -81,28 +86,37 @@ class PathModel:
     ops: tuple[dict, ...]
 
 
-@lru_cache(maxsize=None)
-def dimension(p: Params, n: int) -> int:
-    """sum_lambda f_lambda^2, the dimension of the quotient of H_n,
-    from path counts alone."""
-    return sum(path_count(p, n, d) ** 2 for d in gamma_n(p, n))
-
-
-def _paths(p: Params, n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Bratteli paths on n strands, grouped by the N-row shape they end at."""
-    N, K = p.N, p.K
-    level = {(0,) * N: [()]}
+def _walk(p: Params, n: int, start, grow) -> dict:
+    """A forward pass over the Bratteli diagram of N-row shapes (rows weakly
+    decreasing, within the level): each shape on n strands gets the sum,
+    over its predecessors, of grow(value of the predecessor, row of the box)."""
+    level = {(0,) * p.N: start}
     for _ in range(n):
-        nxt: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for shape, paths in level.items():
-            for r in range(N):
+        nxt: dict = {}
+        for shape, value in level.items():
+            for r in range(p.N):
                 if r and shape[r] == shape[r - 1]:
                     continue
                 new = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
-                if new[0] - new[-1] <= K:
-                    nxt.setdefault(new, []).extend(t + (r,) for t in paths)
+                if new[0] - new[-1] <= p.K:
+                    x = grow(value, r)
+                    nxt[new] = nxt[new] + x if new in nxt else x
         level = nxt
     return level
+
+
+@lru_cache(maxsize=None)
+def dimension(p: Params, n: int) -> int:
+    """sum_lambda f_lambda^2, the dimension of the quotient of H_n, from
+    the path count of each N-row shape (one per label) in one pass."""
+    return sum(c * c for c in _walk(p, n, 1, lambda c, r: c).values())
+
+
+def check_size(p: Params, n: int) -> None:
+    """ValueError for a path model larger than 8! = 40,320, the largest
+    permutation table; sum f^2 <= n!, so n <= TRACE_LIMIT is not counted."""
+    if n > TRACE_LIMIT and (dim := dimension(p, n)) > factorial(TRACE_LIMIT):
+        raise ValueError(f"the path model on {n} strands has dimension {dim} > {TRACE_LIMIT}!")
 
 
 def _contents(path: tuple[int, ...]) -> list[int]:
@@ -128,6 +142,7 @@ def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
 
 @lru_cache(maxsize=16)
 def path_model(p: Params, n: int) -> PathModel:
+    check_size(p, n)
     F = p.subfield
     q = p.q_pow_in(F, 1)
     qinv = p.q_pow_in(F, -1)
@@ -138,7 +153,8 @@ def path_model(p: Params, n: int) -> PathModel:
             qd = p.q_pow_in(F, d)
             a[d] = (q - 1) * qd * (qd - 1).inverse()
     blocks = []
-    by_shape = _paths(p, n)
+    # Bratteli paths, grouped by the N-row shape they end at
+    by_shape = _walk(p, n, [()], lambda paths, r: [t + (r,) for t in paths])
     for lab in gamma_n(p, n):
         rows = tuple(lab.row(i) for i in range(p.N))
         shape = tuple(x + (n - lab.size) // p.N for x in rows)

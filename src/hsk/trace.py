@@ -194,8 +194,6 @@ def _cycle_count(w: tuple[int, ...]) -> int:
 def markov_trace(p: Params, x: HeckeElement) -> Scalar:
     if x.p != p:
         raise ValueError("element parameters do not match")
-    if x.n > TRACE_LIMIT:
-        raise ValueError(f"trace limited to {TRACE_LIMIT} strands")
     vec = _trace_vector(p, max(x.n, 1))
     sums: dict[Scalar, Scalar] = {}  # coefficients summed per trace value
     for w, c in x.terms.items():

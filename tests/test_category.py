@@ -665,8 +665,9 @@ class TestSMatrix:
                 assert s.entries[i][jj] == s.entries[i][j].conjugate()
 
     def test_oversized_labels_rejected(self):
-        with pytest.raises(ValueError):
-            s_matrix(Params(3, 2))
+        # the (2,2) x (2,2) pair needs the 12-strand model, sum f^2 = 1,398,102
+        with pytest.raises(ValueError, match="path model on 12 strands"):
+            s_matrix(Params(3, 3))
 
 
 class TestModularFunctor:

@@ -23,6 +23,7 @@ from hsk.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from hskbench.oracles import path_counts, verlinde_mf_dim  # noqa: E402
+from hskbench.oracles import qdim as oracle_qdim  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -359,7 +360,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["jw", "--strands", "9", "--kind", "sym"],
         ["yidem", "9"],
-        ["qdim", "3,3,3"],
     ])
     def test_nine_strand_constructions_fail_at_once(self, capsys, argv):
         start = time.perf_counter()
@@ -367,6 +367,29 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 1 and out == ""
         assert err == "error: permutation tables are limited to 8 strands\n"
+
+    def test_nine_strand_qdim_answers_at_once(self, capsys):
+        # the q-Weyl product builds no table and no model
+        start = time.perf_counter()
+        got = run_json(capsys, "qdim", "3,3,3", "--N", "5", "--K", "5")
+        assert time.perf_counter() - start < 2.0
+        assert got["embed"][0] == pytest.approx(oracle_qdim(5, 5, (3, 3, 3)), abs=1e-9)
+        assert got["embed"][1] == pytest.approx(0, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["smatrix", "--N", "5", "--K", "5"],
+        ["mfdim", "--genus", "1", "--N", "5", "--K", "5"],
+        ["smatrix", "--N", "3", "--K", "20"],
+        ["mfdim", "--genus", "1", "--N", "3", "--K", "20"],
+        ["twist", "3,3,3", "--N", "5", "--K", "5"],
+    ])
+    def test_models_past_the_bound_fail_at_once(self, capsys, argv):
+        # sum f^2 beyond 8! is refused before any path is listed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: the path model on ") and err.count("\n") == 1
 
     def test_genus_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "mfdim", "--N", "2", "--K", "1", "--genus", "1001")

@@ -64,8 +64,7 @@ def commands() -> list[list[str]]:
                 cmds.append(["gram", *pk, "--strands", str(n), "--form", form, "--full"])
         cmds.append(["fusion", "--table", "--max-strands", "4", *pk])
         cmds.append(["mfdim", *pk, "--genus", "0"])
-    # marked points and handles need every fusion matrix, which takes
-    # minutes at (3,2)
+    # marked points and handles need every fusion matrix
     pk = ["--N", "2", "--K", "2"]
     for genus in (1, 2, 5):
         cmds.append(["mfdim", *pk, "--genus", str(genus)])
@@ -125,6 +124,12 @@ def commands() -> list[list[str]]:
         for n in range(6 if (N, K) == (4, 1) else 5):
             cmds.append(["blocks", *pk, "--strands", str(n), "--full"])
         cmds.append(["purify", *pk, "--strands", "4"])
+    # modular data whose label pairs need 7-9 strands: S~ at (2,4) and
+    # (5,1), the torus at (3,2), and a 9-box qdim, which builds no model
+    for N, K in ((2, 4), (5, 1)):
+        cmds.append(["smatrix", "--N", str(N), "--K", str(K)])
+    cmds.append(["mfdim", "--N", "3", "--K", "2", "--genus", "1"])
+    cmds.append(["qdim", "3,3,3", "--N", "5", "--K", "5"])
     return cmds
 
 

@@ -1,6 +1,8 @@
-"""Exact linear algebra: the Laplace determinant against Gaussian
-elimination, on seeded random matrices and on the S~ matrices."""
+"""Exact linear algebra: the elimination determinant against a
+first-column Laplace expansion, on seeded random matrices and on the S~
+matrices, and on a 12 x 12 S~ out of the expansion's reach."""
 
+import time
 from random import Random
 
 import pytest
@@ -9,26 +11,17 @@ from hsk import Params, s_matrix
 from hsk.linalg import determinant
 
 
-def elimination_determinant(p, mat):
-    """Product of the pivots, negated once per row swap: an oracle
-    independent of the expansion."""
-    work = [list(r) for r in mat]
-    det = p.one
-    for col in range(len(work)):
-        piv = next((r for r in range(col, len(work)) if not work[r][col].is_zero()), None)
-        if piv is None:
-            return p.zero
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        row = work[col]
-        det = det * row[col]
-        inv = row[col].inverse()
-        for other in work[col + 1:]:
-            f = other[col] * inv
-            for j in range(col + 1, len(row)):
-                other[j] = other[j] - f * row[j]
-    return det
+def laplace_determinant(p, mat):
+    """First-column Laplace expansion, O(k!): an oracle independent of
+    the elimination."""
+    if not mat:
+        return p.one
+    acc = p.zero
+    for r, row in enumerate(mat):
+        if not row[0].is_zero():
+            term = row[0] * laplace_determinant(p, [x[1:] for i, x in enumerate(mat) if i != r])
+            acc = acc + term if r % 2 == 0 else acc - term
+    return acc
 
 
 def random_scalar(p, rng):
@@ -65,7 +58,7 @@ def test_laplace_matches_elimination(N, K):
     for k in range(6):
         for _ in range(8 if k < 5 else 4):
             mat = random_matrix(p, k, rng)
-            want = elimination_determinant(p, mat)
+            want = laplace_determinant(p, mat)
             assert determinant(p, mat) == want, (k, mat)
             singular += want.is_zero()
     assert singular >= 5
@@ -83,4 +76,19 @@ def test_determinant_leaves_input_unchanged():
 def test_s_matrix_determinant_matches_elimination(N, K):
     p = Params(N, K)
     s = s_matrix(p)
-    assert s.determinant() == elimination_determinant(p, [list(r) for r in s.entries])
+    assert s.determinant() == laplace_determinant(p, [list(r) for r in s.entries])
+
+
+def test_twelve_label_s_matrix_determinant():
+    """|det S~| = D^k, exactly as det * conj(det) = (D^2)^k, for the 12 x
+    12 S~ of (12,1), where a Laplace expansion has 12! terms."""
+    p = Params(12, 1)
+    s = s_matrix(p)
+    start = time.perf_counter()
+    det = s.determinant()
+    assert time.perf_counter() - start < 5.0
+    dim2 = sum((x * x for x in s.entries[0]), p.zero)
+    want = p.one
+    for _ in s.labels:
+        want = want * dim2
+    assert det * det.conjugate() == want

@@ -10,8 +10,10 @@ and the Verlinde formula recovers every fusion coefficient exactly
 from S~.  Relative to these twists S~ is the complex conjugate of the
 s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds only where C = 1.
 Dimensions and twists are also compared with the closed forms of the
-benchmark's oracles, which import no hsk.  None of the checks uses the
-balancing identity from which S~ is computed."""
+benchmark's oracles, which import no hsk: S~ with D times the complex
+conjugate of the Kac-Peterson S, and modular-functor dimensions with
+the Verlinde formula.  None of the checks uses the balancing identity
+from which S~ is computed."""
 
 import cmath
 import math
@@ -25,7 +27,8 @@ from hsk import Params, dagger, fusion, gamma_n, labels, mf_dim, path_count, qdi
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from hskbench import oracles  # noqa: E402
 
-THEORIES = [Params(2, 1), Params(2, 2), Params(3, 1), Params(4, 1), Params(2, 3)]
+THEORIES = [Params(2, 1), Params(2, 2), Params(3, 1), Params(4, 1), Params(2, 3),
+            Params(3, 2), Params(2, 4), Params(5, 1)]
 ids = [f"{p.N},{p.K}" for p in THEORIES]
 
 
@@ -99,6 +102,25 @@ def test_verlinde_recovers_fusion(p):
                 got = sum((S[a][x] * S[b][x] * S[c][x].conjugate() * col[x] for x in range(k)),
                           p.zero)
                 assert got == p.scalar(fusion(p, lam, mu, nu)), (lam.rows, mu.rows, nu.rows)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_s_matches_kac_peterson(p):
+    """S~ = D conj(S) entrywise, S the unitary Kac-Peterson matrix of the
+    oracles over the same label order (a sum over S_N, so N stays small)."""
+    s, labs, _, _, dim2 = _data(p)
+    assert [lam.rows for lam in labs] == list(oracles.labels(p.N, p.K))
+    D = math.sqrt(dim2.embed().real)
+    for row, want in zip(s.entries, oracles.kac_peterson(p.N, p.K)):
+        for x, y in zip(row, want):
+            assert abs(x.embed() - D * y.conjugate()) < 1e-9
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_handles_match_verlinde(genus):
+    """Genus 1 and 2 at (3,2), where every handle needs 8-strand fusion rows."""
+    p = Params(3, 2)
+    assert mf_dim(p, genus, ()) == oracles.verlinde_mf_dim(p.N, p.K, genus, ())
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)

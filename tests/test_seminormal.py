@@ -15,12 +15,13 @@ from random import Random
 
 import pytest
 
-from hsk import BraidWord, Params, from_braid, labels, loop_power, markov_trace, path_count, qint
+from hsk import (BraidWord, Params, from_braid, gamma_n, labels, loop_power, markov_trace,
+                 path_count, qint)
 from hsk import trace
 from hsk.hecke import full_twist_word
 from hsk.perms import perm_table
 from hsk.scalar import Scalar
-from hsk.seminormal import block_matrix, block_trace, dimension, path_model
+from hsk.seminormal import block_matrix, block_trace, check_size, dimension, path_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -111,6 +112,25 @@ def test_paths_count_and_weights_sum_to_the_unlink(p):
             total = total + block.weight * f
         assert total == loop_power(p, n)  # sum_lambda d_lambda f_lambda = [N]^n
         assert dimension(p, n) == sum(len(b.paths) ** 2 for b in model.blocks)
+
+
+@pytest.mark.parametrize("p", [Params(2, 2), Params(3, 2), Params(2, 3), Params(3, 3),
+                               Params(5, 5)], ids=lambda p: f"{p.N},{p.K}")
+def test_one_pass_dimension_is_the_sum_of_squared_path_counts(p):
+    for n in range(13):
+        assert dimension(p, n) == sum(path_count(p, n, d) ** 2 for d in gamma_n(p, n)), n
+
+
+def test_models_past_the_permutation_table_size_are_refused():
+    """sum f^2 <= 8! passes; beyond it path_model refuses before any path
+    is listed, whatever the strand count."""
+    for p, n in ((Params(3, 2), 12), (Params(2, 5), 10), (Params(4, 1), 200)):
+        assert dimension(p, n) <= 40320
+        check_size(p, n)
+    for p, n in ((Params(5, 5), 9), (Params(3, 3), 12), (Params(3, 20), 80)):
+        assert dimension(p, n) > 40320
+        with pytest.raises(ValueError, match=f"path model on {n} strands"):
+            path_model(p, n)
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
