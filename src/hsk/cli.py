@@ -56,6 +56,11 @@ from .verify import run_verify
 # Theories up to (5,5) (126 labels, m^2 = 10^4) run in well under a second.
 _THEORY_LIMIT = 10**5
 
+# Bound on every strand count, a braid's included: path counts at 1000
+# strands stay far below JSON's digit limit, and a closure's reduction and
+# loop power take time that grows with its strands, however short its word.
+_STRAND_LIMIT = 1000
+
 
 class UsageError(Exception):
     """Malformed command-line input; reported with exit code 2."""
@@ -109,6 +114,8 @@ def _parse_braid(word: str, strands: int | None) -> BraidWord:
         strands = needed
     if strands < 1:
         raise UsageError("--strands must be positive")
+    if strands > _STRAND_LIMIT:
+        raise UsageError(f"braids are limited to {_STRAND_LIMIT} strands")
     if letters and strands < needed:
         raise UsageError(
             f"braid word uses generator {needed - 1}, needs at least {needed} strands"
@@ -287,8 +294,6 @@ def _cmd_trace(p: Params, args):
 
 def _cmd_closure(p: Params, args):
     b = _parse_braid(args.braid, args.braid_strands)
-    if b.strands > TRACE_LIMIT:
-        raise ValueError(f"closures are limited to {TRACE_LIMIT} strands")
     return closure_invariant(p, b).to_json(embed=True), 0
 
 
@@ -543,10 +548,9 @@ def main(argv=None) -> int:
         p = Params(args.N, args.K)
         if p.m ** 2 > _THEORY_LIMIT or comb(p.N + p.K - 1, p.K) > _THEORY_LIMIT:
             raise ValueError(f"theory (N, K) = ({p.N}, {p.K}) exceeds the size limit")
-        # path counts at 1000 strands stay far below JSON's digit limit
         strands = getattr(args, "strands", None)
-        if strands is not None and not 0 <= strands <= 1000:
-            raise UsageError("--strands must be between 0 and 1000")
+        if strands is not None and not 0 <= strands <= _STRAND_LIMIT:
+            raise UsageError(f"--strands must be between 0 and {_STRAND_LIMIT}")
         payload, code = args.handler(p, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -223,18 +223,33 @@ def branch(p: Params, n: int, d: YoungDiagram) -> list[YoungDiagram]:
     return sorted(out, key=lambda x: (x.size, x.rows))
 
 
+def _walk(p: Params, n: int, start, grow) -> dict:
+    """A forward pass over the Bratteli diagram of N-row shapes (rows weakly
+    decreasing, within the level): each shape on n strands gets the sum,
+    over its predecessors, of grow(value of the predecessor, row of the box)."""
+    level = {(0,) * p.N: start}
+    for _ in range(n):
+        nxt: dict = {}
+        for shape, value in level.items():
+            for r in range(p.N):
+                if r and shape[r] == shape[r - 1]:
+                    continue
+                new = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
+                if new[0] - new[-1] <= p.K:
+                    x = grow(value, r)
+                    nxt[new] = nxt[new] + x if new in nxt else x
+        level = nxt
+    return level
+
+
 def path_count(p: Params, n: int, d: YoungDiagram) -> int:
     """Number of Bratteli paths from the empty diagram to d in n steps;
     0 when d is not a label on n strands.  One forward pass over the
-    strand counts, each label summing its predecessors' counts."""
+    N-row shapes, read at d widened by its full columns."""
     if not _on_strands(p, n, d):
         return 0
-    labs = [e for e in _labels(p.N, p.K) if e.size <= n]
-    counts = {YoungDiagram(): 1}
-    for k in range(1, n + 1):
-        counts = {e: sum(counts[b] for b in branch(p, k, e))
-                  for e in labs if _on_strands(p, k, e)}
-    return counts[d]
+    shape = tuple(d.row(i) + (n - d.size) // p.N for i in range(p.N))
+    return _walk(p, n, 1, lambda c, r: c)[shape]
 
 
 def pad(p: Params, d: YoungDiagram, n: int) -> YoungDiagram:

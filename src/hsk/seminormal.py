@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm
 
-from .diagrams import YoungDiagram, gamma_n
+from .diagrams import YoungDiagram, _walk, gamma_n
 from .perms import TRACE_LIMIT
 from .scalar import Params, Scalar, qint
 
@@ -84,25 +84,6 @@ class PathModel:
     blocks: tuple[Block, ...]
     scale: int
     ops: tuple[dict, ...]
-
-
-def _walk(p: Params, n: int, start, grow) -> dict:
-    """A forward pass over the Bratteli diagram of N-row shapes (rows weakly
-    decreasing, within the level): each shape on n strands gets the sum,
-    over its predecessors, of grow(value of the predecessor, row of the box)."""
-    level = {(0,) * p.N: start}
-    for _ in range(n):
-        nxt: dict = {}
-        for shape, value in level.items():
-            for r in range(p.N):
-                if r and shape[r] == shape[r - 1]:
-                    continue
-                new = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
-                if new[0] - new[-1] <= p.K:
-                    x = grow(value, r)
-                    nxt[new] = nxt[new] + x if new in nxt else x
-        level = nxt
-    return level
 
 
 @lru_cache(maxsize=None)

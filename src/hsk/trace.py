@@ -39,7 +39,20 @@ Both Gram matrices grow from it by one row recursion over the weak
 order (``_gram_rows``): the bilinear rows by forward generator steps on
 the left, the hermitian ones by inverse steps on the right, transposed.
 
-A closure has two routes to the same exact value.  The T route expands
+A closure is first reduced by exact moves (``_reduce``), applied until
+none changes the word: (a) s s^-1 cancels, freely and cyclically (the
+closure is a class function); (b) a word without sigma_i closes to the
+product of the closures on strands 1..i and i+1..n, the upper letters
+shifted down by i, since the Markov trace is multiplicative on x (x) y
+and the phase of ``braid_phase`` is additive over letters; (c) if
+sigma_(n-1)^(+/-1) occurs once, it is rotated to the end and dropped with
+one strand, times curl(+/-1) (Markov destabilisation); (d) (c) applies
+to sigma_1 after the flip i -> n - i, conjugation by the half twist.  A
+one-strand factor closes to [N].  Each factor on fewer than TRACE_LIMIT
+strands then takes one of two routes to the same exact value; a factor
+on TRACE_LIMIT or more strands always takes the path route, so no
+closure builds the 8-strand permutation table, and its one bound is the
+path model's size (``seminormal.check_size``).  The T route expands
 the word over the T_w with ``from_braid`` and takes [N]^n times its
 Markov trace; its work is the number of terms the expansion touches,
 sum_j |support_j| over the letters, up to n! per letter.  The path
@@ -338,12 +351,78 @@ def gram(p: Params, n: int, form: str = "bilinear") -> GramData:
 
 def closure_invariant(p: Params, b: BraidWord) -> Scalar:
     """Invariant of the closed braid in the skein normalisation where
-    the trivial n-braid closes to [N]^n: traced in the path model when
+    the trivial n-braid closes to [N]^n: the product, over the factors
+    that ``_reduce`` leaves, of their closures, times [N] per one-strand
+    factor and the curl scalar per destabilised crossing.  A factor on
+    fewer than TRACE_LIMIT strands is closed by ``_closure_unreduced``,
+    a larger one in the path model."""
+    factors, loops, curls = _reduce(b)
+    acc = loop_power(p, loops)
+    for f in factors:
+        acc = acc * (_path_closure(p, f) if f.strands >= TRACE_LIMIT else _closure_unreduced(p, f))
+    if curls:
+        curl = curl_scalar(p, 1 if curls > 0 else -1)
+        for _ in range(abs(curls)):
+            acc = acc * curl
+    return acc
+
+
+def _closure_unreduced(p: Params, b: BraidWord) -> Scalar:
+    """The closure of the word as given: traced in the path model when
     ``_takes_path_route`` says so, else [N]^n Tr(from_braid(b))."""
     if _takes_path_route(p, b):
         return _path_closure(p, b)
     x = from_braid(p, b)
     return loop_power(p, b.strands) * markov_trace(p, x)
+
+
+def _cancel(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The word with every s s^-1 cancelled, freely and cyclically."""
+    out: list[int] = []
+    for e in word:
+        if out and out[-1] == -e:
+            out.pop()
+        else:
+            out.append(e)
+    i, j = 0, len(out)
+    while j - i > 1 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
+
+
+def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
+    """(factors, loops, curls): the closure of b is [N]^loops
+    curl(sign(curls))^|curls| times the product of the factors'
+    closures.  Each factor is reduced by the exact moves (a) cancel,
+    (b) split at an absent generator, (c) destabilise a top generator
+    that occurs once and (d) destabilise a bottom one through the flip
+    i -> n - i; a one-strand factor counts as a loop."""
+    todo = [(b.strands, b.word)]
+    factors: list[BraidWord] = []
+    loops = curls = 0
+    while todo:
+        n, word = todo.pop()
+        word = _cancel(word)
+        if n == 1:
+            loops += 1
+            continue
+        present = {abs(e) for e in word}
+        gap = next((i for i in range(1, n) if i not in present), 0)
+        if gap:
+            todo.append((gap, tuple(e for e in word if abs(e) < gap)))
+            todo.append((n - gap, tuple(e - gap if e > 0 else e + gap
+                                        for e in word if abs(e) > gap)))
+            continue
+        for w in (word, tuple(n - e if e > 0 else -n - e for e in word)):
+            tops = [j for j, e in enumerate(w) if abs(e) == n - 1]
+            if len(tops) == 1:
+                j = tops[0]
+                curls += 1 if w[j] > 0 else -1
+                todo.append((n - 1, w[j + 1:] + w[:j]))
+                break
+        else:
+            factors.append(BraidWord(n, word))
+    return factors, loops, curls
 
 
 def _path_closure(p: Params, b: BraidWord) -> Scalar:

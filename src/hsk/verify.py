@@ -59,6 +59,7 @@ from .seminormal import check_size
 from .trace import (
     CURL_MATCH_SIGN,
     GRAM_LIMIT,
+    _closure_unreduced,
     closure_invariant,
     curl_scalar,
     eta,
@@ -511,6 +512,15 @@ def _check_gram_psd(p: Params, max_n: int, rng: Random) -> str:
     return f"PSD within 1e-8 (min eigenvalue {worst:.2e}) and radical agreement, n <= {cap}"
 
 
+def _closure_both(p: Params, b: BraidWord) -> Scalar:
+    """The closure of b without the Markov-move reduction, after checking
+    that the reduced closure equals it: with the reduction, closure
+    identities on closure_invariant alone would test it against itself."""
+    val = _closure_unreduced(p, b)
+    _assert(closure_invariant(p, b) == val, f"reduced closure of {b.word} != unreduced")
+    return val
+
+
 def _check_framing(p: Params, max_n: int, rng: Random) -> str:
     plus, minus = curl_scalar(p, 1), curl_scalar(p, -1)
     _assert(plus * minus == p.one, "curl factors are not mutually inverse")
@@ -521,11 +531,11 @@ def _check_framing(p: Params, max_n: int, rng: Random) -> str:
     )
     for n in range(1, min(max_n, 4) + 1):
         _assert(
-            closure_invariant(p, BraidWord(n, ())) == loop_power(p, n),
+            _closure_both(p, BraidWord(n, ())) == loop_power(p, n),
             f"trivial {n}-braid closure != [N]^{n}",
         )
     for sign in (1, -1):
-        val = closure_invariant(p, BraidWord(2, (sign,)))
+        val = _closure_both(p, BraidWord(2, (sign,)))
         _assert(
             val == curl_scalar(p, sign) * qint(p, p.N),
             f"one-crossing closure (sign {sign}) != curl * [N]",
@@ -544,11 +554,11 @@ def _check_stabilization(p: Params, max_n: int, rng: Random) -> str:
                 rng.choice([1, -1]) * rng.randint(1, max(1, n - 1))
                 for _ in range(rng.randint(0, 5))
             ) if n > 1 else ()
-            base = closure_invariant(p, BraidWord(n, word))
+            base = _closure_both(p, BraidWord(n, word))
             for sign in (1, -1):
                 stab = BraidWord(n + 1, word + (sign * n,))
                 _assert(
-                    closure_invariant(p, stab) == curl_scalar(p, sign) * base,
+                    _closure_both(p, stab) == curl_scalar(p, sign) * base,
                     f"Markov stabilization fails for word {word}, sign {sign}",
                 )
             count += 1

@@ -391,6 +391,29 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: the path model on ") and err.count("\n") == 1
 
+    def test_closure_past_the_path_model_bound_fails_at_once(self, capsys):
+        # 9 strands at (5,5): sum f^2 = 326,794 > 8!
+        full_twist = " ".join(str(i) for _ in range(2) for k in range(2, 10) for i in range(k - 1, 0, -1))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "closure", "--N", "5", "--K", "5", "--strands", "9",
+                                 "--braid", full_twist)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err == "error: the path model on 9 strands has dimension 326794 > 8!\n"
+
+    def test_closure_past_the_permutation_tables(self, capsys):
+        # an unlink splits into loops, up to the CLI's strand range
+        start = time.perf_counter()
+        got = run_json(capsys, "closure", "--N", "2", "--K", "3", "--strands", "1000", "--braid", "")
+        assert time.perf_counter() - start < 2.0
+        assert got["num"][0] > 10 ** 200
+        got = run_json(capsys, "closure", "--N", "3", "--K", "2", "--strands", "12", "--braid", "")
+        assert got["embed"][0] == pytest.approx(oracle_qdim(3, 2, (1,)) ** 12, rel=1e-12)
+        for argv in (["--strands", "1001", "--braid", ""], ["--braid", "1 1001"]):
+            code, out, err = run_cli(capsys, "closure", "--N", "2", "--K", "2", *argv)
+            assert code == 2 and out == ""
+            assert err == "usage error: braids are limited to 1000 strands\n"
+
     def test_genus_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "mfdim", "--N", "2", "--K", "1", "--genus", "1001")
         assert code == 2 and out == ""

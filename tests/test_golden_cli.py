@@ -130,6 +130,14 @@ def commands() -> list[list[str]]:
         cmds.append(["smatrix", "--N", str(N), "--K", str(K)])
     cmds.append(["mfdim", "--N", "3", "--K", "2", "--genus", "1"])
     cmds.append(["qdim", "3,3,3", "--N", "5", "--K", "5"])
+    # closures past the permutation tables, in the path model: full
+    # twists on 10 strands, a 12-strand unlink, and a 9-strand full twist
+    # at (5,5), whose path model (dimension 326,794) is refused
+    for N, K in ((2, 2), (3, 2)):
+        cmds.append(["closure", "--N", str(N), "--K", str(K), "--strands", "10",
+                     "--braid", _full_twist(10)])
+    cmds.append(["closure", "--N", "3", "--K", "2", "--strands", "12", "--braid", ""])
+    cmds.append(["closure", "--N", "5", "--K", "5", "--strands", "9", "--braid", _full_twist(9)])
     return cmds
 
 

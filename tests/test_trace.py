@@ -41,7 +41,9 @@ from hsk import (
 from hsk.hecke import _gen_step, full_twist_word, random_element
 from hsk.perms import perm_table
 from hsk.linalg import rref
-from hsk.trace import CURL_MATCH_SIGN, _trace_vector, gram_bilinear, gram_hermitian, gram_rref
+from hsk import trace
+from hsk.trace import (CURL_MATCH_SIGN, _closure_unreduced, _reduce, _trace_vector, gram_bilinear,
+                       gram_hermitian, gram_rref)
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
@@ -367,6 +369,108 @@ class TestClosures:
         p = Params(3, 2)
         kink = closure_invariant(p, BraidWord(2, (1,)))
         assert kink * curl_scalar(p, 1).inverse() == loop_power(p, 1)
+
+
+def _random_word(rng, n, length):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)) if n > 1 else ()
+
+
+def _inverse(word):
+    return tuple(-e for e in reversed(word))
+
+
+def _shift(word, k):
+    return tuple(e + k if e > 0 else e - k for e in word)
+
+
+def _move_words(rng, n):
+    """Words on n strands built so that each move fires: a conjugate, a
+    stabilisation and a sigma_1-only destabilisation of each sign, and a
+    word with a gap."""
+    w = _random_word(rng, n - 1, rng.randint(1, 8))
+    g = _random_word(rng, n, 2)
+    out = [g + w + _inverse(g)]
+    for s in (1, -1):
+        out.append(w + (s * (n - 1),))
+        upper = _shift(w, 1) + (n - 1, n - 1)
+        j = rng.randint(0, len(upper))
+        out.append(upper[:j] + (s,) + upper[j:])
+    i = rng.randint(1, n - 1)
+    lo, hi = list(_random_word(rng, i, 4)), list(_shift(_random_word(rng, n - i, 4), i))
+    mixed = []
+    while lo or hi:
+        mixed.append((lo if lo and (not hi or rng.random() < 0.5) else hi).pop())
+    out.append(tuple(e for e in mixed if abs(e) != i))
+    return [BraidWord(n, word) for word in out]
+
+
+class TestReduction:
+    """closure_invariant cancels, splits and destabilises before it
+    closes a word; _closure_unreduced closes the word as given and is
+    its oracle."""
+
+    def test_each_move(self):
+        # free cancellation leaves the unlink
+        assert _reduce(BraidWord(3, (1, 2, -2, -1))) == ([], 3, 0)
+        # cyclic cancellation, then a split off the third strand
+        assert _reduce(BraidWord(3, (2, 1, 1, -2))) == ([BraidWord(2, (1, 1))], 1, 0)
+        # split at the absent sigma_2, the upper letters shifted down by 2
+        assert _reduce(BraidWord(5, (1, 1, 3, -4, 3, -4))) == (
+            [BraidWord(3, (1, -2, 1, -2)), BraidWord(2, (1, 1))], 0, 0)
+        # sigma_2^-1 once on 3 strands: rotated to the end and dropped
+        assert _reduce(BraidWord(3, (1, 1, -2, 1))) == ([BraidWord(2, (1, 1, 1))], 0, -1)
+        # sigma_1 once: the flip makes it sigma_2, then as above
+        assert _reduce(BraidWord(3, (2, 2, 1, 2))) == ([BraidWord(2, (1, 1, 1))], 0, 1)
+        # no move applies
+        b = BraidWord(4, (1, 1, 2, 3, 2, 3))
+        assert _reduce(b) == ([b], 0, 0)
+
+    @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (4, 1)])
+    def test_reduced_equals_unreduced(self, N, K):
+        p = Params(N, K)
+        rng = Random(f"reduction:{N},{K}")
+        for n in range(2, TRACE_LIMIT + 1):
+            braids = [BraidWord(n, _random_word(rng, n, rng.randint(0, 10))) for _ in range(3)]
+            for b in braids + _move_words(rng, n):
+                assert closure_invariant(p, b) == _closure_unreduced(p, b), b
+
+    def test_eight_strands_build_no_table_or_trace_vector(self, monkeypatch):
+        # an 8-strand word that no move changes, short enough that the
+        # unreduced route would expand it over the T_w
+        p = Params(3, 2)
+        short = BraidWord(8, (1, 1, 2, 3, -4, 5, 6, 7, 7))
+        assert _reduce(short) == ([short], 0, 0)
+        assert not trace._takes_path_route(p, short)
+
+        def refuse(*args):
+            raise AssertionError("T route taken")
+
+        monkeypatch.setattr(trace, "from_braid", refuse)
+        monkeypatch.setattr(trace, "_trace_vector", refuse)
+        assert closure_invariant(p, BraidWord(8, (3, -3))) == loop_power(p, 8)
+        got = closure_invariant(p, short)
+        monkeypatch.undo()
+        assert got == _closure_unreduced(p, short)
+
+
+@pytest.mark.parametrize("N,K", [(2, 3), (2, 4), (3, 3)])
+def test_level_rank_duality(N, K):
+    """V_{K,N}(b) = conj(V_{N,K}(b)) (-1)^w exp(2 pi i w/(2NK)), w the
+    writhe: SU(N)_K <-> SU(K)_N level-rank duality on the fundamental
+    colour (Naculich and Schnitzer, Nucl. Phys. B 347 (1990)).  The two
+    sides share no path model, field or braid phase."""
+    rng = Random(f"level-rank:{N},{K}")
+    braids = [BraidWord(n, _random_word(rng, n, rng.randint(1, 14)))
+              for n in range(2, 10) for _ in range(4)]
+    for n in (5, 9):
+        ft = full_twist_word(n)
+        braids += [ft, BraidWord(n, _inverse(ft.word))]
+    for b in braids:
+        w = sum(1 if e > 0 else -1 for e in b.word)
+        got = closure_invariant(Params(K, N), b).embed()
+        want = (closure_invariant(Params(N, K), b).embed().conjugate()
+                * (-1) ** w * cmath.exp(2j * math.pi * w / (2 * N * K)))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), b
 
 
 @given(param_idx, st.integers(0, 2 ** 30))
