@@ -396,11 +396,9 @@ def _move_words(rng, n):
         j = rng.randint(0, len(upper))
         out.append(upper[:j] + (s,) + upper[j:])
     i = rng.randint(1, n - 1)
-    lo, hi = list(_random_word(rng, i, 4)), list(_shift(_random_word(rng, n - i, 4), i))
-    mixed = []
-    while lo or hi:
-        mixed.append((lo if lo and (not hi or rng.random() < 0.5) else hi).pop())
-    out.append(tuple(e for e in mixed if abs(e) != i))
+    gapped = list(_random_word(rng, i, 4) + _shift(_random_word(rng, n - i, 4), i))
+    rng.shuffle(gapped)
+    out.append(tuple(gapped))
     return [BraidWord(n, word) for word in out]
 
 
