@@ -328,12 +328,20 @@ class Scalar:
         return Scalar._make(field, [v * self.den for v in prod], norm[0])
 
     def embed(self) -> complex:
+        """The value at zeta = exp(2 pi i/m); ValueError when it does not
+        fit a float, such as [5]^1000 at (5,5)."""
         z = 0j
         zpow = self.field.zpow
-        for j, c in enumerate(self.num):
-            if c:
-                z += c * zpow[j]
-        return z / self.den
+        try:
+            for j, c in enumerate(self.num):
+                if c:
+                    z += c * zpow[j]
+            z = z / self.den
+        except OverflowError:
+            z = cmath.inf
+        if not cmath.isfinite(z):
+            raise ValueError("the value is too large to embed as a float")
+        return z
 
     # -- serialization -----------------------------------------------
 

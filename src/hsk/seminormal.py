@@ -133,6 +133,7 @@ def path_model(p: Params, n: int) -> PathModel:
         if d:
             qd = p.q_pow_in(F, d)
             a[d] = (q - 1) * qd * (qd - 1).inverse()
+    off = {d: a[d] * a[-d] + q for d in a if d > 0}
     blocks = []
     # Bratteli paths, grouped by the N-row shape they end at
     by_shape = _walk(p, n, [()], lambda paths, r: [t + (r,) for t in paths])
@@ -148,30 +149,33 @@ def path_model(p: Params, n: int) -> PathModel:
             for j, t in enumerate(paths):
                 d = contents[j][i + 1] - contents[j][i]
                 u = index.get(t[:i] + (t[i + 1], t[i]) + t[i + 2:], -1) if t[i] != t[i + 1] else -1
-                if u < 0:
-                    gen.append((a[d], -1, None))
-                else:
-                    gen.append((a[d], u, a[d] * a[-d] + q if d > 0 else one))
+                gen.append((a[d], u, None if u < 0 else off[d] if d > 0 else one))
             gens.append(tuple(gen))
         blocks.append(Block(lab, paths, q_weyl_dimension(p, lab), tuple(gens)))
-    # T^-1 = q^-1 T + (q^-1 - 1), row by row
+    # T^-1 = q^-1 T + (q^-1 - 1), row by row.  The rows hold few distinct
+    # entries, so each entry's inverse-row form and multiplication
+    # matrix are made once per build.
+    inv_diag = lru_cache(maxsize=None)(lambda x: qinv * x + qinv - 1)
+    inv_off = lru_cache(maxsize=None)(lambda x: qinv * x)
     signed = []
     for b in blocks:
         table = {}
         for i, gen in enumerate(b.gens):
             table[(i, 1)] = gen
-            table[(i, -1)] = tuple((qinv * dg + qinv - 1, u, None if off is None else qinv * off)
+            table[(i, -1)] = tuple((inv_diag(dg), u, None if off is None else inv_off(off))
                                    for dg, u, off in gen)
         signed.append(table)
     scale = lcm(*(x.den for table in signed for gen in table.values() for row in gen
                   for x in (row[0], row[2]) if x is not None))
-    ops = tuple({key: _compile(gen, scale) for key, gen in table.items()} for table in signed)
+    mul = lru_cache(maxsize=None)(lambda x: _mul_matrix(x, scale))
+    ops = tuple({key: _compile(gen, mul) for key, gen in table.items()} for table in signed)
     return PathModel(p, n, tuple(blocks), scale, ops)
 
 
-def _mul_matrix(x: Scalar, scale: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _mul_matrix(x: Scalar, scale: int):
     """Rows of the integer matrix of multiplication by scale * x on the
-    coefficient vectors of Q(q), each row as its nonzero (column, entry)."""
+    coefficient vectors of Q(q), each row as its nonzero (column, entry),
+    and the absolute row sums."""
     F = x.field
     num = [c * (scale // x.den) for c in x.num]
     cols = []
@@ -179,19 +183,24 @@ def _mul_matrix(x: Scalar, scale: int) -> tuple[tuple[tuple[int, int], ...], ...
         unit = [0] * F.phi
         unit[k] = 1
         cols.append(F.mul_vec(num, unit))
-    return tuple(tuple((k, cols[k][s]) for k in range(F.phi) if cols[k][s])
+    rows = tuple(tuple((k, cols[k][s]) for k in range(F.phi) if cols[k][s])
                  for s in range(F.phi))
+    return rows, tuple(sum(abs(c) for _, c in r) for r in rows)
 
 
-def _compile(gen, scale: int):
+def _compile(gen, mul):
+    """The rows of gen as (diag, partner, off) multiplication matrices
+    (``mul``), and their growth, the largest absolute row sum of a
+    row's two matrices together."""
     rows = []
     growth = 1
     for dg, u, off in gen:
-        md = _mul_matrix(dg, scale)
-        mo = _mul_matrix(off, scale) if u >= 0 else ()
-        for s in range(len(md)):
-            g = sum(abs(c) for _, c in md[s]) + (sum(abs(c) for _, c in mo[s]) if mo else 0)
-            growth = max(growth, g)
+        md, norms = mul(dg)
+        mo = ()
+        if u >= 0:
+            mo, off_norms = mul(off)
+            norms = [x + y for x, y in zip(norms, off_norms)]
+        growth = max(growth, *norms)
         rows.append((md, u, mo))
     return tuple(rows), growth
 

@@ -48,30 +48,18 @@ and the phase of ``braid_phase`` is additive over letters; (c) if
 sigma_(n-1)^(+/-1) occurs once, it is rotated to the end and dropped with
 one strand, times curl(+/-1) (Markov destabilisation); (d) (c) applies
 to sigma_1 after the flip i -> n - i, conjugation by the half twist.  A
-one-strand factor closes to [N].  Each factor on fewer than TRACE_LIMIT
-strands then takes one of two routes to the same exact value; a factor
-on TRACE_LIMIT or more strands always takes the path route, so no
-closure builds the 8-strand permutation table, and its one bound is the
-path model's size (``seminormal.check_size``).  The T route expands
-the word over the T_w with ``from_braid`` and takes [N]^n times its
-Markov trace; its work is the number of terms the expansion touches,
-sum_j |support_j| over the letters, up to n! per letter.  The path
-route traces the bare word in each block of the seminormal model
-(``seminormal``), zeta^k sum_lambda d_lambda tr rho_lambda(word); its
+one-strand factor closes to [N].  Every other factor is traced in the
+seminormal model of the level-K quotient (``seminormal``): the Markov
+trace is the weighted block sum (Wenzl, Invent. Math. 92 (1988)), so
+the closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word).  Its
 work is len(word) sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on
-7 strands at (3,2) against 7! = 5,040 permutations.  An integer
-pre-pass on packed permutations follows the support of the expansion
-letter by letter, without scalars or a permutation table, so a
-path-routed closure builds no table; the path route is
-taken once the T-route work would exceed PATH_ROUTE_RATIO = R times
-the path work.  R = 0.15 was measured on a 2-core x86-64 machine
-under Python 3.11: over 684 seeded words on 3-8 strands at (2,2),
-(3,2), (2,3) and (4,1), timed on both routes, the summed time of the
-routes chosen is least for R between 0.1 and 0.15 and grows by a fifth
-at R = 0.5 and by half at R = 1.  Short words keep
-the T route, full twists and long mixed words take the path route.
-``from_braid`` and ``markov_trace`` stay the T-basis output of
-``hsk trace`` and the oracle of the path model.
+7 strands at (3,2) against 7! = 5,040 permutations, and its one bound
+is the path model's size (``seminormal.check_size``), which a factor on
+fewer than 8 strands always meets since sum f_lambda^2 <= n!.  No
+closure builds a permutation table or a trace vector.  ``from_braid``
+and ``markov_trace`` stay the T-basis output of ``hsk trace``;
+``_closure_unreduced``, [N]^n Tr(from_braid(b)) on the word as given,
+is the oracle of the reduction and the path model.
 
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the
@@ -85,13 +73,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .hecke import BraidWord, HeckeElement, braid_phase, from_braid
 from .linalg import hermitian_min_eigenvalue, kernel_from_rref, rref
 from .perms import TRACE_LIMIT, perm_table
 from .scalar import Params, Scalar, qint
-from .seminormal import block_trace, dimension, path_model
+from .seminormal import block_trace, path_model
 
 __all__ = [
     "GRAM_LIMIT",
@@ -112,10 +99,6 @@ __all__ = [
 
 # Largest n for full n! x n! Gram computations (TRACE_LIMIT: see perms).
 GRAM_LIMIT = 6
-
-# A closure is traced in the path model when its T-route work exceeds
-# this multiple of its path work (see _takes_path_route).
-PATH_ROUTE_RATIO = 0.15
 
 # The crossing sign whose curl scalar equals the framing factor
 # q^((N^2-1)/2N); see curl_scalar.
@@ -352,14 +335,13 @@ def gram(p: Params, n: int, form: str = "bilinear") -> GramData:
 def closure_invariant(p: Params, b: BraidWord) -> Scalar:
     """Invariant of the closed braid in the skein normalisation where
     the trivial n-braid closes to [N]^n: the product, over the factors
-    that ``_reduce`` leaves, of their closures, times [N] per one-strand
-    factor and the curl scalar per destabilised crossing.  A factor on
-    fewer than TRACE_LIMIT strands is closed by ``_closure_unreduced``,
-    a larger one in the path model."""
+    that ``_reduce`` leaves, of their closures in the path model, times
+    [N] per one-strand factor and the curl scalar per destabilised
+    crossing."""
     factors, loops, curls = _reduce(b)
     acc = loop_power(p, loops)
     for f in factors:
-        acc = acc * (_path_closure(p, f) if f.strands >= TRACE_LIMIT else _closure_unreduced(p, f))
+        acc = acc * _path_closure(p, f)
     if curls:
         curl = curl_scalar(p, 1 if curls > 0 else -1)
         for _ in range(abs(curls)):
@@ -368,12 +350,10 @@ def closure_invariant(p: Params, b: BraidWord) -> Scalar:
 
 
 def _closure_unreduced(p: Params, b: BraidWord) -> Scalar:
-    """The closure of the word as given: traced in the path model when
-    ``_takes_path_route`` says so, else [N]^n Tr(from_braid(b))."""
-    if _takes_path_route(p, b):
-        return _path_closure(p, b)
-    x = from_braid(p, b)
-    return loop_power(p, b.strands) * markov_trace(p, x)
+    """[N]^n Tr(from_braid(b)): the closure of the word as given,
+    expanded over the T_w, without the reduction or the path model; the
+    oracle of closure_invariant."""
+    return loop_power(p, b.strands) * markov_trace(p, from_braid(p, b))
 
 
 def _cancel(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -434,46 +414,6 @@ def _path_closure(p: Params, b: BraidWord) -> Scalar:
     for j, block in enumerate(model.blocks):
         acc = acc + block.weight * p.lift(block_trace(model, j, b.word), k)
     return acc
-
-
-def _takes_path_route(p: Params, b: BraidWord) -> bool:
-    """True when the T-route work, sum_j |support_j| over the letters,
-    would exceed PATH_ROUTE_RATIO times the path work len(word) *
-    sum_lambda f_lambda^2.  The supports of the T expansion are tracked
-    with integers alone (cancellations ignored) and the pass stops as
-    soon as the answer is certain: once the work passes the budget, or
-    once even doubling the support at every remaining letter, up to n!,
-    stays within it.  A permutation w is held as its inverse u = w^-1,
-    packed four bits per entry, so s_i w swaps u[i] and u[i+1] and is
-    longer than w iff u[i] < u[i+1]; the pass needs no permutation
-    table."""
-    n, word = b.strands, b.word
-    if not word:
-        return False
-    budget = PATH_ROUTE_RATIO * len(word) * dimension(p, n)
-    size = factorial(n)
-    support = {sum(k << 4 * k for k in range(n))}
-    work = 0
-    for j, e in enumerate(reversed(word)):
-        s, left, rest = len(support), len(word) - j, work
-        while left and s < size:
-            s = min(2 * s, size)
-            rest += s
-            left -= 1
-        if rest + left * size <= budget:
-            return False
-        shift, down = 4 * (abs(e) - 1), e < 0
-        grown = set()
-        for u in support:
-            a, c = u >> shift & 15, u >> shift + 4 & 15
-            grown.add(u ^ (a ^ c) * (17 << shift))
-            if (a < c) == down:
-                grown.add(u)
-        support = grown
-        work += len(support)
-        if work > budget:
-            return True
-    return False
 
 
 def loop_power(p: Params, n: int) -> Scalar:

@@ -412,6 +412,13 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err == "usage error: braids are limited to 1000 strands\n"
 
+    def test_closure_beyond_the_float_range(self, capsys):
+        # [5]^1000 at (5,5), about 10^510, is exact but has no float
+        code, out, err = run_cli(capsys, "closure", "--N", "5", "--K", "5", "--strands", "1000",
+                                 "--braid", "")
+        assert code == 1 and out == ""
+        assert err == "error: the value is too large to embed as a float\n"
+
     def test_genus_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "mfdim", "--N", "2", "--K", "1", "--genus", "1001")
         assert code == 2 and out == ""

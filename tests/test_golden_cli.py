@@ -95,9 +95,7 @@ def commands() -> list[list[str]]:
             for kind in ("sym", "antisym"):
                 cmds.append(["jw", *pk, "--strands", str(n), "--kind", kind])
     # closures at two more theories: full twists and their inverses on
-    # 6-7 strands (traced in the path model) and a mixed 8-strand word
-    # (expanded over the T_w at (2,3); at (4,1), where every block has
-    # one path, it too is traced in the path model)
+    # 6-7 strands and a mixed 8-strand word
     for N, K in ((4, 1), (2, 3)):
         pk = ["--N", str(N), "--K", str(K)]
         for n in (6, 7):
@@ -138,6 +136,14 @@ def commands() -> list[list[str]]:
                      "--braid", _full_twist(10)])
     cmds.append(["closure", "--N", "3", "--K", "2", "--strands", "12", "--braid", ""])
     cmds.append(["closure", "--N", "5", "--K", "5", "--strands", "9", "--braid", _full_twist(9)])
+    # short words on 5-7 strands that no Markov move changes, captured
+    # when they were still expanded over the T_w
+    for N, K in ((4, 3), (5, 5)):
+        for n, word in ((5, "1 1 2 -3 4 4"), (5, "1 2 -3 4 4 3 1"), (6, "1 1 2 -3 4 5 5"),
+                        (6, "2 -1 -1 3 -4 5 5 -3"), (7, "1 1 2 3 -4 5 6 6"),
+                        (7, "-1 -1 2 -3 4 -5 6 6 2")):
+            cmds.append(["closure", "--N", str(N), "--K", str(K), "--strands", str(n),
+                         "--braid", word])
     return cmds
 
 

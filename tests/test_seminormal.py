@@ -19,7 +19,6 @@ from hsk import (BraidWord, Params, from_braid, gamma_n, labels, loop_power, mar
                  path_count, qint)
 from hsk import trace
 from hsk.hecke import full_twist_word
-from hsk.perms import perm_table
 from hsk.scalar import Scalar
 from hsk.seminormal import block_matrix, block_trace, check_size, dimension, path_model
 
@@ -167,51 +166,39 @@ def test_path_route_matches_t_route_on_full_twists(p):
 
 
 def test_route_choice(monkeypatch):
+    """closure_invariant expands no word over the T_w: on short, mixed
+    and full-twist words on 2-8 strands it calls neither from_braid nor
+    the trace vector, and each result equals the T expansion."""
     p = Params(3, 2)
-    calls = []
-    real = trace.from_braid
-
-    def spy(p_, b):
-        calls.append(b)
-        return real(p_, b)
-
-    monkeypatch.setattr(trace, "from_braid", spy)
-    ft = full_twist_word(7).word
-    inverse = BraidWord(7, tuple(-e for e in reversed(ft)))
-    got = trace.closure_invariant(p, inverse)
-    assert calls == []
-    assert got == trace._path_closure(p, inverse)
-    short = BraidWord(7, (1, 1, 2, 3, -4, 5, 6, 6))  # no Markov move changes it
-    trace.closure_invariant(p, short)
-    assert calls == [short]
-
-
-def _route_by_table(p, b) -> bool:
-    """The route rule on the supports of the T expansion, followed over
-    perm_table(n) to the end of the word."""
-    tbl = perm_table(b.strands)
-    support, work = {0}, 0
-    for e in reversed(b.word):
-        i, sign = abs(e) - 1, 1 if e > 0 else -1
-        grown = set()
-        for w in support:
-            v = tbl.lmul[w][i]
-            grown.add(v)
-            if (tbl.length[v] - tbl.length[w]) * sign < 0:
-                grown.add(w)
-        support = grown
-        work += len(support)
-    return work > trace.PATH_ROUTE_RATIO * len(b.word) * dimension(p, b.strands)
-
-
-@pytest.mark.parametrize("p", THEORIES, ids=ids)
-def test_route_prepass_follows_the_t_expansion(p):
-    rng = Random(f"route:{p.N},{p.K}")
+    rng = Random("single route")
+    braids = []
     for n in range(2, 9):
-        for _ in range(12):
-            word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 24)))
-            b = BraidWord(n, word)
-            assert trace._takes_path_route(p, b) == _route_by_table(p, b), (n, word)
+        # a short word that no Markov move changes, then mixed words
+        short = (1, 1) + tuple(range(2, n))
+        braids.append(BraidWord(n, short + short[-1:]))
+        assert trace._reduce(braids[-1]) == ([braids[-1]], 0, 0)
+        braids += [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                      for _ in range(rng.randint(6, 12)))) for _ in range(2)]
+        if n < 8:  # the T expansion of an 8-strand full twist takes seconds
+            ft = full_twist_word(n).word
+            braids += [BraidWord(n, ft), BraidWord(n, tuple(-e for e in reversed(ft)))]
+    calls = []
+
+    def spy(name):
+        real = getattr(trace, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(trace, "from_braid", spy("from_braid"))
+    monkeypatch.setattr(trace, "_trace_vector", spy("_trace_vector"))
+    got = [trace.closure_invariant(p, b) for b in braids]
+    monkeypatch.undo()
+    assert calls == []
+    for b, val in zip(braids, got):
+        assert val == _t_route(p, b), b
 
 
 def test_path_routed_closure_builds_no_permutation_table():
@@ -221,6 +208,7 @@ def test_path_routed_closure_builds_no_permutation_table():
         "from hsk.perms import perm_table\n"
         "ft = full_twist_word(8).word\n"
         "closure_invariant(Params(3, 2), BraidWord(8, tuple(-e for e in reversed(ft))))\n"
+        "closure_invariant(Params(3, 2), BraidWord(5, (1, 1, 2, -3, 4, 4)))\n"
         "print(perm_table.cache_info().misses)\n")
     src = str(pathlib.Path(trace.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

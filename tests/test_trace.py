@@ -404,8 +404,8 @@ def _move_words(rng, n):
 
 class TestReduction:
     """closure_invariant cancels, splits and destabilises before it
-    closes a word; _closure_unreduced closes the word as given and is
-    its oracle."""
+    traces a word in the path model; _closure_unreduced expands the word
+    as given over the T_w and is its oracle."""
 
     def test_each_move(self):
         # free cancellation leaves the unlink
@@ -433,12 +433,11 @@ class TestReduction:
                 assert closure_invariant(p, b) == _closure_unreduced(p, b), b
 
     def test_eight_strands_build_no_table_or_trace_vector(self, monkeypatch):
-        # an 8-strand word that no move changes, short enough that the
-        # unreduced route would expand it over the T_w
+        # an 8-strand word that no move changes: the path model traces
+        # it whole, and only the oracle expands it over the T_w
         p = Params(3, 2)
         short = BraidWord(8, (1, 1, 2, 3, -4, 5, 6, 7, 7))
         assert _reduce(short) == ([short], 0, 0)
-        assert not trace._takes_path_route(p, short)
 
         def refuse(*args):
             raise AssertionError("T route taken")
