@@ -7,11 +7,11 @@ form.  A concrete basis comes out of the Gram elimination for free:
 the pivot columns J of the reduced echelon form pick out basis
 elements {T_j : j in J}, and the nonpivot columns of the echelon form
 express every other T_w over them, because row operations preserve
-column relations.  All block and fusion computations happen in the
-coordinates of this basis; trace pairings reduce to vector-matrix
-products against the pivot-restricted Gram matrix, so no element
-products are needed on the hot paths.  ``PurifiedAlgebra`` holds just
-this: the pivots, the echelon map ``rmap`` and the pivot Gram matrix.
+column relations.  The central idempotents and branching multiplicities
+are computed in the coordinates of this basis; trace pairings reduce to
+vector-matrix products against the pivot-restricted Gram matrix, so no
+element products are needed.  ``PurifiedAlgebra`` holds just this: the
+pivots, the echelon map ``rmap`` and the pivot Gram matrix.
 
 The centre comes from the path model (``seminormal``), which holds
 every block's data exactly: its path count f_lambda, its weight
@@ -39,8 +39,10 @@ count; S~ follows from the balancing identity
 S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu.
 The quantum dimension of a label is its block weight, the q-Weyl
 product, which needs no model; the other data are bounded only by the
-path model's size check (``seminormal.check_size``).  The Gram route
-serves ``central_idempotents``, ``purified_dim`` and
+path model's size check (``seminormal.check_size``).
+``block_summary``, the labels of Gamma^n with their path counts, lists
+no path at all.  The Gram route serves only what is written on the T
+basis or is a rank: ``central_idempotents``, ``purified_dim`` and
 ``branching_multiplicity``.
 """
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagrams import YoungDiagram, dagger, gamma_n, labels
+from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_counts
 from .hecke import (BraidWord, HeckeElement, block_transposition_word, braid_phase,
                     full_twist_word, jones_wenzl, tensor_embed, young_idempotent)
 from .linalg import determinant, rref
@@ -68,6 +70,7 @@ __all__ = [
     "purified_algebra",
     "purified_dim",
     "minimal_idempotent",
+    "block_summary",
     "central_idempotents",
     "branching_multiplicity",
     "fusion",
@@ -176,17 +179,24 @@ class BlockData:
     n: int
     blocks: dict[YoungDiagram, BlockEntry]
 
-    def to_json(self, full: bool = False) -> dict:
-        out = {
-            "n": self.n,
-            "labels": [list(d.rows) for d in self.blocks],
-            "dims": {str(list(d.rows)): e.dim for d, e in self.blocks.items()},
+    def to_json(self) -> dict:
+        out = block_summary(self.p, self.n)
+        out["central_idempotents"] = {
+            str(list(d.rows)): e.z.to_json() for d, e in self.blocks.items()
         }
-        if full:
-            out["central_idempotents"] = {
-                str(list(d.rows)): e.z.to_json() for d, e in self.blocks.items()
-            }
         return out
+
+
+def block_summary(p: Params, n: int) -> dict:
+    """The labels of Gamma^n and the dimension f_lambda of each block of
+    A_n, its path count, as JSON; read off the Bratteli diagram with no
+    elimination."""
+    counts = path_counts(p, n)
+    return {
+        "n": n,
+        "labels": [list(d.rows) for d in counts],
+        "dims": {str(list(d.rows)): f for d, f in counts.items()},
+    }
 
 
 @lru_cache(maxsize=None)

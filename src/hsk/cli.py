@@ -10,8 +10,8 @@ not exist at these parameters, or an input outside the strand limits),
 2 on a usage error (malformed arguments).  The `verify` subcommand
 also exits 1 when the report contains a failed check.
 
-Expensive results (projectors, Gram data, blocks, fusion, modular
-data) are cached on disk.  The cache directory comes from --cache,
+Expensive results (projectors, Gram data, central idempotents, fusion,
+modular data) are cached on disk.  The cache directory comes from --cache,
 else the HSK_CACHE environment variable, else ./.hsk-cache.  Entries
 are keyed by a fingerprint of the code (the sha256 of the package's
 .py sources), parameters and the defining arguments, carry a content
@@ -36,10 +36,11 @@ from functools import lru_cache
 from math import comb
 
 from .diagrams import YoungDiagram, branch, dagger, labels, path_count
-from .hecke import BraidWord, from_braid, jones_wenzl, young_idempotent
+from .hecke import BraidWord, jones_wenzl, young_idempotent
 from .scalar import Params, qint
-from .trace import GRAM_LIMIT, TRACE_LIMIT, closure_invariant, gram, markov_trace
+from .trace import GRAM_LIMIT, closure_invariant, gram
 from .category import (
+    block_summary,
     central_idempotents,
     fusion,
     fusion_table,
@@ -86,15 +87,6 @@ def _parse_diagram(text: str) -> YoungDiagram:
     if any(a < b for a, b in zip(rows, rows[1:])):
         raise UsageError("diagram rows must be weakly decreasing")
     return YoungDiagram(tuple(rows))
-
-
-def _parse_label(p: Params, text: str) -> YoungDiagram:
-    """A diagram that must be a simple label of the category; anything
-    else is a domain error, as in `fusion`."""
-    d = _parse_diagram(text)
-    if d not in labels(p):
-        raise ValueError(f"{d.rows} is not a label of the category")
-    return d
 
 
 def _parse_braid(word: str, strands: int | None) -> BraidWord:
@@ -286,10 +278,9 @@ def _cmd_yidem(p: Params, args):
 
 
 def _cmd_trace(p: Params, args):
+    # Tr(b) = [N]^-n closure(b): the unlink on n strands closes to [N]^n
     b = _parse_braid(args.braid, args.braid_strands)
-    if b.strands > TRACE_LIMIT:
-        raise ValueError(f"traces are limited to {TRACE_LIMIT} strands")
-    return markov_trace(p, from_braid(p, b)).to_json(embed=True), 0
+    return (closure_invariant(p, b) * qint(p, p.N) ** -b.strands).to_json(embed=True), 0
 
 
 def _cmd_closure(p: Params, args):
@@ -312,10 +303,13 @@ def _cmd_purify(p: Params, args):
 
 
 def _cmd_blocks(p: Params, args):
-    def compute():
-        return central_idempotents(p, args.strands).to_json(args.full)
+    if not args.full:
+        return block_summary(p, args.strands), 0
 
-    return _cached(args, "blocks", [args.strands, bool(args.full)], compute), 0
+    def compute():
+        return central_idempotents(p, args.strands).to_json()
+
+    return _cached(args, "blocks", [args.strands], compute), 0
 
 
 def _cmd_fusion(p: Params, args):
@@ -344,7 +338,7 @@ def _cmd_fusion(p: Params, args):
 
 
 def _cmd_qdim(p: Params, args):
-    d = _parse_label(p, args.diagram)
+    d = _parse_diagram(args.diagram)
 
     def compute():
         return qdim(p, d).to_json(embed=True)
@@ -353,7 +347,7 @@ def _cmd_qdim(p: Params, args):
 
 
 def _cmd_twist(p: Params, args):
-    d = _parse_label(p, args.diagram)
+    d = _parse_diagram(args.diagram)
 
     def compute():
         return twist(p, d).to_json(embed=True)

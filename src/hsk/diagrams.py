@@ -10,7 +10,7 @@ The module knows three nested sets:
 
 ``gamma_n`` restricts Gamma to diagrams reachable on n strands (size at
 most n and congruent to n mod N), ``branch`` gives the one-strand
-restriction rule, and ``path_count`` counts paths in the resulting
+restriction rule, and ``path_counts`` counts paths in the resulting
 Bratteli diagram, which is the dimension of the associated simple block
 of the purified algebra.
 """
@@ -31,6 +31,7 @@ __all__ = [
     "gamma_n",
     "branch",
     "path_count",
+    "path_counts",
     "pad",
     "weight",
 ]
@@ -81,9 +82,6 @@ class YoungDiagram:
         return [
             self.rows[i] - j + t.rows[j] - i - 1 for (i, j) in self.cells()
         ]
-
-    def contains(self, other: "YoungDiagram") -> bool:
-        return all(self.row(i) >= other.row(i) for i in range(other.nrows))
 
     def box_removals(self) -> list["YoungDiagram"]:
         out = []
@@ -242,14 +240,19 @@ def _walk(p: Params, n: int, start, grow) -> dict:
     return level
 
 
+def path_counts(p: Params, n: int) -> dict[YoungDiagram, int]:
+    """Number of Bratteli paths from the empty diagram to each label of
+    Gamma^n, in the order of ``gamma_n``: one forward pass over the
+    N-row shapes, each read as its label widened by full columns."""
+    counts = {YoungDiagram(tuple(x - s[-1] for x in s if x > s[-1])): c
+              for s, c in _walk(p, n, 1, lambda c, r: c).items()}
+    return {d: counts[d] for d in gamma_n(p, n)}
+
+
 def path_count(p: Params, n: int, d: YoungDiagram) -> int:
-    """Number of Bratteli paths from the empty diagram to d in n steps;
-    0 when d is not a label on n strands.  One forward pass over the
-    N-row shapes, read at d widened by its full columns."""
-    if not _on_strands(p, n, d):
-        return 0
-    shape = tuple(d.row(i) + (n - d.size) // p.N for i in range(p.N))
-    return _walk(p, n, 1, lambda c, r: c)[shape]
+    """The entry of ``path_counts`` for d; 0 when d is not a label on n
+    strands."""
+    return path_counts(p, n)[d] if _on_strands(p, n, d) else 0
 
 
 def pad(p: Params, d: YoungDiagram, n: int) -> YoungDiagram:

@@ -105,10 +105,6 @@ class HeckeElement:
     def basis(p: Params, n: int, w: int) -> "HeckeElement":
         return HeckeElement(p, n, {w: p.one})
 
-    @staticmethod
-    def zero(p: Params, n: int) -> "HeckeElement":
-        return HeckeElement(p, n, {})
-
     # -- structure ---------------------------------------------------
 
     @property

@@ -56,10 +56,11 @@ work is len(word) sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on
 7 strands at (3,2) against 7! = 5,040 permutations, and its one bound
 is the path model's size (``seminormal.check_size``), which a factor on
 fewer than 8 strands always meets since sum f_lambda^2 <= n!.  No
-closure builds a permutation table or a trace vector.  ``from_braid``
-and ``markov_trace`` stay the T-basis output of ``hsk trace``;
-``_closure_unreduced``, [N]^n Tr(from_braid(b)) on the word as given,
-is the oracle of the reduction and the path model.
+closure builds a permutation table or a trace vector, and neither does
+``hsk trace``, which prints [N]^-n times the closure.  ``from_braid``
+and ``markov_trace`` stay as oracles: ``_closure_unreduced``,
+[N]^n Tr(from_braid(b)) on the word as given, checks the reduction and
+the path model.
 
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the

@@ -39,7 +39,7 @@ from .diagrams import (
     gamma_n,
     labels,
     pad,
-    path_count,
+    path_counts,
     weight,
 )
 from .hecke import (
@@ -251,16 +251,11 @@ def _check_pad_bijection(p: Params, max_n: int, rng: Random) -> str:
 
 def _check_path_recursion(p: Params, max_n: int, rng: Random) -> str:
     for n in range(1, max_n + 1):
-        total = 0
-        for d in gamma_n(p, n):
-            pc = path_count(p, n, d)
-            total += pc * pc
-            if n >= 1:
-                below = sum(path_count(p, n - 1, b) for b in branch(p, n, d))
-                _assert(
-                    pc == below,
-                    f"path_count({n}, {d.rows}) = {pc} but branch sum = {below}",
-                )
+        counts, before = path_counts(p, n), path_counts(p, n - 1)
+        for d, pc in counts.items():
+            below = sum(before[b] for b in branch(p, n, d))
+            _assert(pc == below, f"path_count({n}, {d.rows}) = {pc} but branch sum = {below}")
+        total = sum(pc * pc for pc in counts.values())
         _assert(total <= factorial(n), f"sum of squared path counts exceeds {n}!")
     return f"branching recursion and sum-of-squares bound for n <= {max_n}"
 
@@ -482,7 +477,7 @@ def _check_gram_rank(p: Params, max_n: int, rng: Random) -> str:
     cap = min(max_n, FORM_CHECK_LIMIT)
     ranks = []
     for n in range(1, cap + 1):
-        expected = sum(path_count(p, n, d) ** 2 for d in gamma_n(p, n))
+        expected = sum(f * f for f in path_counts(p, n).values())
         gb = gram(p, n, "bilinear")
         gh = gram(p, n, "hermitian")
         _assert(gb.rank == expected, f"bilinear rank at n={n}: {gb.rank} != {expected}")
@@ -573,22 +568,12 @@ def _check_stabilization(p: Params, max_n: int, rng: Random) -> str:
 def _check_blocks(p: Params, max_n: int, rng: Random) -> str:
     cap = min(max_n, FORM_CHECK_LIMIT)
     for n in range(1, cap + 1):
-        data = central_idempotents(p, n)
-        labs = gamma_n(p, n)
+        dims = {d: e.dim for d, e in central_idempotents(p, n).blocks.items()}
+        _assert(dims == path_counts(p, n), f"blocks differ from the path counts of Gamma^{n}")
         _assert(
-            sorted(d.rows for d in data.blocks) == sorted(d.rows for d in labs),
-            f"block labels differ from Gamma^{n}",
-        )
-        total = sum(e.dim * e.dim for e in data.blocks.values())
-        _assert(
-            total == purified_dim(p, n).dim,
+            sum(f * f for f in dims.values()) == purified_dim(p, n).dim,
             f"sum of squared block dims != purified dim at n={n}",
         )
-        for d, e in data.blocks.items():
-            _assert(
-                e.dim == path_count(p, n, d),
-                f"block dim of {d.rows} != path count at n={n}",
-            )
     note = "" if max_n <= cap else f" (n > {cap} skipped: desk-scale budget)"
     return f"central decomposition matches Gamma^n and path counts, n <= {cap}{note}"
 

@@ -18,12 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hsk import Params, YoungDiagram, qdim, run_verify
-from hsk import cli, verify
+from hsk import category, cli, hecke, linalg, perms, seminormal, trace, verify
 from hsk.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from hskbench.oracles import path_counts, verlinde_mf_dim  # noqa: E402
 from hskbench.oracles import qdim as oracle_qdim  # noqa: E402
+from test_category import forbid  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -126,6 +128,38 @@ class TestAlgebraCommands:
     def test_blocks_full(self, capsys):
         got = run_json(capsys, "blocks", "--N", "2", "--K", "1", "--strands", "3", "--full")
         assert "central_idempotents" in got
+
+    def test_blocks_past_the_gram_limit(self, capsys):
+        got = run_json(capsys, "blocks", "--N", "3", "--K", "2", "--strands", "7")
+        assert sum(f * f for f in got["dims"].values()) == seminormal.dimension(Params(3, 2), 7)
+        code, out, err = run_cli(capsys, "blocks", "--N", "3", "--K", "2", "--strands", "7",
+                                 "--full")
+        assert code == 1 and out == ""
+        assert err == "error: Gram computations limited to 6 strands\n"
+
+    def test_blocks_at_the_strand_cap(self, capsys):
+        start = time.perf_counter()
+        got = run_json(capsys, "blocks", "--N", "5", "--K", "5", "--strands", "1000")
+        assert time.perf_counter() - start < 2.0
+        assert got["dims"]["[]"] == path_counts(5, 5, 1000)[()]
+
+    @pytest.mark.parametrize("N,K", [(2, 1), (2, 2), (3, 2), (4, 1), (2, 3)])
+    def test_scalar_outputs_skip_the_t_basis(self, capsys, monkeypatch, N, K):
+        """`trace` is the closure over [N]^n and `blocks` without --full
+        reads the Bratteli diagram: neither builds a permutation table, a
+        Gram matrix, an elimination or a T-basis expansion."""
+        forbid(monkeypatch, perms.perm_table, trace.gram_bilinear, trace.gram_rref,
+               linalg.rref, hecke.from_braid, trace._trace_vector,
+               category.central_idempotents)
+        pk = ["--N", str(N), "--K", str(K)]
+        run_json(capsys, "trace", *pk, "--strands", "1", "--braid", "")
+        for n in range(2, 9):
+            # every generator twice, so no Markov move drops a strand
+            word = " ".join(str((-1 if i % 3 == 2 else 1) * (i % (n - 1) + 1))
+                            for i in range(2 * n))
+            run_json(capsys, "trace", *pk, "--strands", str(n), "--braid", word)
+        for n in range(8):
+            run_json(capsys, "blocks", *pk, "--strands", str(n))
 
 
 class TestCategoryCommands:
@@ -270,12 +304,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "fusion", "1", "--N", "2", "--K", "2")
         assert code == 2
 
-    def test_trace_strand_limit_is_domain_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "trace", "--N", "2", "--K", "2", "--strands", "9", "--braid", ""
-        )
-        assert code == 1
-        assert "error" in err
+    def test_trace_past_the_permutation_tables(self, capsys):
+        got = run_json(capsys, "trace", "--N", "2", "--K", "2", "--strands", "9", "--braid", "")
+        assert got == {"den": 1, "num": [1] + [0] * 7, "embed": [1.0, 0.0]}
+
+    def test_trace_past_the_path_model_bound_fails_at_once(self, capsys):
+        # no Markov move shortens the word; sum f^2 = 2^19 > 8! at (2,2)
+        word = " ".join(str(i) for _ in range(2) for i in range(1, 20))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "trace", "--N", "2", "--K", "2", "--braid", word)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err == "error: the path model on 20 strands has dimension 524288 > 8!\n"
 
     def test_gram_limit_is_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "gram", "--N", "2", "--K", "2", "--strands", "7")

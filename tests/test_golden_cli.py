@@ -29,8 +29,8 @@ def _full_twist(n: int, sign: int = 1) -> str:
 
 # (strands, word) pairs for closure and trace: full twists and their
 # inverses on 5-7 strands, and mixed-sign words up to the 8-strand limit.
-# The 7-strand inverse full twist costs seconds at (3,2), so only its
-# closure is run there.
+# The trace of the 7-strand inverse full twist at (3,2), whose T
+# expansion takes seconds, was added later, at the end of the set.
 BRAIDS = [
     (5, _full_twist(5)),
     (5, _full_twist(5, -1)),
@@ -144,6 +144,12 @@ def commands() -> list[list[str]]:
                         (7, "-1 -1 2 -3 4 -5 6 6 2")):
             cmds.append(["closure", "--N", str(N), "--K", str(K), "--strands", str(n),
                          "--braid", word])
+    # block summaries without the centre, captured when they still ran
+    # the Gram elimination, and the trace skipped above, captured from
+    # the T-basis expansion
+    for N, K, n in ((2, 2, 5), (2, 2, 6), (3, 2, 5)):
+        cmds.append(["blocks", "--N", str(N), "--K", str(K), "--strands", str(n)])
+    cmds.append(["trace", "--N", "3", "--K", "2", "--strands", "7", "--braid", _full_twist(7, -1)])
     return cmds
 
 
