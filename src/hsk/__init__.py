@@ -11,117 +11,40 @@ S-matrix and modular-functor dimensions traces in its blocks, all
 exactly.
 """
 
+from importlib import import_module
+
 from .scalar import Params, Scalar, conjugate, embed, invert, qfact, qint
-from .diagrams import (
-    YoungDiagram,
-    branch,
-    dagger,
-    diagram_stats,
-    gamma_n,
-    labels,
-    pad,
-    path_count,
-    weight,
-)
-from .hecke import (
-    BraidWord,
-    HeckeElement,
-    YoungIdempotent,
-    e_idempotent,
-    from_braid,
-    jones_wenzl,
-    sigma_element,
-    star,
-    tensor_embed,
-    young_idempotent,
-)
-from .trace import (
-    GRAM_LIMIT,
-    TRACE_LIMIT,
-    GramData,
-    closure_invariant,
-    curl_scalar,
-    eta,
-    gram,
-    loop_power,
-    markov_trace,
-    pairing,
-    trace_parameter,
-)
-from .category import (
-    BlockData,
-    FusionTable,
-    SMatrix,
-    branching_multiplicity,
-    central_idempotents,
-    fusion,
-    fusion_matrix,
-    fusion_table,
-    mf_dim,
-    minimal_idempotent,
-    purified_algebra,
-    purified_dim,
-    qdim,
-    s_matrix,
-    twist,
-)
-from .verify import VerifyReport, run_verify
+from .diagrams import (YoungDiagram, branch, dagger, diagram_stats, gamma_n, labels,
+                       pad, path_count, weight)
+from .seminormal import TRACE_LIMIT
+from .closure import BraidWord, closure_invariant, curl_scalar, loop_power, trace_parameter
+from .modular import (GRAM_LIMIT, FusionTable, SMatrix, fusion, fusion_matrix,
+                      fusion_table, mf_dim, purified_dim, qdim, s_matrix, twist)
+
+# The T-basis route loads on first use (PEP 562), so a call that needs
+# only the path model never imports or compiles it.  Each of these
+# modules imports the ones before it, so a name loads only what it needs.
+def __getattr__(name: str):
+    if name in __all__:
+        for mod in ("hecke", "trace", "category", "verify"):
+            names = vars(import_module(f"{__name__}.{mod}"))
+            if name in names:
+                return names[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
-    "Params",
-    "Scalar",
-    "qint",
-    "qfact",
-    "conjugate",
-    "invert",
-    "embed",
-    "YoungDiagram",
-    "labels",
-    "dagger",
-    "gamma_n",
-    "branch",
-    "path_count",
-    "pad",
-    "weight",
+    "Params", "Scalar", "qint", "qfact", "conjugate", "invert", "embed",
+    "YoungDiagram", "labels", "dagger", "gamma_n", "branch", "path_count", "pad", "weight",
     "diagram_stats",
-    "BraidWord",
-    "HeckeElement",
-    "YoungIdempotent",
-    "sigma_element",
-    "from_braid",
-    "e_idempotent",
-    "jones_wenzl",
-    "young_idempotent",
-    "tensor_embed",
-    "star",
-    "GRAM_LIMIT",
-    "TRACE_LIMIT",
-    "GramData",
-    "markov_trace",
-    "pairing",
-    "gram",
-    "eta",
-    "trace_parameter",
-    "closure_invariant",
-    "curl_scalar",
-    "loop_power",
-    "BlockData",
-    "FusionTable",
-    "SMatrix",
-    "purified_dim",
-    "minimal_idempotent",
-    "central_idempotents",
-    "branching_multiplicity",
-    "purified_algebra",
-    "fusion",
-    "fusion_matrix",
-    "fusion_table",
-    "qdim",
-    "twist",
-    "s_matrix",
-    "mf_dim",
-    "VerifyReport",
-    "run_verify",
+    "BraidWord", "HeckeElement", "YoungIdempotent", "sigma_element", "from_braid",
+    "e_idempotent", "jones_wenzl", "young_idempotent", "tensor_embed", "star",
+    "GRAM_LIMIT", "TRACE_LIMIT", "GramData", "markov_trace", "pairing", "gram", "eta",
+    "trace_parameter", "closure_invariant", "curl_scalar", "loop_power",
+    "BlockData", "FusionTable", "SMatrix", "purified_dim", "minimal_idempotent",
+    "central_idempotents", "branching_multiplicity", "purified_algebra", "fusion",
+    "fusion_matrix", "fusion_table", "qdim", "twist", "s_matrix", "mf_dim",
+    "VerifyReport", "run_verify",
 ]
 
 __version__ = "0.1.0"

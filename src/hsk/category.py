@@ -1,6 +1,5 @@
-"""The purified finite-strand category: block decomposition, fusion
-coefficients, quantum dimensions, twists, S-matrix entries, and
-modular-functor dimensions.
+"""The purified algebras A_n on the T basis: their Gram-pivot
+coordinates, central idempotents and branching multiplicities.
 
 The purified algebra A_n is H_n modulo the radical of the Markov-trace
 form.  A concrete basis comes out of the Gram elimination for free:
@@ -30,20 +29,11 @@ Tr(z_nu x) / Tr(e_nu) in the block nu, one pairing against the pivot
 Gram matrix; for an embedded minimal idempotent of A_{n-1} that rank is
 the branching multiplicity.
 
-The modular data never build A_n: they are traces in the blocks of the
-path model (``seminormal``), whose bases are Bratteli paths, not the
-n! permutations.  N_{lam mu}^nu is the rank in the block nu of a
-product of two commuting path projections (``_fusion_row``); the
-twist theta_d is the central full twist's block trace over the path
-count; S~ follows from the balancing identity
-S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu.
-The quantum dimension of a label is its block weight, the q-Weyl
-product, which needs no model; the other data are bounded only by the
-path model's size check (``seminormal.check_size``).
-``block_summary``, the labels of Gamma^n with their path counts, lists
-no path at all.  The Gram route serves only what is written on the T
-basis or is a rank: ``central_idempotents``, ``purified_dim`` and
-``branching_multiplicity``.
+The modular data, block summaries and the rank of the trace form
+(``purified_dim``) never build A_n: they live in ``modular``, which
+reads them off the path model, and this module re-exports their names.
+The Gram route serves only what is written on the T basis:
+``central_idempotents`` and ``branching_multiplicity``.
 """
 from __future__ import annotations
 
@@ -51,15 +41,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_counts
-from .hecke import (BraidWord, HeckeElement, block_transposition_word, braid_phase,
-                    full_twist_word, jones_wenzl, tensor_embed, young_idempotent)
-from .linalg import determinant, rref
+from .closure import loop_power
+from .diagrams import YoungDiagram, gamma_n
+from .hecke import HeckeElement, jones_wenzl, tensor_embed, young_idempotent
+from .linalg import rref
+from .modular import (GRAM_LIMIT, FusionTable, PurifiedDim, SMatrix,  # noqa: F401
+                      _fusion_row, block_summary, fusion, fusion_matrix, fusion_table, mf_dim,
+                      purified_dim, qdim, s_matrix, twist)
 from .perms import perm_table
 from .scalar import Params, Scalar
-from .seminormal import block_matrix, block_trace, check_size, path_model, q_weyl_dimension
-from .trace import (CURL_MATCH_SIGN, GRAM_LIMIT, curl_scalar, gram_bilinear,
-                    gram_rref, loop_power)
+from .seminormal import block_trace, path_model
+from .trace import gram_bilinear, gram_rref
 
 __all__ = [
     "PurifiedAlgebra",
@@ -133,23 +125,6 @@ def purified_algebra(p: Params, n: int) -> PurifiedAlgebra:
     return PurifiedAlgebra(p, n, piv, red, gram_pivots)
 
 
-@dataclass(frozen=True)
-class PurifiedDim:
-    dim: int
-    radical_dim: int
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "radical_dim": self.radical_dim}
-
-
-def purified_dim(p: Params, n: int) -> PurifiedDim:
-    """rank and corank of the trace form on H_n; the rank equals
-    sum of squared path counts over the labels of Gamma^n."""
-    a = purified_algebra(p, n)
-    size = perm_table(n).size
-    return PurifiedDim(a.dim, size - a.dim)
-
-
 @lru_cache(maxsize=None)
 def minimal_idempotent(p: Params, n: int, d: YoungDiagram) -> HeckeElement:
     """y_d (x) g_N (x) ... (x) g_N with (n-|d|)/N full antisymmetrizer
@@ -185,18 +160,6 @@ class BlockData:
             str(list(d.rows)): e.z.to_json() for d, e in self.blocks.items()
         }
         return out
-
-
-def block_summary(p: Params, n: int) -> dict:
-    """The labels of Gamma^n and the dimension f_lambda of each block of
-    A_n, its path count, as JSON; read off the Bratteli diagram with no
-    elimination."""
-    counts = path_counts(p, n)
-    return {
-        "n": n,
-        "labels": [list(d.rows) for d in counts],
-        "dims": {str(list(d.rows)): f for d, f in counts.items()},
-    }
 
 
 @lru_cache(maxsize=None)
@@ -246,216 +209,3 @@ def branching_multiplicity(p: Params, n: int, lam: YoungDiagram, sub: YoungDiagr
     if m.denominator != 1 or m < 0 or weight * m != num:
         raise RuntimeError("branching multiplicity is not a nonnegative integer")
     return int(m)
-
-
-def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> int:
-    """N_{lam mu}^nu, read off the cached fusion row of (lam, mu)."""
-    for d in (lam, mu):
-        if d not in labels(p):
-            raise ValueError(f"{d.rows} is not a label of the category")
-    if nu not in gamma_n(p, lam.size + mu.size):  # gamma_n lists only labels
-        return 0
-    return _fusion_row(p, lam, mu)[labels(p).index(nu)]
-
-
-@dataclass(frozen=True)
-class FusionTable:
-    p: Params
-    entries: dict[tuple[YoungDiagram, YoungDiagram, YoungDiagram], int]
-
-    def coefficient(self, lam, mu, nu) -> int:
-        return self.entries.get((lam, mu, nu), 0)
-
-    def to_json(self) -> dict:
-        items = sorted(
-            ((a, b, c, m) for (a, b, c), m in self.entries.items() if m),
-            key=lambda t: (t[0].rows, t[1].rows, t[2].rows),
-        )
-        return {
-            "N": self.p.N,
-            "K": self.p.K,
-            "entries": [
-                {"a": list(a.rows), "b": list(b.rows), "c": list(c.rows), "n": m}
-                for a, b, c, m in items
-            ],
-        }
-
-
-@lru_cache(maxsize=None)
-def fusion_table(p: Params, max_strands: int | None = None) -> FusionTable:
-    """All coefficients N_{lam mu}^nu with |lam|+|mu| within the default
-    reach GRAM_LIMIT (or a stricter cap)."""
-    cap = GRAM_LIMIT if max_strands is None else min(max_strands, GRAM_LIMIT)
-    labs = labels(p)
-    entries = {}
-    for lam in labs:
-        for mu in labs:
-            n = lam.size + mu.size
-            if n > cap:
-                continue
-            for nu in gamma_n(p, n):
-                entries[(lam, mu, nu)] = fusion(p, lam, mu, nu)
-    return FusionTable(p, entries)
-
-
-@lru_cache(maxsize=None)
-def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
-    """N_{lam mu}^{L_j} over the label list, one trace per block nu of
-    the (a+b)-strand path model, a = |lam| and b = |mu|:
-
-        N_{lam mu}^nu = tr_nu(P_t rho(beta)^-1 P_s rho(beta)),
-
-    beta the bare block transposition carrying the first b strands past
-    the last a.  P_t projects onto the paths that begin with a fixed
-    path t to lam, P_s onto those that begin with a fixed path s to mu;
-    conjugated by beta, P_s projects onto mu on the last b strands, so
-    the product is a minimal idempotent of lam (x) mu, whose rank in
-    the block nu is the multiplicity of V_nu."""
-    a, b = lam.size, mu.size
-    model = path_model(p, a + b)
-    # the row reading of a label, row i filled left to right, is its first path
-    t, s = (tuple(i for i, r in enumerate(d.rows) for _ in range(r)) for d in (lam, mu))
-    word = block_transposition_word(b, a).word if a and b else ()
-    inverse = tuple(-e for e in reversed(word))
-    found = {}
-    for j, block in enumerate(model.blocks):
-        rows_t = [i for i, path in enumerate(block.paths) if path[:a] == t]
-        rows_s = [k for k, path in enumerate(block.paths) if path[:b] == s]
-        if not rows_t or not rows_s:
-            continue
-        fwd, back = block_matrix(model, j, word), block_matrix(model, j, inverse)
-        tr = sum((back[i][k] * fwd[k][i] for i in rows_t for k in rows_s),
-                 Scalar.from_rational(p.subfield, 0))
-        if not tr.is_rational() or tr.den != 1 or tr.num[0] < 0:
-            raise RuntimeError("fusion coefficient is not a nonnegative integer")
-        found[block.label] = tr.num[0]
-    return tuple(found.get(nu, 0) for nu in labels(p))
-
-
-def fusion_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
-    """Matrix of fusion with lam over the label list: entry [i][j] =
-    N_{lam, L_i}^{L_j}."""
-    return tuple(_fusion_row(p, lam, mu) for mu in labels(p))
-
-
-def qdim(p: Params, d: YoungDiagram) -> Scalar:
-    """The closed loop colored by d, [N]^{|d|} Tr(e_d): the weight of the
-    block d in the path model, the q-Weyl product."""
-    if d not in labels(p):
-        raise ValueError(f"{d.rows} is not a label of the category")
-    return q_weyl_dimension(p, d)
-
-
-def twist(p: Params, d: YoungDiagram) -> Scalar:
-    """Ribbon twist theta_d: the full twist, taken with the library's
-    framing sign, is central and acts on the block d of the |d|-strand
-    path model by its block trace over f_d; with the braid phase and
-    one curl scalar per strand, theta of the single box is exactly the
-    curl scalar."""
-    if d not in labels(p):
-        raise ValueError(f"{d.rows} is not a label of the category")
-    n = d.size
-    if n == 0:
-        return p.one
-    model = path_model(p, n)
-    # as a braid the full twist equals its reversed word, so negating
-    # every letter gives its inverse
-    word = tuple(CURL_MATCH_SIGN * i for i in full_twist_word(n).word)
-    j = gamma_n(p, n).index(d)
-    c = block_trace(model, j, word) * Fraction(1, len(model.blocks[j].paths))
-    out = p.lift(c, braid_phase(p, BraidWord(n, word)))
-    curl = curl_scalar(p, CURL_MATCH_SIGN)
-    for _ in range(n):
-        out = out * curl
-    return out
-
-
-@dataclass(frozen=True)
-class SMatrix:
-    p: Params
-    labels: tuple[YoungDiagram, ...]
-    entries: tuple[tuple[Scalar, ...], ...]
-
-    def determinant(self) -> Scalar:
-        return determinant(self.p, self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.p.N,
-            "K": self.p.K,
-            "labels": [list(d.rows) for d in self.labels],
-            "entries": [
-                [c.to_json(embed=True) for c in row]
-                for row in self.entries
-            ],
-        }
-
-
-@lru_cache(maxsize=None)
-def s_matrix(p: Params) -> SMatrix:
-    """S~_{lam mu}, the closure of the two-component Hopf cabling with
-    blocks colored lam and mu, from the balancing identity
-
-        S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu,
-
-    d_nu the q-Weyl product; row/column ∅ reproduces qdim.  Twists are
-    roots of unity, so theta^-1 is the conjugate.  The largest label
-    pair meets the path model's size check before any work.
-    S~ is symmetric, and each entry below the diagonal is mirrored."""
-    labs = labels(p)
-    check_size(p, 2 * max(d.size for d in labs))
-    theta = [twist(p, d) for d in labs]
-    dims = [q_weyl_dimension(p, d) for d in labs]
-    rows = [[p.zero] * len(labs) for _ in labs]
-    for i, lam in enumerate(labs):
-        for j in range(i, len(labs)):
-            acc = p.zero
-            for th, d, m in zip(theta, dims, _fusion_row(p, lam, labs[j])):
-                if m:
-                    acc = acc + th * d * m
-            rows[i][j] = rows[j][i] = acc * (theta[i] * theta[j]).conjugate()
-    return SMatrix(p, tuple(labs), tuple(tuple(r) for r in rows))
-
-
-def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungDiagram]) -> int:
-    """Dimension of the modular-functor space of a genus-g surface with
-    marked points colored by `marked`, via a caterpillar pair-of-pants
-    decomposition: fold the fusion matrices of the labels into the
-    vacuum vector, apply the handle operator sum_mu N_mu N_{mu-dagger}
-    per handle, and read off the vacuum coefficient.  A fold computes
-    only the fusion rows its vector reaches; a handle needs every label
-    pair, so the largest meets the path model's size check first."""
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    labs = labels(p)
-    index = {d: i for i, d in enumerate(labs)}
-    for d in marked:
-        if d not in index:
-            raise ValueError(f"{tuple(d.rows)} is not a label of the category")
-    if genus:
-        check_size(p, 2 * max(d.size for d in labs))
-    size = len(labs)
-    vec = [0] * size
-    vec[index[YoungDiagram.of()]] = 1
-    for d in marked:
-        out = [0] * size
-        for mu, c in zip(labs, vec):
-            if c:
-                out = [o + c * f for o, f in zip(out, _fusion_row(p, d, mu))]
-        vec = out
-    if genus:
-        handle = [[0] * size for _ in range(size)]
-        for mu in labs:
-            m1 = fusion_matrix(p, mu)
-            m2 = fusion_matrix(p, dagger(p, mu))
-            for i in range(size):
-                for j in range(size):
-                    handle[i][j] += sum(m1[i][k] * m2[k][j] for k in range(size))
-        while genus:
-            if genus & 1:
-                vec = [sum(handle[i][j] * vec[i] for i in range(size)) for j in range(size)]
-            genus >>= 1
-            if genus:
-                handle = [[sum(handle[i][k] * handle[k][j] for k in range(size))
-                           for j in range(size)] for i in range(size)]
-    return vec[index[YoungDiagram.of()]]

@@ -10,38 +10,37 @@ not exist at these parameters, or an input outside the strand limits),
 2 on a usage error (malformed arguments).  The `verify` subcommand
 also exits 1 when the report contains a failed check.
 
-Expensive results (projectors, Gram data, central idempotents, fusion,
-modular data) are cached on disk.  The cache directory comes from --cache,
-else the HSK_CACHE environment variable, else ./.hsk-cache.  Entries
-are keyed by a fingerprint of the code (the sha256 of the package's
-.py sources), parameters and the defining arguments, carry a content
-checksum, and are written atomically; an entry written by other code,
-or a corrupt or mismatched one, is treated as absent, so a warm cache
-returns byte for byte the same JSON as a cold one.  The first write of
-a process deletes the entries of other code versions; other files in
-the directory are never touched.
+The T-basis outputs, `jw`, `yidem`, `gram --full` and `blocks --full`,
+are cached on disk.  Every other command reads the path model, which
+costs less than a cache read, and caches nothing.  The T-basis route,
+and hashlib and tempfile for the cache, are imported only where they are
+used, so a path-model call never loads them.  The cache directory comes
+from --cache, else the HSK_CACHE environment variable, else
+./.hsk-cache.  Entries are keyed by a fingerprint of the code (the
+sha256 of the package's .py sources), parameters and the defining
+arguments, carry a content checksum, and are written atomically; an
+entry written by other code, or a corrupt or mismatched one, is treated
+as absent, so a warm cache returns byte for byte the same JSON as a cold
+one.  The first write of a process deletes the entries of other code
+versions; other files in the directory are never touched.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import re
 import sys
-import tempfile
 from functools import lru_cache
 from math import comb
 
+from .closure import BraidWord, closure_invariant
 from .diagrams import YoungDiagram, branch, dagger, labels, path_count
-from .hecke import BraidWord, jones_wenzl, young_idempotent
-from .scalar import Params, qint
-from .trace import GRAM_LIMIT, closure_invariant, gram
-from .category import (
+from .modular import (
+    GRAM_LIMIT,
     block_summary,
-    central_idempotents,
     fusion,
     fusion_table,
     mf_dim,
@@ -50,7 +49,7 @@ from .category import (
     s_matrix,
     twist,
 )
-from .verify import run_verify
+from .scalar import Params, qint
 
 # Bound on the label count C(N+K-1, K) and on m^2, m = 2N(N+K): `labels`
 # lists every label, and Q(zeta_m) keeps an m x phi(m) reduction table.
@@ -124,6 +123,8 @@ def _code_fingerprint() -> str:
     """sha256 of the package's .py sources (first 64 bits), read once
     per process: a cache entry never outlives a change to the code that
     computed it."""
+    import hashlib
+
     root = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
     for name in sorted(os.listdir(root)):
@@ -151,7 +152,7 @@ class ResultCache:
         self.root = root
 
     def _path(self, key: list) -> str:
-        digest = hashlib.sha256(self._canon(key).encode()).hexdigest()[:32]
+        digest = _sha256(self._canon(key))[:32]
         return os.path.join(self.root, f"{_code_fingerprint()}-{digest}.json")
 
     @staticmethod
@@ -165,20 +166,21 @@ class ResultCache:
             if entry.get("key") != key:
                 return None
             payload = entry.get("payload")
-            digest = hashlib.sha256(self._canon(payload).encode()).hexdigest()
-            if entry.get("checksum") != digest:
+            if entry.get("checksum") != _sha256(self._canon(payload)):
                 return None
             return payload
         except (OSError, ValueError):
             return None
 
     def put(self, key: list, payload) -> None:
+        import tempfile
+
         try:
             os.makedirs(self.root, exist_ok=True)
             entry = {
                 "version": _code_fingerprint(),
                 "key": key,
-                "checksum": hashlib.sha256(self._canon(payload).encode()).hexdigest(),
+                "checksum": _sha256(self._canon(payload)),
                 "payload": payload,
             }
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -192,6 +194,12 @@ class ResultCache:
             _prune(self.root, _code_fingerprint())
         except OSError:
             pass  # the cache is an optimization, never a failure
+
+
+def _sha256(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # The names ResultCache writes: <fingerprint>-<digest>.json, and the
@@ -256,6 +264,8 @@ def _cmd_paths(p: Params, args):
 
 
 def _cmd_jw(p: Params, args):
+    from .hecke import jones_wenzl
+
     def compute():
         return jones_wenzl(p, args.strands, args.kind).to_json()
 
@@ -263,6 +273,8 @@ def _cmd_jw(p: Params, args):
 
 
 def _cmd_yidem(p: Params, args):
+    from .hecke import young_idempotent
+
     d = _parse_diagram(args.diagram)
 
     def compute():
@@ -289,22 +301,26 @@ def _cmd_closure(p: Params, args):
 
 
 def _cmd_gram(p: Params, args):
-    def compute():
-        return gram(p, args.strands, args.form).to_json(args.full)
+    if not args.full:
+        d = purified_dim(p, args.strands)
+        return {"n": args.strands, "form": args.form, "dim": d.dim + d.radical_dim,
+                "rank": d.dim, "kernel_dim": d.radical_dim}, 0
+    from .trace import gram
 
-    return _cached(args, "gram", [args.strands, args.form, bool(args.full)], compute), 0
+    def compute():
+        return gram(p, args.strands, args.form).to_json(True)
+
+    return _cached(args, "gram", [args.strands, args.form, True], compute), 0
 
 
 def _cmd_purify(p: Params, args):
-    def compute():
-        return purified_dim(p, args.strands).to_json()
-
-    return _cached(args, "purify", [args.strands], compute), 0
+    return purified_dim(p, args.strands).to_json(), 0
 
 
 def _cmd_blocks(p: Params, args):
     if not args.full:
         return block_summary(p, args.strands), 0
+    from .category import central_idempotents
 
     def compute():
         return central_idempotents(p, args.strands).to_json()
@@ -317,70 +333,38 @@ def _cmd_fusion(p: Params, args):
         cap = args.max_strands
         if cap is not None and cap < 0:
             raise UsageError("--max-strands must be nonnegative")
-
-        def compute():
-            return fusion_table(p, cap).to_json()
-
-        return _cached(args, "fusion_table", [cap if cap is not None else GRAM_LIMIT], compute), 0
+        return fusion_table(p, cap).to_json(), 0
     if args.a is None or args.b is None or args.c is None:
         raise UsageError("fusion needs three diagrams A B C, or --table")
     a, b, c = (_parse_diagram(t) for t in (args.a, args.b, args.c))
-
-    def compute():
-        return {
-            "a": list(a.rows),
-            "b": list(b.rows),
-            "c": list(c.rows),
-            "n": fusion(p, a, b, c),
-        }
-
-    return _cached(args, "fusion", [list(a.rows), list(b.rows), list(c.rows)], compute), 0
+    return {"a": list(a.rows), "b": list(b.rows), "c": list(c.rows), "n": fusion(p, a, b, c)}, 0
 
 
 def _cmd_qdim(p: Params, args):
-    d = _parse_diagram(args.diagram)
-
-    def compute():
-        return qdim(p, d).to_json(embed=True)
-
-    return _cached(args, "qdim", [list(d.rows)], compute), 0
+    return qdim(p, _parse_diagram(args.diagram)).to_json(embed=True), 0
 
 
 def _cmd_twist(p: Params, args):
-    d = _parse_diagram(args.diagram)
-
-    def compute():
-        return twist(p, d).to_json(embed=True)
-
-    return _cached(args, "twist", [list(d.rows)], compute), 0
+    return twist(p, _parse_diagram(args.diagram)).to_json(embed=True), 0
 
 
 def _cmd_smatrix(p: Params, args):
-    def compute():
-        return s_matrix(p).to_json()
-
-    return _cached(args, "smatrix", [], compute), 0
+    return s_matrix(p).to_json(), 0
 
 
 def _cmd_mfdim(p: Params, args):
     marked = [_parse_diagram(t) for t in (args.label or [])]
     if not 0 <= args.genus <= 1000:  # dimensions grow like D^(2g)
         raise UsageError("--genus must be between 0 and 1000")
-
-    def compute():
-        return {
-            "genus": args.genus,
-            "labels": [list(d.rows) for d in marked],
-            "dim": mf_dim(p, args.genus, marked),
-        }
-
-    extra = [args.genus, [list(d.rows) for d in marked]]
-    return _cached(args, "mfdim", extra, compute), 0
+    labs = [list(d.rows) for d in marked]
+    return {"genus": args.genus, "labels": labs, "dim": mf_dim(p, args.genus, marked)}, 0
 
 
 def _cmd_verify(p: Params, args):
     if not (2 <= args.max_n <= GRAM_LIMIT):
         raise UsageError(f"--max-n must be between 2 and {GRAM_LIMIT}")
+    from .verify import run_verify
+
     report = run_verify(p, max_n=args.max_n, seed=args.seed)
     return report.to_json(), 0 if report.overall == "pass" else 1
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
+from .closure import BraidWord, block_transposition_word, braid_phase, full_twist_word  # noqa: F401
 from .diagrams import YoungDiagram
 from .perms import PermTable, perm_table
 from .scalar import Params, Scalar, qfact, qint
@@ -61,27 +62,6 @@ __all__ = [
     "block_transposition_word",
     "random_element",
 ]
-
-
-@dataclass(frozen=True)
-class BraidWord:
-    """Braid group word on a fixed strand count; entry +i (-i) is the
-    positive (negative) crossing of strands i, i+1, 1-based."""
-
-    strands: int
-    word: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError("strand count must be positive")
-        for e in self.word:
-            if e == 0 or abs(e) > self.strands - 1:
-                raise ValueError(f"braid letter {e} out of range")
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if other.strands != self.strands:
-            raise ValueError("strand counts differ")
-        return BraidWord(self.strands, self.word + other.word)
 
 
 class HeckeElement:
@@ -286,14 +266,6 @@ def from_braid(p: Params, b: BraidWord) -> HeckeElement:
     return HeckeElement(p, n, {w: p.lift(v, k) for w, v in terms.items()})
 
 
-def braid_phase(p: Params, b: BraidWord) -> int:
-    """The k with image(b) = zeta^k times the bare word in T_{s_i}^(+/-1):
-    (-1)^len zeta^((1-N) #pos + (N-1) #neg), with -1 = zeta^(m/2)."""
-    npos = sum(1 for e in b.word if e > 0)
-    nneg = len(b.word) - npos
-    return (1 - p.N) * npos + (p.N - 1) * nneg + len(b.word) % 2 * (p.m // 2)
-
-
 def e_idempotent(p: Params, n: int, i: int) -> HeckeElement:
     """The idempotent e_i = (q - T_{s_i})/(q + 1), i 1-based."""
     if not 1 <= i <= n - 1:
@@ -414,23 +386,6 @@ def young_idempotent(p: Params, d: YoungDiagram) -> YoungIdempotent:
         hook = hook * qint(p, h)
     idem = quasi.scale(hook.inverse()) if not hook.is_zero() else None
     return YoungIdempotent(quasi, hook, idem)
-
-
-def full_twist_word(n: int) -> BraidWord:
-    """The full twist Delta^2 on n strands as a positive braid word."""
-    half: list[int] = []
-    for k in range(2, n + 1):
-        half.extend(range(k - 1, 0, -1))
-    return BraidWord(n, tuple(half + half))
-
-
-def block_transposition_word(a: int, b: int) -> BraidWord:
-    """Positive braid on a+b strands carrying the first a strands past
-    the last b (the block transposition), with ab crossings."""
-    word: list[int] = []
-    for i in range(a, 0, -1):
-        word.extend(range(i, i + b))
-    return BraidWord(a + b, tuple(word))
 
 
 def random_element(p: Params, n: int, rng: Random, nterms: int = 4) -> HeckeElement:

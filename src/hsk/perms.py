@@ -13,10 +13,9 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-__all__ = ["TRACE_LIMIT", "PermTable", "perm_table"]
+from .seminormal import TRACE_LIMIT
 
-# Largest n with a permutation table, hence with T-basis elements.
-TRACE_LIMIT = 8
+__all__ = ["TRACE_LIMIT", "PermTable", "perm_table"]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ inverted, once per d.  All entries lie in Q(q).
 The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
 with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
 a closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the
-braid normalisation of ``hecke.braid_phase``.
+braid normalisation of ``closure.braid_phase``.
 
 ``block_trace`` multiplies the word out row by row.  Every generator
 row is scaled by the common denominator s of all entries, so rows hold
@@ -49,11 +49,14 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .diagrams import YoungDiagram, _walk, gamma_n
-from .perms import TRACE_LIMIT
 from .scalar import Params, Scalar, qint
 
-__all__ = ["Block", "PathModel", "path_model", "dimension", "check_size", "q_weyl_dimension",
-           "block_trace", "block_matrix"]
+__all__ = ["TRACE_LIMIT", "Block", "PathModel", "path_model", "dimension", "check_size",
+           "q_weyl_dimension", "block_trace", "block_matrix"]
+
+# Largest n with a permutation table (``perms``), hence with T-basis
+# elements; its order 8! also bounds the path model (``check_size``).
+TRACE_LIMIT = 8
 
 # One generator row: (diagonal entry, partner path or -1, off-diagonal
 # entry T[t][partner] or None), in Q(q).

@@ -1,5 +1,5 @@
 """The Markov trace on the Hecke tower, its bilinear and hermitian
-forms, Gram matrices, and the braid-closure invariant.
+forms and their Gram matrices: the T-basis route.
 
 The trace is the unique family Tr: H_n -> scalars with Tr(1) = 1 and
 the Markov property Tr(x e_n) = eta Tr(x), where
@@ -39,47 +39,25 @@ Both Gram matrices grow from it by one row recursion over the weak
 order (``_gram_rows``): the bilinear rows by forward generator steps on
 the left, the hermitian ones by inverse steps on the right, transposed.
 
-A closure is first reduced by exact moves (``_reduce``), applied until
-none changes the word: (a) s s^-1 cancels, freely and cyclically (the
-closure is a class function); (b) a word without sigma_i closes to the
-product of the closures on strands 1..i and i+1..n, the upper letters
-shifted down by i, since the Markov trace is multiplicative on x (x) y
-and the phase of ``braid_phase`` is additive over letters; (c) if
-sigma_(n-1)^(+/-1) occurs once, it is rotated to the end and dropped with
-one strand, times curl(+/-1) (Markov destabilisation); (d) (c) applies
-to sigma_1 after the flip i -> n - i, conjugation by the half twist.  A
-one-strand factor closes to [N].  Every other factor is traced in the
-seminormal model of the level-K quotient (``seminormal``): the Markov
-trace is the weighted block sum (Wenzl, Invent. Math. 92 (1988)), so
-the closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word).  Its
-work is len(word) sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on
-7 strands at (3,2) against 7! = 5,040 permutations, and its one bound
-is the path model's size (``seminormal.check_size``), which a factor on
-fewer than 8 strands always meets since sum f_lambda^2 <= n!.  No
-closure builds a permutation table or a trace vector, and neither does
-``hsk trace``, which prints [N]^-n times the closure.  ``from_braid``
-and ``markov_trace`` stay as oracles: ``_closure_unreduced``,
-[N]^n Tr(from_braid(b)) on the word as given, checks the reduction and
-the path model.
-
-Closures of braids are normalised so that the trivial n-strand braid
-closes to [N]^n, the unlink value; a single +/-1 kink contributes the
-curl scalar curl(+/-1), and the two curl scalars are exactly mutually
-inverse.  A negative kink contributes curl(-1) = q^((N^2-1)/2N)
-= zeta^(N^2-1) (zeta the primitive 2N(N+K)-th root): the framing
-anomaly of the generating object.  The one-negative-crossing 2-braid
-closure at (2,2) is sqrt(2).zeta^3.
+The closure route (``closure``) and the modular data (``modular``)
+live in their own modules and import nothing from here; this module
+re-exports their names.  ``from_braid`` and ``markov_trace`` are their
+oracles: ``_closure_unreduced``, [N]^n Tr(from_braid(b)) on the word as
+given, checks the Markov-move reduction and the path model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hecke import BraidWord, HeckeElement, braid_phase, from_braid
+from .closure import (CURL_MATCH_SIGN, BraidWord, _path_closure, _reduce,  # noqa: F401
+                      closure_invariant, curl_scalar, loop_power, trace_parameter)
+from .hecke import HeckeElement, from_braid
 from .linalg import hermitian_min_eigenvalue, kernel_from_rref, rref
-from .perms import TRACE_LIMIT, perm_table
+from .modular import GRAM_LIMIT
+from .perms import perm_table
 from .scalar import Params, Scalar, qint
-from .seminormal import block_trace, path_model
+from .seminormal import TRACE_LIMIT
 
 __all__ = [
     "GRAM_LIMIT",
@@ -97,20 +75,6 @@ __all__ = [
     "closure_invariant",
     "curl_scalar",
 ]
-
-# Largest n for full n! x n! Gram computations (TRACE_LIMIT: see perms).
-GRAM_LIMIT = 6
-
-# The crossing sign whose curl scalar equals the framing factor
-# q^((N^2-1)/2N); see curl_scalar.
-CURL_MATCH_SIGN = -1
-
-
-def trace_parameter(p: Params, field=None) -> Scalar:
-    """zeta_T = Tr(T_{s_i}) = (q - 1)/(1 - q^N), in the ambient field or
-    in ``field`` (a subfield containing q, such as p.subfield)."""
-    field = field or p.field
-    return (p.q_pow_in(field, 1) - 1) * (1 - p.q_pow_in(field, p.N)).inverse()
 
 
 def eta(p: Params) -> Scalar:
@@ -333,111 +297,8 @@ def gram(p: Params, n: int, form: str = "bilinear") -> GramData:
     return GramData(p, n, form, rank, elements)
 
 
-def closure_invariant(p: Params, b: BraidWord) -> Scalar:
-    """Invariant of the closed braid in the skein normalisation where
-    the trivial n-braid closes to [N]^n: the product, over the factors
-    that ``_reduce`` leaves, of their closures in the path model, times
-    [N] per one-strand factor and the curl scalar per destabilised
-    crossing."""
-    factors, loops, curls = _reduce(b)
-    acc = loop_power(p, loops)
-    for f in factors:
-        acc = acc * _path_closure(p, f)
-    if curls:
-        curl = curl_scalar(p, 1 if curls > 0 else -1)
-        for _ in range(abs(curls)):
-            acc = acc * curl
-    return acc
-
-
 def _closure_unreduced(p: Params, b: BraidWord) -> Scalar:
     """[N]^n Tr(from_braid(b)): the closure of the word as given,
     expanded over the T_w, without the reduction or the path model; the
     oracle of closure_invariant."""
     return loop_power(p, b.strands) * markov_trace(p, from_braid(p, b))
-
-
-def _cancel(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The word with every s s^-1 cancelled, freely and cyclically."""
-    out: list[int] = []
-    for e in word:
-        if out and out[-1] == -e:
-            out.pop()
-        else:
-            out.append(e)
-    i, j = 0, len(out)
-    while j - i > 1 and out[i] == -out[j - 1]:
-        i, j = i + 1, j - 1
-    return tuple(out[i:j])
-
-
-def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
-    """(factors, loops, curls): the closure of b is [N]^loops
-    curl(sign(curls))^|curls| times the product of the factors'
-    closures.  Each factor is reduced by the exact moves (a) cancel,
-    (b) split at an absent generator, (c) destabilise a top generator
-    that occurs once and (d) destabilise a bottom one through the flip
-    i -> n - i; a one-strand factor counts as a loop."""
-    todo = [(b.strands, b.word)]
-    factors: list[BraidWord] = []
-    loops = curls = 0
-    while todo:
-        n, word = todo.pop()
-        word = _cancel(word)
-        if n == 1:
-            loops += 1
-            continue
-        present = {abs(e) for e in word}
-        gap = next((i for i in range(1, n) if i not in present), 0)
-        if gap:
-            todo.append((gap, tuple(e for e in word if abs(e) < gap)))
-            todo.append((n - gap, tuple(e - gap if e > 0 else e + gap
-                                        for e in word if abs(e) > gap)))
-            continue
-        for w in (word, tuple(n - e if e > 0 else -n - e for e in word)):
-            tops = [j for j, e in enumerate(w) if abs(e) == n - 1]
-            if len(tops) == 1:
-                j = tops[0]
-                curls += 1 if w[j] > 0 else -1
-                todo.append((n - 1, w[j + 1:] + w[:j]))
-                break
-        else:
-            factors.append(BraidWord(n, word))
-    return factors, loops, curls
-
-
-def _path_closure(p: Params, b: BraidWord) -> Scalar:
-    """zeta^k sum_lambda d_lambda tr rho_lambda(bare word), each block
-    trace lifted from Q(q) once."""
-    model = path_model(p, b.strands)
-    k = braid_phase(p, b)
-    acc = p.zero
-    for j, block in enumerate(model.blocks):
-        acc = acc + block.weight * p.lift(block_trace(model, j, b.word), k)
-    return acc
-
-
-def loop_power(p: Params, n: int) -> Scalar:
-    """[N]^n, the unlink value on n components."""
-    acc = p.one
-    qn = qint(p, p.N)
-    for _ in range(n):
-        acc = acc * qn
-    return acc
-
-
-def curl_scalar(p: Params, sign: int) -> Scalar:
-    """Markov stabilization factor: closing b.sigma_n^(s) multiplies
-    the closure of b by curl(s).  From the Markov property,
-
-        curl(+1) = -[N] q^((1-N)/2N) zeta_T,
-        curl(-1) = -[N] q^((N-1)/2N) zeta_T',
-
-    with zeta_T' = Tr(T_{s_i}^(-1)); the two are mutually inverse, and
-    curl(-1) simplifies to the framing factor q^((N^2-1)/2N)
-    = zeta^(N^2-1)."""
-    qn = qint(p, p.N)
-    if sign > 0:
-        return -qn * p.zeta_pow(1 - p.N) * trace_parameter(p)
-    ztp = p.q_pow(-1) * trace_parameter(p) + p.q_pow(-1) - p.one
-    return -qn * p.zeta_pow(p.N - 1) * ztp

@@ -65,6 +65,7 @@ from .trace import (
     curl_scalar,
     eta,
     gram,
+    gram_rref,
     loop_power,
     markov_trace,
     trace_parameter,
@@ -75,7 +76,6 @@ from .category import (
     fusion,
     fusion_table,
     mf_dim,
-    purified_dim,
     qdim,
     s_matrix,
     twist,
@@ -571,8 +571,8 @@ def _check_blocks(p: Params, max_n: int, rng: Random) -> str:
         dims = {d: e.dim for d, e in central_idempotents(p, n).blocks.items()}
         _assert(dims == path_counts(p, n), f"blocks differ from the path counts of Gamma^{n}")
         _assert(
-            sum(f * f for f in dims.values()) == purified_dim(p, n).dim,
-            f"sum of squared block dims != purified dim at n={n}",
+            sum(f * f for f in dims.values()) == len(gram_rref(p, n)[1]),
+            f"sum of squared block dims != Gram rank at n={n}",
         )
     note = "" if max_n <= cap else f" (n > {cap} skipped: desk-scale budget)"
     return f"central decomposition matches Gamma^n and path counts, n <= {cap}{note}"

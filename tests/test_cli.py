@@ -17,14 +17,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hsk import Params, YoungDiagram, qdim, run_verify
+from hsk import Params, jones_wenzl, run_verify
 from hsk import category, cli, hecke, linalg, perms, seminormal, trace, verify
 from hsk.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from hskbench.oracles import path_counts, verlinde_mf_dim  # noqa: E402
+from hskbench.oracles import purified_dim as oracle_purified_dim  # noqa: E402
 from hskbench.oracles import qdim as oracle_qdim  # noqa: E402
+from hskbench.tracer import FUNCTIONS, METHODS  # noqa: E402
 from test_category import forbid  # noqa: E402
 
 
@@ -160,6 +162,30 @@ class TestAlgebraCommands:
             run_json(capsys, "trace", *pk, "--strands", str(n), "--braid", word)
         for n in range(8):
             run_json(capsys, "blocks", *pk, "--strands", str(n))
+
+    @pytest.mark.parametrize("N,K", [(2, 1), (2, 2), (3, 2), (4, 1), (2, 3)])
+    def test_ranks_skip_the_gram_elimination(self, capsys, monkeypatch, N, K):
+        """`purify` and `gram` without --full print rank sum f^2 and corank
+        n! - sum f^2 with no permutation table, Gram elimination or echelon
+        form; up to 6 strands these are the bytes the elimination gave."""
+        forbid(monkeypatch, perms.perm_table, trace.gram_rref, linalg.rref)
+        pk = ["--N", str(N), "--K", str(K)]
+        for n in range(8):
+            rank = oracle_purified_dim(N, K, n)
+            kernel = math.factorial(n) - rank
+            got = run_cli(capsys, "purify", *pk, "--strands", str(n))
+            assert got == (0, json.dumps({"dim": rank, "radical_dim": kernel}) + "\n", "")
+            for form in ("bilinear", "hermitian"):
+                got = run_cli(capsys, "gram", *pk, "--strands", str(n), "--form", form)
+                want = {"n": n, "form": form, "dim": rank + kernel, "rank": rank,
+                        "kernel_dim": kernel}
+                assert got == (0, json.dumps(want) + "\n", "")
+
+    def test_purify_at_the_strand_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "purify", "--N", "3", "--K", "2", "--strands", "1000")
+        assert code == 0
+        got = json.loads(out)
+        assert got["dim"] + got["radical_dim"] == math.factorial(1000)
 
 
 class TestCategoryCommands:
@@ -318,8 +344,11 @@ class TestExitCodes:
         assert err == "error: the path model on 20 strands has dimension 524288 > 8!\n"
 
     def test_gram_limit_is_domain_error(self, capsys):
-        code, _, _ = run_cli(capsys, "gram", "--N", "2", "--K", "2", "--strands", "7")
-        assert code == 1
+        # only the full Gram data are capped; the rank alone runs to 1000 strands
+        code, out, err = run_cli(capsys, "gram", "--N", "2", "--K", "2", "--strands", "7",
+                                 "--full")
+        assert code == 1 and out == ""
+        assert err == "error: Gram computations limited to 6 strands\n"
 
     def test_dagger_non_label(self, capsys):
         code, _, _ = run_cli(capsys, "dagger", "3", "--N", "2", "--K", "2")
@@ -577,9 +606,12 @@ class TestOutputModes:
 
 
 class TestCache:
+    """Only the T-basis outputs (jw, yidem, gram --full, blocks --full)
+    are cached; the entry tests run on jw and yidem."""
+
     def test_cold_and_warm_agree(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
-        argv = ["qdim", "2", "--N", "2", "--K", "2", "--cache", cache]
+        argv = ["jw", "--strands", "3", "--kind", "sym", "--N", "2", "--K", "2", "--cache", cache]
         cold = run_cli(capsys, *argv)[1]
         files = list((tmp_path / "c").glob("*.json"))
         assert len(files) == 1
@@ -588,14 +620,14 @@ class TestCache:
 
     def test_entry_shape(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
-        run_cli(capsys, "qdim", "2", "--N", "2", "--K", "2", "--cache", cache)
+        run_cli(capsys, "yidem", "2", "--N", "2", "--K", "2", "--cache", cache)
         entry = json.loads(next((tmp_path / "c").glob("*.json")).read_text())
         assert set(entry) == {"version", "key", "checksum", "payload"}
         assert entry["key"][1:3] == [2, 2]
 
     def test_corrupt_entry_recomputed(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
-        argv = ["qdim", "2", "--N", "2", "--K", "2", "--cache", cache]
+        argv = ["jw", "--strands", "3", "--kind", "sym", "--N", "2", "--K", "2", "--cache", cache]
         cold = run_cli(capsys, *argv)[1]
         target = next((tmp_path / "c").glob("*.json"))
         target.write_text("{not json")
@@ -608,7 +640,8 @@ class TestCache:
 
     def test_entry_from_other_code_recomputed(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "c"
-        argv = ["qdim", "2", "--N", "2", "--K", "2", "--cache", str(cache)]
+        argv = ["jw", "--strands", "3", "--kind", "sym", "--N", "2", "--K", "2",
+                "--cache", str(cache)]
         real = cli._code_fingerprint()
         # an entry written by other code, with a wrong but well-formed payload
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: "0" * 16)
@@ -621,7 +654,7 @@ class TestCache:
         target.write_text(json.dumps(entry))
         assert run_json(capsys, *argv)["num"][0] == 9  # that code still reads it
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: real)
-        want = qdim(Params(2, 2), YoungDiagram.of(2)).to_json(embed=True)
+        want = jones_wenzl(Params(2, 2), 3, "sym").to_json()
         assert run_json(capsys, *argv) == want
         assert not target.exists()  # the write pruned the other code's entry
         assert len(list(cache.glob("*.json"))) == 1
@@ -633,27 +666,34 @@ class TestCache:
         unprefixed = cache / ("2" * 32 + ".json")
         for f in (stale, unprefixed, cache / "notes.json", cache / "abc.json"):
             f.write_text("{}")
-        run_cli(capsys, "qdim", "2", "--N", "2", "--K", "2", "--cache", str(cache))
+        run_cli(capsys, "yidem", "2", "--N", "2", "--K", "2", "--cache", str(cache))
         assert not stale.exists() and not unprefixed.exists()
         assert (cache / "notes.json").exists() and (cache / "abc.json").exists()
         assert len(list(cache.glob("*.json"))) == 3
         # the directory is pruned once per process: a later write leaves
         # an entry of other code in place
         stale.write_text("{}")
-        run_cli(capsys, "qdim", "1", "--N", "2", "--K", "2", "--cache", str(cache))
+        run_cli(capsys, "yidem", "1", "--N", "2", "--K", "2", "--cache", str(cache))
         assert stale.exists()
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HSK_CACHE", str(tmp_path / "envc"))
-        run_cli(capsys, "twist", "1", "--N", "2", "--K", "1")
+        run_cli(capsys, "jw", "--strands", "2", "--kind", "antisym", "--N", "2", "--K", "1")
         assert list((tmp_path / "envc").glob("*.json"))
 
     def test_distinct_keys_distinct_files(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
-        run_cli(capsys, "qdim", "1", "--N", "2", "--K", "2", "--cache", cache)
-        run_cli(capsys, "qdim", "2", "--N", "2", "--K", "2", "--cache", cache)
-        run_cli(capsys, "qdim", "1", "--N", "2", "--K", "1", "--cache", cache)
+        run_cli(capsys, "yidem", "1", "--N", "2", "--K", "2", "--cache", cache)
+        run_cli(capsys, "yidem", "2", "--N", "2", "--K", "2", "--cache", cache)
+        run_cli(capsys, "yidem", "1", "--N", "2", "--K", "1", "--cache", cache)
         assert len(list((tmp_path / "c").glob("*.json"))) == 3
+
+    def test_path_model_outputs_are_not_cached(self, capsys, tmp_path):
+        cache = tmp_path / "c"
+        cache.mkdir()
+        for argv in (["qdim", "2"], ["smatrix"], ["fusion", "--table"]):
+            run_json(capsys, *argv, "--N", "2", "--K", "2", "--cache", str(cache))
+        assert list(cache.iterdir()) == []
 
 
 def test_import_leaves_numpy_unloaded():
@@ -663,3 +703,55 @@ def test_import_leaves_numpy_unloaded():
     code = "import sys, hsk.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# The T-basis route: the permutation tables, Hecke elements, the Markov
+# trace with its Gram forms, the purified algebra and the verify battery.
+T_BASIS = ("hsk.perms", "hsk.hecke", "hsk.trace", "hsk.category", "hsk.verify")
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+def test_path_model_commands_leave_the_t_basis_unloaded(tmp_path):
+    commands = [["labels"], ["qdim", "2,1"], ["twist", "2,1"], ["fusion", "1", "1", "2"],
+                ["fusion", "--table"], ["smatrix"], ["mfdim", "--genus", "1"],
+                ["closure", "--braid", "1 -2 1 2"], ["trace", "--braid", "1 -2 1 2"],
+                ["blocks", "--strands", "4"], ["purify", "--strands", "4"],
+                ["gram", "--strands", "4", "--form", "hermitian"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from hsk.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main(argv + ['--N', '3', '--K', '2', '--cache', {str(tmp_path)!r}]) == 0\n"
+        f"print([m for m in {T_BASIS!r} if m in sys.modules])\n"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_loads_the_t_basis_on_demand():
+    code = (
+        "import sys, hsk\n"
+        f"print([m for m in {T_BASIS!r} if m in sys.modules])\n"
+        "missing = [n for n in hsk.__all__ if getattr(hsk, n, None) is None]\n"
+        "print(missing, hsk.run_verify is sys.modules['hsk.verify'].run_verify)\n"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[] True\n"
+
+
+def test_benchmark_tracer_names_resolve():
+    import importlib
+
+    for mod, attr, _, _ in FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"hsk.{mod}"), attr)), (mod, attr)
+    for mod, cls, attr, _ in METHODS:
+        assert attr in vars(getattr(importlib.import_module(f"hsk.{mod}"), cls)), (mod, cls, attr)
