@@ -150,6 +150,13 @@ def commands() -> list[list[str]]:
     for N, K, n in ((2, 2, 5), (2, 2, 6), (3, 2, 5)):
         cmds.append(["blocks", "--N", str(N), "--K", str(K), "--strands", str(n)])
     cmds.append(["trace", "--N", "3", "--K", "2", "--strands", "7", "--braid", _full_twist(7, -1)])
+    # ranks of the trace forms, captured from the Gram elimination
+    for N, K in ((2, 1), (2, 2), (3, 2), (4, 1), (2, 3)):
+        pk = ["--N", str(N), "--K", str(K)]
+        for n in ("0", "6"):
+            cmds.append(["purify", "--strands", n, *pk])
+            cmds.append(["gram", "--strands", n, *pk])
+            cmds.append(["gram", "--strands", n, "--form", "hermitian", *pk])
     return cmds
 
 
