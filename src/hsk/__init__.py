@@ -21,6 +21,7 @@ from .closure import BraidWord, closure_invariant, curl_scalar, loop_power, trac
 from .modular import (GRAM_LIMIT, FusionTable, SMatrix, fusion, fusion_matrix,
                       fusion_table, mf_dim, purified_dim, qdim, s_matrix, twist)
 
+
 # The T-basis route loads on first use (PEP 562), so a call that needs
 # only the path model never imports or compiles it.  Each of these
 # modules imports the ones before it, so a name loads only what it needs.
