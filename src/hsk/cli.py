@@ -10,6 +10,15 @@ not exist at these parameters, or an input outside the strand limits),
 2 on a usage error (malformed arguments).  The `verify` subcommand
 also exits 1 when the report contains a failed check.
 
+A path-model call loads the package (the path-model route), argparse
+and json, and builds the argparse subparser of its one command; help,
+an unknown command or an option placed before the command build the
+full parser.  The path-model records are namedtuples and scalars take
+any numbers.Rational, so such a call loads neither dataclasses (with
+inspect) nor fractions (with decimal).  Under PYTHONDONTWRITEBYTECODE,
+compiling the sources is the remaining per-call floor beside the
+interpreter's own start.
+
 The T-basis outputs, `jw`, `yidem`, `gram --full` and `blocks --full`,
 are cached on disk.  Every other command reads the path model, which
 costs less than a cache read, and caches nothing.  The T-basis route,
@@ -373,101 +382,67 @@ def _cmd_verify(p: Params, args):
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hsk",
-        description="Exact Hecke-algebra realization of the level-K SU(N) category",
+def _diagram_strands(sp):
+    sp.add_argument("diagram", help="row lengths, e.g. '2,1'; '' = empty")
+    sp.add_argument("--strands", type=int, help="strand count n (default: diagram size)")
+
+
+def _braid_args(sp):
+    # checked with the word in _parse_braid, not by main's range check
+    sp.add_argument("--strands", type=int, dest="braid_strands", metavar="STRANDS",
+                    help="strand count n")
+    sp.add_argument(
+        "--braid",
+        required=True,
+        help="whitespace-separated nonzero integers, sign = crossing sign",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--N", type=int, required=True, help="rank (N >= 2)")
-    common.add_argument("--K", type=int, required=True, help="level (K >= 1)")
-    common.add_argument("--cache", metavar="DIR", help="cache directory")
-    common.add_argument("--pretty", action="store_true", help="indented JSON output")
 
-    def cmd(name, handler, help_text, configure=None):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        if configure:
-            configure(sp)
-        sp.set_defaults(handler=handler)
-
-    cmd("labels", _cmd_labels, "list the simple labels of the category")
-    cmd(
-        "qint",
-        _cmd_qint,
-        "quantum integer [j]",
-        lambda sp: sp.add_argument("j", type=int),
-    )
-    cmd(
-        "dagger",
-        _cmd_dagger,
+# name -> (help, configure): the one list of subcommands, read by the full
+# parser and by the one-command parser of ``main``.  The handler of a
+# name is _cmd_<name>, looked up when the parser is built.
+_COMMANDS = {
+    "labels": ("list the simple labels of the category", None),
+    "qint": ("quantum integer [j]", lambda sp: sp.add_argument("j", type=int)),
+    "dagger": (
         "dual label",
         lambda sp: sp.add_argument("diagram", help="row lengths, e.g. '2,1'; '' = empty"),
-    )
-
-    def diagram_strands(sp):
-        sp.add_argument("diagram", help="row lengths, e.g. '2,1'; '' = empty")
-        sp.add_argument("--strands", type=int, help="strand count n (default: diagram size)")
-
-    cmd("branch", _cmd_branch, "one-step restriction of a label at n strands", diagram_strands)
-    cmd("paths", _cmd_paths, "number of admissible paths to a label", diagram_strands)
-    cmd(
-        "jw",
-        _cmd_jw,
+    ),
+    "branch": ("one-step restriction of a label at n strands", _diagram_strands),
+    "paths": ("number of admissible paths to a label", _diagram_strands),
+    "jw": (
         "symmetrizer or antisymmetrizer projector",
         lambda sp: (
             sp.add_argument("--strands", type=int, required=True),
             sp.add_argument("--kind", choices=["sym", "antisym"], required=True),
         ),
-    )
-    cmd(
-        "yidem",
-        _cmd_yidem,
+    ),
+    "yidem": (
         "Young idempotent of a diagram",
         lambda sp: sp.add_argument("diagram", help="row lengths, e.g. '2,1'"),
-    )
-
-    def braid_args(sp):
-        # checked with the word in _parse_braid, not by main's range check
-        sp.add_argument("--strands", type=int, dest="braid_strands", metavar="STRANDS",
-                        help="strand count n")
-        sp.add_argument(
-            "--braid",
-            required=True,
-            help="whitespace-separated nonzero integers, sign = crossing sign",
-        )
-
-    cmd("trace", _cmd_trace, "Markov trace of a braid word", braid_args)
-    cmd("closure", _cmd_closure, "skein invariant of a braid closure", braid_args)
-    cmd(
-        "gram",
-        _cmd_gram,
+    ),
+    "trace": ("Markov trace of a braid word", _braid_args),
+    "closure": ("skein invariant of a braid closure", _braid_args),
+    "gram": (
         "Gram matrix data of the trace form",
         lambda sp: (
             sp.add_argument("--strands", type=int, required=True),
             sp.add_argument("--form", choices=["bilinear", "hermitian"], default="bilinear"),
             sp.add_argument("--full", action="store_true", help="include the matrix"),
         ),
-    )
-    cmd(
-        "purify",
-        _cmd_purify,
+    ),
+    "purify": (
         "dimension and radical dimension of the purified algebra",
         lambda sp: sp.add_argument("--strands", type=int, required=True),
-    )
-    cmd(
-        "blocks",
-        _cmd_blocks,
+    ),
+    "blocks": (
         "block decomposition of the purified algebra",
         lambda sp: (
             sp.add_argument("--strands", type=int, required=True),
             sp.add_argument("--full", action="store_true", help="include central idempotents"),
         ),
-    )
-    cmd(
-        "fusion",
-        _cmd_fusion,
+    ),
+    "fusion": (
         "fusion coefficient N_ab^c, or the full table with --table",
         lambda sp: (
             sp.add_argument("a", nargs="?", help="first label"),
@@ -476,23 +451,11 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--table", action="store_true"),
             sp.add_argument("--max-strands", type=int, dest="max_strands"),
         ),
-    )
-    cmd(
-        "qdim",
-        _cmd_qdim,
-        "quantum dimension of a label",
-        lambda sp: sp.add_argument("diagram"),
-    )
-    cmd(
-        "twist",
-        _cmd_twist,
-        "ribbon twist eigenvalue of a label",
-        lambda sp: sp.add_argument("diagram"),
-    )
-    cmd("smatrix", _cmd_smatrix, "unnormalized S-matrix from the balancing identity")
-    cmd(
-        "mfdim",
-        _cmd_mfdim,
+    ),
+    "qdim": ("quantum dimension of a label", lambda sp: sp.add_argument("diagram")),
+    "twist": ("ribbon twist eigenvalue of a label", lambda sp: sp.add_argument("diagram")),
+    "smatrix": ("unnormalized S-matrix from the balancing identity", None),
+    "mfdim": (
         "modular-functor dimension of a marked surface",
         lambda sp: (
             sp.add_argument("--genus", type=int, default=0),
@@ -502,21 +465,46 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="marked-point label (repeatable), row lengths e.g. '2,1'",
             ),
         ),
-    )
-    cmd(
-        "verify",
-        _cmd_verify,
+    ),
+    "verify": (
         "run the invariant battery and print a report",
         lambda sp: (
             sp.add_argument("--max-n", type=int, default=5, dest="max_n"),
             sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks"),
         ),
+    ),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand ``only``
+    alone.  That one prints the same help, usage and errors, because
+    the full list of commands in its usage line is given as a metavar."""
+    parser = argparse.ArgumentParser(
+        prog="hsk",
+        description="Exact Hecke-algebra realization of the level-K SU(N) category",
     )
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--N", type=int, required=True, help="rank (N >= 2)")
+    common.add_argument("--K", type=int, required=True, help="level (K >= 1)")
+    common.add_argument("--cache", metavar="DIR", help="cache directory")
+    common.add_argument("--pretty", action="store_true", help="indented JSON output")
+    for name in _COMMANDS if only is None else [only]:
+        help_text, configure = _COMMANDS[name]
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        if configure:
+            configure(sp)
+        sp.set_defaults(handler=globals()[f"_cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its command first builds that subparser alone;
+    # help, an unknown command or a leading option needs the full parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself

@@ -37,7 +37,7 @@ closure at (2,2) is sqrt(2).zeta^3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalar import Params, Scalar, qint
 from .seminormal import block_trace, path_model
@@ -53,20 +53,19 @@ __all__ = [
 CURL_MATCH_SIGN = -1
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "strands word")):
     """Braid group word on a fixed strand count; entry +i (-i) is the
     positive (negative) crossing of strands i, i+1, 1-based."""
 
-    strands: int
-    word: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __new__(cls, strands: int, word: tuple[int, ...] = ()):
+        if strands < 1:
             raise ValueError("strand count must be positive")
-        for e in self.word:
-            if e == 0 or abs(e) > self.strands - 1:
+        for e in word:
+            if e == 0 or abs(e) > strands - 1:
                 raise ValueError(f"braid letter {e} out of range")
+        return super().__new__(cls, strands, word)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if other.strands != self.strands:

@@ -16,10 +16,10 @@ of the purified algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .scalar import Params, Scalar, qint
+from .scalar import Params, qint
 
 __all__ = [
     "YoungDiagram",
@@ -37,18 +37,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class YoungDiagram:
+class YoungDiagram(namedtuple("YoungDiagram", "rows")):
     """Partition stored as a weakly decreasing tuple of positive rows."""
 
-    rows: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = self.rows
-        if any(x <= 0 for x in r):
+    def __new__(cls, rows: tuple[int, ...] = ()):
+        if any(x <= 0 for x in rows):
             raise ValueError("rows must be positive")
-        if any(r[i] < r[i + 1] for i in range(len(r) - 1)):
+        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise ValueError("rows must be weakly decreasing")
+        return super().__new__(cls, rows)
 
     @staticmethod
     def of(*rows: int) -> "YoungDiagram":
@@ -103,24 +102,16 @@ class YoungDiagram:
         return f"YoungDiagram({self.rows!r})"
 
 
-@dataclass(frozen=True)
-class DiagramStats:
-    transpose: YoungDiagram
-    size: int
-    quantum_hook_product: Scalar
-    in_gamma: bool
-    in_gamma_bar: bool
-    in_c: bool
+class DiagramStats(namedtuple("DiagramStats",
+                              "transpose size quantum_hook_product in_gamma in_gamma_bar in_c")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(namedtuple("Weight", "coeffs pairing in_level_alcove")):
     """Dominant weight sum(a_i Lambda_i) of a label, with the pairing
     against the highest root theta (namely lambda_1 - lambda_N)."""
 
-    coeffs: tuple[int, ...]
-    pairing: int
-    in_level_alcove: bool
+    __slots__ = ()
 
 
 def _in_gamma(p: Params, d: YoungDiagram) -> bool:

@@ -26,8 +26,7 @@ the Gram elimination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -48,10 +47,8 @@ __all__ = [
 GRAM_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class PurifiedDim:
-    dim: int
-    radical_dim: int
+class PurifiedDim(namedtuple("PurifiedDim", "dim radical_dim")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "radical_dim": self.radical_dim}
@@ -87,10 +84,10 @@ def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> 
     return _fusion_row(p, lam, mu)[labels(p).index(nu)]
 
 
-@dataclass(frozen=True)
-class FusionTable:
-    p: Params
-    entries: dict[tuple[YoungDiagram, YoungDiagram, YoungDiagram], int]
+class FusionTable(namedtuple("FusionTable", "p entries")):
+    """entries[(lam, mu, nu)] = N_{lam mu}^nu."""
+
+    __slots__ = ()
 
     def coefficient(self, lam, mu, nu) -> int:
         return self.entries.get((lam, mu, nu), 0)
@@ -191,7 +188,8 @@ def twist(p: Params, d: YoungDiagram) -> Scalar:
     # every letter gives its inverse
     word = tuple(CURL_MATCH_SIGN * i for i in full_twist_word(n).word)
     j = gamma_n(p, n).index(d)
-    c = block_trace(model, j, word) * Fraction(1, len(model.blocks[j].paths))
+    c = block_trace(model, j, word)
+    c = Scalar._make(c.field, list(c.num), c.den * len(model.blocks[j].paths))
     out = p.lift(c, braid_phase(p, BraidWord(n, word)))
     curl = curl_scalar(p, CURL_MATCH_SIGN)
     for _ in range(n):
@@ -199,11 +197,8 @@ def twist(p: Params, d: YoungDiagram) -> Scalar:
     return out
 
 
-@dataclass(frozen=True)
-class SMatrix:
-    p: Params
-    labels: tuple[YoungDiagram, ...]
-    entries: tuple[tuple[Scalar, ...], ...]
+class SMatrix(namedtuple("SMatrix", "p labels entries")):
+    __slots__ = ()
 
     def determinant(self) -> Scalar:
         return determinant(self.p, self.entries)

@@ -29,10 +29,10 @@ decisions.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 
 __all__ = [
     "Params",
@@ -193,11 +193,16 @@ class Scalar:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def from_rational(field: _Field, x: Fraction | int) -> "Scalar":
-        fr = Fraction(x)
+    def from_rational(field: _Field, x: Rational | float) -> "Scalar":
+        """x exactly; a float converts as Fraction(x) does."""
+        if not isinstance(x, int):
+            # fractions imports decimal, so only a call that needs it loads it
+            from fractions import Fraction
+
+            x = Fraction(x)
         nums = [0] * field.phi
-        nums[0] = fr.numerator
-        return Scalar._make(field, nums, fr.denominator)
+        nums[0] = x.numerator
+        return Scalar._make(field, nums, x.denominator)
 
     @staticmethod
     def zeta_power(field: _Field, k: int) -> "Scalar":
@@ -212,6 +217,8 @@ class Scalar:
         return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.is_rational():
             raise ValueError("scalar is not rational")
         return Fraction(self.num[0], self.den)
@@ -223,7 +230,7 @@ class Scalar:
             if other.field is not self.field:
                 raise ValueError("scalars from different fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Rational)):
             return Scalar.from_rational(self.field, other)
         return None
 
@@ -362,21 +369,20 @@ class Scalar:
         return Scalar._make(field, num, int(data["den"]))
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "N K")):
     """Parameters of the theory: rank N >= 2 and level K >= 1.
 
     Fixes q = exp(2*pi*i/(N+K)), the ambient cyclotomic field
     Q(zeta_m) with m = 2N(N+K) and its subfield Q(q)."""
 
-    N: int
-    K: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 2:
+    def __new__(cls, N: int, K: int):
+        if N < 2:
             raise ValueError("N must be at least 2")
-        if self.K < 1:
+        if K < 1:
             raise ValueError("K must be at least 1")
+        return super().__new__(cls, N, K)
 
     @property
     def m(self) -> int:
@@ -406,7 +412,7 @@ class Params:
 
     # -- scalar constructors -----------------------------------------
 
-    def scalar(self, x: Fraction | int) -> Scalar:
+    def scalar(self, x: Rational | float) -> Scalar:
         return Scalar.from_rational(self.field, x)
 
     @property

@@ -44,7 +44,7 @@ permutation table (``check_size``): the one bound on path-model work.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, lcm
 
@@ -58,35 +58,24 @@ __all__ = ["TRACE_LIMIT", "Block", "PathModel", "path_model", "dimension", "chec
 # elements; its order 8! also bounds the path model (``check_size``).
 TRACE_LIMIT = 8
 
-# One generator row: (diagonal entry, partner path or -1, off-diagonal
-# entry T[t][partner] or None), in Q(q).
-Row = tuple[Scalar, int, "Scalar | None"]
 
-
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "label paths weight gens")):
     """One block: its label, its paths (paths[t][k] = row of box k), its
-    weight d_lambda in the ambient field, and gens[i][t], row t of T_i."""
+    weight d_lambda in the ambient field, and gens[i][t], row t of T_i:
+    (diagonal entry, partner path or -1, off-diagonal entry T[t][partner]
+    or None), in Q(q)."""
 
-    label: YoungDiagram
-    paths: tuple[tuple[int, ...], ...]
-    weight: Scalar
-    gens: tuple[tuple[Row, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PathModel:
+class PathModel(namedtuple("PathModel", "p n blocks scale ops")):
     """The blocks of H_n's level-K quotient, with the integer form of
     each generator row for ``block_trace``: ops[b][(i, sign)] is
     (rows, growth), a row being (diag, partner, off) as multiplication
     matrices of s times the entries of T_i^sign, and growth bounding
     the factor by which a letter can enlarge the largest entry."""
 
-    p: Params
-    n: int
-    blocks: tuple[Block, ...]
-    scale: int
-    ops: tuple[dict, ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -150,8 +150,8 @@ class TestBlocks:
         def skewed(p, n):
             model = real(p, n)
             first = model.blocks[0]
-            first = dataclasses.replace(first, weight=first.weight * 2)
-            return dataclasses.replace(model, blocks=(first,) + model.blocks[1:])
+            first = first._replace(weight=first.weight * 2)
+            return model._replace(blocks=(first,) + model.blocks[1:])
 
         monkeypatch.setattr(category, "path_model", skewed)
         category.central_idempotents.cache_clear()

@@ -605,6 +605,63 @@ class TestOutputModes:
         assert a == b
 
 
+COMMANDS = ("labels", "qint", "dagger", "branch", "paths", "jw", "yidem", "trace", "closure",
+            "gram", "purify", "blocks", "fusion", "qdim", "twist", "smatrix", "mfdim", "verify")
+
+
+def _parse(capsys, parser, argv):
+    """Exit code, stdout and stderr of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestOneCommandParser:
+    """A call that names its command first builds that subparser alone,
+    with the full parser's help, usage and errors."""
+
+    def test_the_table_lists_every_command(self):
+        assert tuple(cli._COMMANDS) == COMMANDS
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_help_is_the_full_parsers(self, capsys, name):
+        full, one = cli._build_parser(), cli._build_parser(name)
+        assert one.format_usage() == full.format_usage()
+        got = _parse(capsys, one, [name, "-h"])
+        assert got == _parse(capsys, full, [name, "-h"])
+        assert got[0] == 0 and got[1].startswith(f"usage: hsk {name} [-h] --N N --K K")
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    @pytest.mark.parametrize("extra", [[], ["--N", "2"], ["--N", "2", "--K", "1", "x", "y", "z", "w"]],
+                             ids=["bare", "no-K", "extra-args"])
+    def test_usage_errors_are_the_full_parsers(self, capsys, name, extra):
+        argv = [name] + extra
+        got = _parse(capsys, cli._build_parser(name), argv)
+        assert got == _parse(capsys, cli._build_parser(), argv)
+        assert got[0] == 2 and got[1] == "" and "error: " in got[2]
+
+    def _spy(self, monkeypatch) -> list:
+        built, real = [], cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or real(only))
+        return built
+
+    def test_a_call_builds_its_command_alone(self, capsys, monkeypatch):
+        built = self._spy(monkeypatch)
+        assert run_json(capsys, "qdim", "2,1", "--N", "3", "--K", "2")["den"] == 1
+        code, _, err = run_cli(capsys, "qdim", "--N", "3")
+        assert built == ["qdim", "qdim"]
+        assert code == 2 and "required: --K, diagram" in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--N", "2", "qdim"], ["bogus"], []])
+    def test_other_calls_get_the_full_parser(self, capsys, monkeypatch, argv):
+        full = _parse(capsys, cli._build_parser(), argv)
+        built = self._spy(monkeypatch)
+        assert run_cli(capsys, *argv) == full
+        assert built == [None]
+        assert "{" + ",".join(COMMANDS) + "}" in full[1] + full[2]
+
+
 class TestCache:
     """Only the T-basis outputs (jw, yidem, gram --full, blocks --full)
     are cached; the entry tests run on jw and yidem."""
@@ -717,7 +774,9 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def test_path_model_commands_leave_the_t_basis_unloaded(tmp_path):
+def _loaded_after_path_model_commands(cache, modules) -> str:
+    """Which of modules a fresh interpreter holds after running every
+    path-model command through cli.main."""
     commands = [["labels"], ["qdim", "2,1"], ["twist", "2,1"], ["fusion", "1", "1", "2"],
                 ["fusion", "--table"], ["smatrix"], ["mfdim", "--genus", "1"],
                 ["closure", "--braid", "1 -2 1 2"], ["trace", "--braid", "1 -2 1 2"],
@@ -728,12 +787,23 @@ def test_path_model_commands_leave_the_t_basis_unloaded(tmp_path):
         "from hsk.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"        assert main(argv + ['--N', '3', '--K', '2', '--cache', {str(tmp_path)!r}]) == 0\n"
-        f"print([m for m in {T_BASIS!r} if m in sys.modules])\n"
+        f"        assert main(argv + ['--N', '3', '--K', '2', '--cache', {str(cache)!r}]) == 0\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
     )
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_path_model_commands_leave_the_t_basis_unloaded(tmp_path):
+    assert _loaded_after_path_model_commands(tmp_path, T_BASIS) == "[]\n"
+
+
+def test_path_model_commands_load_no_dataclasses_or_fractions(tmp_path):
+    # importing dataclasses (with inspect) and making the classes cost
+    # about 14 ms per call, fractions (with decimal) about 2 ms
+    stdlib = ("dataclasses", "inspect", "fractions", "decimal")
+    assert _loaded_after_path_model_commands(tmp_path, stdlib) == "[]\n"
 
 
 def test_import_loads_the_t_basis_on_demand():

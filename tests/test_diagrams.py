@@ -38,6 +38,19 @@ class TestDiagramBasics:
         # the variadic constructor strips explicit zeros
         assert YoungDiagram.of(2, 0) == YoungDiagram.of(2)
 
+    def test_value_type(self):
+        d = YoungDiagram((2, 1))
+        assert repr(d) == "YoungDiagram((2, 1))"
+        assert d == YoungDiagram.of(2, 1) and hash(d) == hash(YoungDiagram(rows=(2, 1)))
+        assert YoungDiagram().rows == () and YoungDiagram() == YoungDiagram.of()
+        assert YoungDiagram.of(1) < YoungDiagram.of(1, 1) < YoungDiagram.of(2)
+        with pytest.raises(AttributeError):
+            d.rows = (3,)
+        with pytest.raises(ValueError, match="rows must be positive"):
+            YoungDiagram((2, 0))
+        with pytest.raises(ValueError, match="rows must be weakly decreasing"):
+            YoungDiagram((1, 2))
+
     def test_transpose_involution(self):
         d = YoungDiagram.of(4, 2, 1)
         assert d.transpose().transpose() == d
@@ -62,6 +75,10 @@ class TestLabels:
 
     def test_su2_level2_list(self):
         assert [list(d.rows) for d in labels(Params(2, 2))] == [[], [1], [2]]
+
+    def test_order(self):
+        got = [d.rows for d in labels(Params(3, 2))]
+        assert got == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
 
     def test_membership_bounds(self):
         for p in PARAMS:

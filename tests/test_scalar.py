@@ -34,10 +34,18 @@ class TestParams:
         assert Params(4, 1).m == 40
 
     def test_rank_and_level_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N must be at least 2"):
             Params(1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="K must be at least 1"):
             Params(2, 0)
+
+    def test_value_type(self):
+        p = Params(2, 3)
+        assert repr(p) == "Params(N=2, K=3)"
+        assert p == Params(N=2, K=3) and hash(p) == hash(Params(2, 3))
+        assert {p: 1}[Params(2, 3)] == 1
+        with pytest.raises(AttributeError):
+            p.N = 3
 
     def test_q_is_the_right_root(self):
         for p in PARAMS:
@@ -56,6 +64,23 @@ class TestParams:
 
 
 class TestArithmetic:
+    def test_rational_operands(self):
+        p = Params(2, 2)
+        half = Fraction(1, 2)
+        assert p.scalar(0.5) == p.scalar(half) == half
+        assert p.scalar(Fraction(6, 4)).to_json() == {"den": 2, "num": [3, 0, 0, 0, 0, 0, 0, 0]}
+        assert (p.q + half) - half == p.q and half - p.q == -(p.q - half)
+        assert (half * p.one).as_rational() == half and (p.one / half).as_rational() == 2
+        assert (half / p.scalar(3)).as_rational() == Fraction(1, 6)
+        # a float converts exactly, as Fraction(x) does
+        assert p.scalar(0.1).as_rational() == Fraction(0.1) != Fraction(1, 10)
+        got = p.scalar(3).as_rational()
+        assert type(got) is Fraction and got == 3
+        with pytest.raises(ValueError, match="scalar is not rational"):
+            p.q.as_rational()
+        with pytest.raises(TypeError):
+            p.one + 0.5
+
     def test_rational_embedding(self):
         p = Params(2, 2)
         x = p.scalar(Fraction(3, 4))

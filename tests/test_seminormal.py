@@ -201,6 +201,23 @@ def test_route_choice(monkeypatch):
         assert val == _t_route(p, b), b
 
 
+def test_braid_word_value_type():
+    b = BraidWord(3, (1, -2))
+    assert repr(b) == "BraidWord(strands=3, word=(1, -2))"
+    assert b == BraidWord(strands=3, word=(1, -2)) and hash(b) == hash(BraidWord(3, (1, -2)))
+    assert BraidWord(2).word == () and b * BraidWord(3, (2,)) == BraidWord(3, (1, -2, 2))
+    with pytest.raises(AttributeError):
+        b.word = ()
+    with pytest.raises(ValueError, match="strand count must be positive"):
+        BraidWord(0)
+    with pytest.raises(ValueError, match="braid letter 3 out of range"):
+        BraidWord(3, (1, 3))
+    with pytest.raises(ValueError, match="braid letter 0 out of range"):
+        BraidWord(3, (0,))
+    with pytest.raises(ValueError, match="strand counts differ"):
+        b * BraidWord(4)
+
+
 def test_path_routed_closure_builds_no_permutation_table():
     code = (
         "from hsk import Params, BraidWord, closure_invariant\n"
