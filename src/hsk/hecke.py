@@ -111,11 +111,7 @@ class HeckeElement:
         return HeckeElement(self.p, self.n, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, -c)
-        return HeckeElement(self.p, self.n, out)
+        return self + -other
 
     def __neg__(self) -> "HeckeElement":
         return HeckeElement(self.p, self.n, {w: -c for w, c in self.terms.items()})

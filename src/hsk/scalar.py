@@ -22,9 +22,9 @@ modulo the m-th cyclotomic polynomial Phi_m.  It is stored as an integer
 coefficient vector of length phi(m) over a single positive denominator,
 normalised so the representation is canonical; equality (in particular
 deciding whether a quantum integer vanishes) is a coefficient
-comparison.  Floating point enters only through ``embed``, which exists
-for reporting and numerical positivity checks, never for exact
-decisions.
+comparison.  Floating point enters only through ``embed``: for reporting,
+and for the sign of a real pivot certified against its rounding error
+(``linalg.positive_definite``).
 """
 from __future__ import annotations
 
@@ -43,11 +43,6 @@ __all__ = [
     "invert",
     "embed",
 ]
-
-
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
 
 
 def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
@@ -77,8 +72,9 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending, computed by dividing
     x^m - 1 by the cyclotomic polynomials of the proper divisors."""
     poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m)[:-1]:
-        poly = _polydiv_exact(poly, list(_cyclotomic(d)))
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _polydiv_exact(poly, list(_cyclotomic(d)))
     return tuple(poly)
 
 

@@ -53,7 +53,7 @@ from functools import lru_cache
 from .closure import (CURL_MATCH_SIGN, BraidWord, _path_closure, _reduce,  # noqa: F401
                       closure_invariant, curl_scalar, loop_power, trace_parameter)
 from .hecke import HeckeElement, from_braid
-from .linalg import hermitian_min_eigenvalue, kernel_from_rref, rref
+from .linalg import kernel_from_rref, rref
 from .modular import GRAM_LIMIT
 from .perms import perm_table
 from .scalar import Params, Scalar, qint
@@ -225,10 +225,6 @@ def gram_hermitian(p: Params, n: int) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(zip(*_gram_rows(p, n, -1)))
 
 
-def _gram_matrix(p: Params, n: int, form: str) -> tuple[tuple[Scalar, ...], ...]:
-    return gram_bilinear(p, n) if form == "bilinear" else gram_hermitian(p, n)
-
-
 @lru_cache(maxsize=None)
 def gram_rref(p: Params, n: int) -> tuple[tuple[tuple[Scalar, ...], ...], tuple[int, ...]]:
     """Cached reduced row echelon form of the bilinear Gram matrix.
@@ -243,7 +239,9 @@ def gram_rref(p: Params, n: int) -> tuple[tuple[tuple[Scalar, ...], ...], tuple[
 @dataclass(frozen=True)
 class GramData:
     """Gram matrix of a trace form on the T_w basis of H_n, with its
-    exact rank and a kernel basis (the radical of the form)."""
+    exact rank and a kernel basis (the radical of the form), both taken
+    from ``gram_rref``; verify's ``trace.gram_psd`` proves from K itself
+    that the hermitian form is positive semidefinite of that rank."""
 
     p: Params
     n: int
@@ -253,11 +251,8 @@ class GramData:
 
     @property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        return _gram_matrix(self.p, self.n, self.form)
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the embedded matrix (hermitian form)."""
-        return hermitian_min_eigenvalue([list(r) for r in self.matrix])
+        form = gram_bilinear if self.form == "bilinear" else gram_hermitian
+        return form(self.p, self.n)
 
     def to_json(self, full: bool = False) -> dict:
         data = {

@@ -12,9 +12,10 @@ count; a check that skips or fails fails the criterion.  A check that
 samples fewer random elements than its criterion asks for is called
 several times on one seeded generator.  What stays here are the pins
 of particular theories and the two assertions no check makes.  All
-algebraic identities are checked in exact cyclotomic arithmetic; the
-only tolerances are the 1e-8 eigenvalue floor of ``trace.gram_psd``
-and 1e-12 on embedded pins.
+algebraic identities are checked in exact cyclotomic arithmetic, the
+positivity of ``trace.gram_psd`` included: it reads the sign of a real
+pivot from its embedding only outside a certified rounding bound.  The
+only tolerance is 1e-12 on embedded pins.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
@@ -126,12 +127,16 @@ def test_criterion_4_markov_trace_axioms():
 
 
 def test_criterion_5_radical_and_positivity():
-    """Both forms have rank sum of squared path counts; the hermitian
-    form is PSD within 1e-8 and its radical vectors are null vectors
-    of Tr(x* x) in the left kernel of both Gram matrices.  The reverse
-    inclusion (null vectors lie in the radical) is the PSD statement
-    itself: a PSD form within 1e-8 vanishes only toward its kernel.
-    Five strands, four at (4,1)."""
+    """Both forms have rank sum of squared path counts: ``trace.gram_rank``
+    proves it for the bilinear form from its elimination, and
+    ``trace.gram_psd`` proves the hermitian rank equal to the bilinear
+    one.  The hermitian form is PSD, decided exactly by Sylvester's
+    criterion on its block at the bilinear pivots, and its radical
+    vectors are null vectors of Tr(x* x) in the left kernel of both
+    Gram matrices.  The reverse inclusion (null vectors lie in the
+    radical) is the PSD statement itself: with the pivot block positive
+    definite, the form vanishes only toward its kernel.  Five strands,
+    four at (4,1)."""
 
     def body():
         rng = Random("acceptance:5")

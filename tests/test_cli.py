@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hsk import Params, jones_wenzl, run_verify
+import hsk.cache
 from hsk import category, cli, hecke, linalg, perms, seminormal, trace, verify
 from hsk.cli import main
 
@@ -700,18 +701,18 @@ class TestCache:
         cache = tmp_path / "c"
         argv = ["jw", "--strands", "3", "--kind", "sym", "--N", "2", "--K", "2",
                 "--cache", str(cache)]
-        real = cli._code_fingerprint()
+        real = hsk.cache._code_fingerprint()
         # an entry written by other code, with a wrong but well-formed payload
-        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "0" * 16)
+        monkeypatch.setattr(hsk.cache, "_code_fingerprint", lambda: "0" * 16)
         run_cli(capsys, *argv)
         target = next(cache.glob("*.json"))
         entry = json.loads(target.read_text())
         entry["payload"] = {"den": 1, "num": [9] + [0] * 7, "embed": [9.0, 0.0]}
         entry["checksum"] = hashlib.sha256(
-            cli.ResultCache._canon(entry["payload"]).encode()).hexdigest()
+            hsk.cache.ResultCache._canon(entry["payload"]).encode()).hexdigest()
         target.write_text(json.dumps(entry))
         assert run_json(capsys, *argv)["num"][0] == 9  # that code still reads it
-        monkeypatch.setattr(cli, "_code_fingerprint", lambda: real)
+        monkeypatch.setattr(hsk.cache, "_code_fingerprint", lambda: real)
         want = jones_wenzl(Params(2, 2), 3, "sym").to_json()
         assert run_json(capsys, *argv) == want
         assert not target.exists()  # the write pruned the other code's entry
@@ -755,8 +756,8 @@ class TestCache:
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is about half of the import time of a CLI call; only the
-    # eigenvalue bound of linalg uses it, and imports it there
+    # hsk has no runtime dependency; numpy, were anything to import it,
+    # would be about half of the import time of a CLI call
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     code = "import sys, hsk.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
@@ -773,6 +774,25 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
+
+
+def test_runs_without_numpy(tmp_path):
+    # with every import of numpy failing, the T-basis verify call passes
+    # and the full hermitian Gram matrix prints as the golden set has it
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
+    want = next(g["stdout"] for g in golden if g["argv"] == [
+        "gram", "--N", "2", "--K", "2", "--strands", "3", "--form", "hermitian", "--full"])
+    verify_argv = ["verify", "--max-n", "4", "--N", "2", "--K", "2"]
+    gram_argv = ["gram", "--strands", "3", "--full", "--form", "hermitian", "--N", "2", "--K", "2"]
+    out = []
+    for argv in (verify_argv, gram_argv):
+        code = ("import sys\nsys.modules['numpy'] = None\nfrom hsk.cli import main\n"
+                f"sys.exit(main({argv + ['--cache', str(tmp_path)]!r}))\n")
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert json.loads(out[0])["overall"] == "pass"
+    assert out[1] == want
 
 
 def _loaded_after_path_model_commands(cache, modules) -> str:
@@ -797,7 +817,9 @@ def _loaded_after_path_model_commands(cache, modules) -> str:
 
 
 def test_path_model_commands_leave_the_t_basis_unloaded(tmp_path):
-    assert _loaded_after_path_model_commands(tmp_path, T_BASIS) == "[]\n"
+    # the disk cache, too, serves only the T-basis outputs
+    modules = T_BASIS + ("hsk.cache",)
+    assert _loaded_after_path_model_commands(tmp_path, modules) == "[]\n"
 
 
 def test_path_model_commands_load_no_dataclasses_or_fractions(tmp_path):

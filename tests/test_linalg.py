@@ -1,14 +1,16 @@
 """Exact linear algebra: the elimination determinant against a
 first-column Laplace expansion, on seeded random matrices and on the S~
-matrices, and on a 12 x 12 S~ out of the expansion's reach."""
+matrices, and on a 12 x 12 S~ out of the expansion's reach; Sylvester's
+criterion on the pivots of the same elimination."""
 
+import math
 import time
 from random import Random
 
 import pytest
 
 from hsk import Params, s_matrix
-from hsk.linalg import determinant
+from hsk.linalg import determinant, positive_definite
 
 
 def laplace_determinant(p, mat):
@@ -92,3 +94,43 @@ def test_twelve_label_s_matrix_determinant():
     for _ in s.labels:
         want = want * dim2
     assert det * det.conjugate() == want
+
+
+def test_positive_definite_accepts():
+    p = Params(2, 2)
+    z = p.zeta_pow(1)
+    assert positive_definite(p, [])
+    assert positive_definite(p, [[p.scalar(2), z], [z.conjugate(), p.scalar(2)]])
+    # A^T conj(A) + 1 is hermitian and positive definite for every A
+    rng = Random("pd")
+    for k in range(1, 5):
+        a = [[random_scalar(p, rng) for _ in range(k)] for _ in range(k)]
+        mat = [[sum((row[u] * row[v].conjugate() for row in a), p.scalar(u == v))
+                for v in range(k)] for u in range(k)]
+        assert positive_definite(p, mat), k
+
+
+@pytest.mark.parametrize("name", ["indefinite", "singular", "row exchange", "non-real pivot"])
+def test_positive_definite_rejects(name):
+    p = Params(2, 2)
+    one, zero = p.one, p.zero
+    mat = {
+        "indefinite": [[one, zero], [zero, -one]],
+        "singular": [[one, one], [one, one]],
+        "row exchange": [[zero, one], [one, zero]],
+        "non-real pivot": [[one, zero], [zero, p.zeta_pow(1)]],
+    }[name]
+    assert not positive_definite(p, mat)
+
+
+def test_positive_definite_needs_a_certified_sign():
+    """A positive real pivot whose embedding lies inside the rounding
+    bound of its coefficient mass fails; well outside it, it passes."""
+    p = Params(2, 2)
+    big = 10**20
+    t = p.zeta_pow(1) + p.zeta_pow(-1)  # 2 cos(2 pi/m), real
+    # |big * (t - float(t))| < 10^5, so d lies in (0, 2 * 10^5)
+    d = t * big - (int(big * 2 * math.cos(2 * math.pi / p.m)) - 10**5)
+    assert d == d.conjugate() and d.embed().real > 0
+    assert not positive_definite(p, [[d]])
+    assert positive_definite(p, [[d + 10**10]])

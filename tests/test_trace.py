@@ -40,7 +40,7 @@ from hsk import (
 )
 from hsk.hecke import _gen_step, full_twist_word, random_element
 from hsk.perms import perm_table
-from hsk.linalg import rref
+from hsk.linalg import positive_definite, rref
 from hsk import trace
 from hsk.trace import (CURL_MATCH_SIGN, _closure_unreduced, _reduce, _trace_vector, gram_bilinear,
                        gram_hermitian, gram_rref)
@@ -248,9 +248,14 @@ class TestGram:
                 assert (tuple(map(tuple, red)), tuple(piv)) == gram_rref(p, n), (p, n)
 
     def test_psd(self):
+        # the pivot block of K is positive definite; the whole of K is
+        # singular wherever the radical is nonzero
         for p in PARAMS:
             for n in (2, 3):
-                assert gram(p, n, "hermitian").min_eigenvalue() >= -1e-8
+                g = gram(p, n, "hermitian")
+                piv = gram_rref(p, n)[1]
+                assert positive_definite(p, [[g.matrix[i][j] for j in piv] for i in piv])
+                assert positive_definite(p, [list(r) for r in g.matrix]) == (not g.kernel_basis)
 
     def test_kernel_is_null(self):
         p = Params(2, 1)
