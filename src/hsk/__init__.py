@@ -17,7 +17,7 @@ from .scalar import Params, Scalar, conjugate, embed, invert, qfact, qint
 from .diagrams import (YoungDiagram, branch, dagger, diagram_stats, gamma_n, labels,
                        pad, path_count, weight)
 from .seminormal import TRACE_LIMIT
-from .closure import BraidWord, closure_invariant, curl_scalar, loop_power, trace_parameter
+from .closure import BraidWord, closure_invariant, curl_scalar, loop_power
 from .modular import (GRAM_LIMIT, FusionTable, SMatrix, fusion, fusion_matrix,
                       fusion_table, mf_dim, purified_dim, qdim, s_matrix, twist)
 

@@ -17,7 +17,10 @@ to sigma_1 after the flip i -> n - i, conjugation by the half twist.  A
 one-strand factor closes to [N].  Every other factor is traced in the
 seminormal model: the Markov trace is the weighted block sum (Wenzl,
 Invent. Math. 92 (1988)), so the closure is zeta^k sum_lambda d_lambda
-tr rho_lambda(bare word).  Its work is len(word) sum_lambda f_lambda^2,
+tr rho_lambda(bare word).  The path model holds each x -> d_lambda x as
+an integer matrix over one denominator, so a factor's weighted sum is
+one packed product per block and integer sums, reduced to a scalar
+once.  Its work is len(word) sum_lambda f_lambda^2,
 with sum f_lambda^2 = 233 on 7 strands at (3,2) against 7! = 5,040
 permutations, and its one bound is the path model's size
 (``seminormal.check_size``), which a factor on fewer than 8 strands
@@ -29,22 +32,26 @@ and the path model.
 
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the
-curl scalar curl(+/-1), and the two curl scalars are exactly mutually
-inverse.  A negative kink contributes curl(-1) = q^((N^2-1)/2N)
-= zeta^(N^2-1) (zeta the primitive 2N(N+K)-th root): the framing
-anomaly of the generating object.  The one-negative-crossing 2-braid
-closure at (2,2) is sqrt(2).zeta^3.
+curl scalar curl(+/-1) = zeta^(+/-(1-N^2)) (zeta the primitive
+2N(N+K)-th root), and the two curl scalars are exactly mutually
+inverse.  A negative kink contributes curl(-1) = q^((N^2-1)/2N): the
+framing anomaly of the generating object.  The Markov formula for the
+curl (``curl_scalar``) is verify's check of this value.  Curls are
+phases, so a closure applies their sum as one power of zeta, a
+monomial map, as each factor applies its braid phase: no field
+inversion once the path models are built.  The one-negative-crossing
+2-braid closure at (2,2) is sqrt(2).zeta^3.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
 from .scalar import Params, Scalar, qint
-from .seminormal import block_trace, path_model
+from .seminormal import _diagonal, path_model
 
 __all__ = [
     "BraidWord", "CURL_MATCH_SIGN", "braid_phase", "full_twist_word",
-    "block_transposition_word", "trace_parameter", "closure_invariant", "loop_power",
+    "block_transposition_word", "closure_invariant", "loop_power",
     "curl_scalar",
 ]
 
@@ -98,28 +105,17 @@ def block_transposition_word(a: int, b: int) -> BraidWord:
     return BraidWord(a + b, tuple(word))
 
 
-def trace_parameter(p: Params, field=None) -> Scalar:
-    """zeta_T = Tr(T_{s_i}) = (q - 1)/(1 - q^N), in the ambient field or
-    in ``field`` (a subfield containing q, such as p.subfield)."""
-    field = field or p.field
-    return (p.q_pow_in(field, 1) - 1) * (1 - p.q_pow_in(field, p.N)).inverse()
-
-
 def closure_invariant(p: Params, b: BraidWord) -> Scalar:
     """Invariant of the closed braid in the skein normalisation where
     the trivial n-braid closes to [N]^n: the product, over the factors
     that ``_reduce`` leaves, of their closures in the path model, times
     [N] per one-strand factor and the curl scalar per destabilised
-    crossing."""
+    crossing.  The curls add up to one power of zeta, applied once."""
     factors, loops, curls = _reduce(b)
     acc = loop_power(p, loops)
     for f in factors:
         acc = acc * _path_closure(p, f)
-    if curls:
-        curl = curl_scalar(p, 1 if curls > 0 else -1)
-        for _ in range(abs(curls)):
-            acc = acc * curl
-    return acc
+    return p.lift(acc, curls * (1 - p.N * p.N))
 
 
 def _cancel(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -172,37 +168,33 @@ def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
 
 
 def _path_closure(p: Params, b: BraidWord) -> Scalar:
-    """zeta^k sum_lambda d_lambda tr rho_lambda(bare word), each block
-    trace lifted from Q(q) once."""
+    """zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the braid
+    phase: each block's integer diagonal times its integer weight
+    matrix (``PathModel.weights``), summed in integers, shifted by the
+    phase and reduced once."""
     model = path_model(p, b.strands)
-    k = braid_phase(p, b)
-    acc = p.zero
-    for j, block in enumerate(model.blocks):
-        acc = acc + block.weight * p.lift(block_trace(model, j, b.word), k)
-    return acc
+    A = p.field
+    acc = [0] * A.phi
+    for j, (block, (weight, cols)) in enumerate(zip(model.blocks, model.weights)):
+        if block.weight is not weight:
+            raise RuntimeError(f"block {j} weight differs from its weight matrix")
+        for t, col in zip(_diagonal(model, j, b.word), cols):
+            if t:
+                for s, x in col:
+                    acc[s] += x * t
+    num = A.monomial_map(acc, 1, braid_phase(p, b))
+    return Scalar._make(A, num, model.wden * model.scale ** len(b.word))
 
 
 def loop_power(p: Params, n: int) -> Scalar:
     """[N]^n, the unlink value on n components."""
-    acc = p.one
-    qn = qint(p, p.N)
-    for _ in range(n):
-        acc = acc * qn
-    return acc
+    return qint(p, p.N) ** n
 
 
 def curl_scalar(p: Params, sign: int) -> Scalar:
     """Markov stabilization factor: closing b.sigma_n^(s) multiplies
-    the closure of b by curl(s).  From the Markov property,
-
-        curl(+1) = -[N] q^((1-N)/2N) zeta_T,
-        curl(-1) = -[N] q^((N-1)/2N) zeta_T',
-
-    with zeta_T' = Tr(T_{s_i}^(-1)); the two are mutually inverse, and
-    curl(-1) simplifies to the framing factor q^((N^2-1)/2N)
-    = zeta^(N^2-1)."""
-    qn = qint(p, p.N)
-    if sign > 0:
-        return -qn * p.zeta_pow(1 - p.N) * trace_parameter(p)
-    ztp = p.q_pow(-1) * trace_parameter(p) + p.q_pow(-1) - p.one
-    return -qn * p.zeta_pow(p.N - 1) * ztp
+    the closure of b by curl(s) = zeta^(s(1-N^2)).  The Markov property
+    gives curl(+1) = -[N] q^((1-N)/2N) zeta_T with zeta_T = Tr(T_{s_i})
+    (``trace.trace_parameter``); the two curls are mutually inverse, and
+    curl(-1) is the framing factor q^((N^2-1)/2N) = zeta^(N^2-1)."""
+    return p.zeta_pow(sign * (1 - p.N * p.N))

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import factorial
 
 from .closure import (CURL_MATCH_SIGN, BraidWord, block_transposition_word, braid_phase,
-                      curl_scalar, full_twist_word)
+                      full_twist_word)
 from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_counts
 from .linalg import determinant
 from .scalar import Params, Scalar
@@ -176,8 +176,8 @@ def twist(p: Params, d: YoungDiagram) -> Scalar:
     """Ribbon twist theta_d: the full twist, taken with the library's
     framing sign, is central and acts on the block d of the |d|-strand
     path model by its block trace over f_d; with the braid phase and
-    one curl scalar per strand, theta of the single box is exactly the
-    curl scalar."""
+    one curl scalar zeta^(s(1-N^2)) per strand, both lifted as one power
+    of zeta, theta of the single box is exactly the curl scalar."""
     if d not in labels(p):
         raise ValueError(f"{d.rows} is not a label of the category")
     n = d.size
@@ -190,11 +190,7 @@ def twist(p: Params, d: YoungDiagram) -> Scalar:
     j = gamma_n(p, n).index(d)
     c = block_trace(model, j, word)
     c = Scalar._make(c.field, list(c.num), c.den * len(model.blocks[j].paths))
-    out = p.lift(c, braid_phase(p, BraidWord(n, word)))
-    curl = curl_scalar(p, CURL_MATCH_SIGN)
-    for _ in range(n):
-        out = out * curl
-    return out
+    return p.lift(c, braid_phase(p, BraidWord(n, word)) + n * CURL_MATCH_SIGN * (1 - p.N * p.N))
 
 
 class SMatrix(namedtuple("SMatrix", "p labels entries")):

@@ -24,7 +24,12 @@ inverted, once per d.  All entries lie in Q(q).
 The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
 with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
 a closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the
-braid normalisation of ``closure.braid_phase``.
+braid normalisation of ``closure.braid_phase``.  ``path_model`` stores
+x -> d_lambda lift(x), from Q(q) to the ambient field, as an integer
+matrix per block over one common denominator D (``PathModel.weights``),
+so a closure sums the blocks' integer diagonals times these matrices
+and makes one scalar, over D s^len, where a sum of lifted, weighted
+block traces made one per block.
 
 ``block_trace`` multiplies the word out row by row.  Every generator
 row is scaled by the common denominator s of all entries, so rows hold
@@ -68,12 +73,15 @@ class Block(namedtuple("Block", "label paths weight gens")):
     __slots__ = ()
 
 
-class PathModel(namedtuple("PathModel", "p n blocks scale ops")):
+class PathModel(namedtuple("PathModel", "p n blocks scale ops weights wden")):
     """The blocks of H_n's level-K quotient, with the integer form of
     each generator row for ``block_trace``: ops[b][(i, sign)] is
     (rows, growth), a row being (diag, partner, off) as multiplication
     matrices of s times the entries of T_i^sign, and growth bounding
-    the factor by which a letter can enlarge the largest entry."""
+    the factor by which a letter can enlarge the largest entry.
+    weights[b] is (d, cols): the weight d of block b and the integer
+    matrix of x -> wden d lift(x), column c the image of coordinate c of
+    Q(q) as its nonzero (ambient coordinate, entry)."""
 
     __slots__ = ()
 
@@ -161,7 +169,15 @@ def path_model(p: Params, n: int) -> PathModel:
                   for x in (row[0], row[2]) if x is not None))
     mul = lru_cache(maxsize=None)(lambda x: _mul_matrix(x, scale))
     ops = tuple({key: _compile(gen, mul) for key, gen in table.items()} for table in signed)
-    return PathModel(p, n, tuple(blocks), scale, ops)
+    A, step = p.field, p.m // F.m
+    wden = lcm(*(b.weight.den for b in blocks))
+    weights = []
+    for b in blocks:
+        num = [c * (wden // b.weight.den) for c in b.weight.num]
+        cols = (A.monomial_map(num, 1, c * step) for c in range(F.phi))
+        weights.append((b.weight, tuple(tuple((s, x) for s, x in enumerate(col) if x)
+                                        for col in cols)))
+    return PathModel(p, n, tuple(blocks), scale, ops, tuple(weights), wden)
 
 
 def _mul_matrix(x: Scalar, scale: int):
@@ -225,14 +241,17 @@ def _product(model: PathModel, b: int, word: tuple[int, ...]):
     return X, (sum(half << (w * t) for t in range(f)), w, (1 << w) - 1, half)
 
 
+def _diagonal(model: PathModel, b: int, word: tuple[int, ...]) -> list[int]:
+    """The coordinates over Q(q) of s^len tr rho_lambda(word), block b."""
+    X, (offset, w, mask, half) = _product(model, b, word)
+    return [sum(((row[k] + offset) >> w * t & mask) - half for t, row in enumerate(X))
+            for k in range(model.p.subfield.phi)]
+
+
 def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
     """tr rho_lambda(T_{s_|e1|}^sign(e1) ... ) over Q(q) for block b of the
     model and a braid word read as bare generators."""
-    X, (offset, w, mask, half) = _product(model, b, word)
-    F = model.p.subfield
-    tr = [sum(((row[k] + offset) >> w * t & mask) - half for t, row in enumerate(X))
-          for k in range(F.phi)]
-    return Scalar._make(F, tr, model.scale ** len(word))
+    return Scalar._make(model.p.subfield, _diagonal(model, b, word), model.scale ** len(word))
 
 
 def block_matrix(model: PathModel, b: int, word: tuple[int, ...]) -> list[list[Scalar]]:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .closure import (CURL_MATCH_SIGN, BraidWord, _path_closure, _reduce,  # noqa: F401
-                      closure_invariant, curl_scalar, loop_power, trace_parameter)
+                      closure_invariant, curl_scalar, loop_power)
 from .hecke import HeckeElement, from_braid
 from .linalg import kernel_from_rref, rref
 from .modular import GRAM_LIMIT
@@ -84,6 +84,13 @@ def eta(p: Params) -> Scalar:
     allowed object and e_i spans the radical of the 2-strand form.
     """
     return qint(p, p.N + 1) * (qint(p, 2) * qint(p, p.N)).inverse()
+
+
+def trace_parameter(p: Params, field=None) -> Scalar:
+    """zeta_T = Tr(T_{s_i}) = (q - 1)/(1 - q^N), in the ambient field or
+    in ``field`` (a subfield containing q, such as p.subfield)."""
+    field = field or p.field
+    return (p.q_pow_in(field, 1) - 1) * (1 - p.q_pow_in(field, p.N)).inverse()
 
 
 @lru_cache(maxsize=None)

@@ -61,7 +61,6 @@ from .perms import perm_table
 from .scalar import Params, Scalar, qint
 from .seminormal import check_size
 from .trace import (
-    CURL_MATCH_SIGN,
     GRAM_LIMIT,
     _closure_unreduced,
     closure_invariant,
@@ -527,13 +526,14 @@ def _closure_both(p: Params, b: BraidWord) -> Scalar:
 
 
 def _check_framing(p: Params, max_n: int, rng: Random) -> str:
-    plus, minus = curl_scalar(p, 1), curl_scalar(p, -1)
-    _assert(plus * minus == p.one, "curl factors are not mutually inverse")
-    match = curl_scalar(p, CURL_MATCH_SIGN)
-    _assert(
-        match == p.zeta_pow(p.N * p.N - 1),
-        "matching curl != q^((N^2-1)/2N)",
-    )
+    # the Markov formula curl(s) = -[N] q^(s(1-N)/2N) Tr(T_{s_i}^s); curl(-1)
+    # = zeta^(N^2-1), the framing factor, by construction
+    zt = trace_parameter(p)
+    for sign, tr in ((1, zt), (-1, p.q_pow(-1) * (zt + 1) - 1)):
+        _assert(
+            curl_scalar(p, sign) == -qint(p, p.N) * p.zeta_pow(sign * (1 - p.N)) * tr,
+            f"curl({sign}) != -[N] q^({sign}(1-N)/2N) Tr(T^{sign})",
+        )
     for n in range(1, min(max_n, 4) + 1):
         _assert(
             _closure_both(p, BraidWord(n, ())) == loop_power(p, n),
@@ -545,7 +545,7 @@ def _check_framing(p: Params, max_n: int, rng: Random) -> str:
             val == curl_scalar(p, sign) * qint(p, p.N),
             f"one-crossing closure (sign {sign}) != curl * [N]",
         )
-    return "curls mutually inverse; matching sign gives q^((N^2-1)/2N) * [N]"
+    return "curls equal the Markov formula; matching sign gives q^((N^2-1)/2N) * [N]"
 
 
 def _check_stabilization(p: Params, max_n: int, rng: Random) -> str:

@@ -157,6 +157,16 @@ def commands() -> list[list[str]]:
             cmds.append(["purify", "--strands", n, *pk])
             cmds.append(["gram", "--strands", n, *pk])
             cmds.append(["gram", "--strands", n, "--form", "hermitian", *pk])
+    # closures that reduce to loops, several factors and curls of either
+    # sign, captured before the curls were folded into the braid phase
+    for N, K, n, word in ((3, 2, 8, "1 1 1 2 -1 -1 4 -5 -5 4 -5 7"),
+                          (3, 2, 9, "1 1 1 -3 2 -3 2 5 6 5 6 5 -8"),
+                          (4, 3, 7, "1 -2 1 -2 4 4 4 6"),
+                          (4, 3, 8, "-1 2 -1 2 2 -4 5 -4 5 -7"),
+                          (5, 5, 9, "-1 -1 -1 2 -1 3 -4 -4 -4 -3 6 6 7 -6 8"),
+                          (5, 5, 9, "1 -2 1 -2 -3 -5 -5 -5 -6 -7")):
+        cmds.append(["closure", "--N", str(N), "--K", str(K), "--strands", str(n),
+                     "--braid", word])
     return cmds
 
 

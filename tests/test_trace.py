@@ -41,7 +41,9 @@ from hsk import (
 from hsk.hecke import _gen_step, full_twist_word, random_element
 from hsk.perms import perm_table
 from hsk.linalg import positive_definite, rref
-from hsk import trace
+from hsk import Scalar, closure, trace
+from hsk.closure import _path_closure, braid_phase
+from hsk.seminormal import block_trace, path_model
 from hsk.trace import (CURL_MATCH_SIGN, _closure_unreduced, _reduce, _trace_vector, gram_bilinear,
                        gram_hermitian, gram_rref)
 
@@ -453,6 +455,113 @@ class TestReduction:
         got = closure_invariant(p, short)
         monkeypatch.undo()
         assert got == _closure_unreduced(p, short)
+
+
+def _markov_curl(p, sign):
+    """-[N] q^(s(1-N)/2N) Tr(T_{s_i}^s), the curl from the Markov property,
+    with Tr(T^-1) = q^-1 (zeta_T + 1) - 1."""
+    zt = trace_parameter(p)
+    tr = zt if sign > 0 else p.q_pow(-1) * (zt + 1) - 1
+    return -qint(p, p.N) * p.zeta_pow(sign * (1 - p.N)) * tr
+
+
+def _block_sum(p, b):
+    """zeta^k sum_lambda d_lambda lift(tr rho_lambda(b)), one Scalar per
+    block, k the braid phase of b."""
+    model = path_model(p, b.strands)
+    k = braid_phase(p, b)
+    return sum((block.weight * p.lift(block_trace(model, j, b.word), k)
+                for j, block in enumerate(model.blocks)), p.zero)
+
+
+def _closure_by_blocks(p, b):
+    """The closure as the product of the factors' block sums, [N] per
+    loop and the Markov curl per destabilised crossing, multiplied in
+    one by one."""
+    factors, loops, curls = _reduce(b)
+    acc = p.one
+    for _ in range(loops):
+        acc = acc * qint(p, p.N)
+    for f in factors:
+        acc = acc * _block_sum(p, f)
+    for _ in range(abs(curls)):
+        acc = acc * _markov_curl(p, 1 if curls > 0 else -1)
+    return acc
+
+
+def _stabilised_words(rng, n):
+    """Words on n >= 3 strands with a gap at some sigma_i below a top
+    letter that occurs once, or twice on two levels, of either sign; each
+    side of the gap holds (sigma_1 ... sigma_(j-1))^3, which no move
+    removes."""
+    out = []
+    for sign in (1, -1):
+        i = rng.randint(1, n - 2)
+        low, high = (tuple(range(1, j)) * 3 + _random_word(rng, j, rng.randint(0, 3))
+                     for j in (i, n - 1 - i))
+        high = _shift(high, i)
+        out.append(BraidWord(n, low + high + (sign * (n - 1),)))
+        out.append(BraidWord(n, _random_word(rng, n - 2, rng.randint(1, 6))
+                             + (sign * (n - 2), sign * (n - 1))))
+    return out
+
+
+class TestPhaseFold:
+    """closure_invariant sums integer weight matrices times the block
+    diagonals and applies every curl and braid phase as one power of
+    zeta; the per-block Scalar sum and the Markov curl are its oracle."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_curl_is_the_markov_formula(self, N):
+        for K in (1, 2, 3, 4):
+            p = Params(N, K)
+            for sign in (1, -1):
+                assert curl_scalar(p, sign) == _markov_curl(p, sign), (N, K, sign)
+
+    @pytest.mark.parametrize("N,K", [(2, 1), (2, 2), (3, 2), (4, 1), (2, 3), (4, 3), (5, 5)])
+    def test_integer_combination_matches_block_sum(self, N, K):
+        p = Params(N, K)
+        rng = Random(f"phase-fold:{N},{K}")
+        seen = set()
+        for n in range(2, TRACE_LIMIT + 1):
+            braids = [BraidWord(n, _random_word(rng, n, rng.randint(0, 10))) for _ in range(2)]
+            if n > 2:
+                braids += _stabilised_words(rng, n)
+            for b in braids:
+                assert _path_closure(p, b) == _block_sum(p, b), b
+                assert closure_invariant(p, b) == _closure_by_blocks(p, b), b
+                factors, loops, curls = _reduce(b)
+                seen |= {("factors", min(len(factors), 2)), ("loops", loops > 0),
+                         ("curls", (curls > 0) - (curls < 0))}
+        # multi-factor words, loops and curls of both signs all occurred
+        assert {("factors", 2), ("loops", True), ("curls", 1), ("curls", -1)} <= seen
+
+    def test_no_inverse_once_the_model_is_built(self, monkeypatch):
+        p = Params(3, 2)
+        rng = Random("no inverse")
+        braids = [b for n in range(3, TRACE_LIMIT + 1) for b in _stabilised_words(rng, n)]
+        for n in range(1, TRACE_LIMIT + 1):
+            path_model(p, n)
+        calls = []
+        real = Scalar.inverse
+        monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or real(x))
+        for b in braids:
+            closure_invariant(p, b)
+        assert calls == []
+
+    def test_replaced_block_weight_is_refused(self, monkeypatch):
+        """A block weight swapped after the build no longer matches the
+        stored weight matrix, and the closure says so."""
+        real = closure.path_model
+
+        def skewed(p, n):
+            model = real(p, n)
+            first = model.blocks[0]._replace(weight=model.blocks[0].weight * 2)
+            return model._replace(blocks=(first,) + model.blocks[1:])
+
+        monkeypatch.setattr(closure, "path_model", skewed)
+        with pytest.raises(RuntimeError, match="weight matrix"):
+            closure_invariant(Params(2, 2), BraidWord(3, (1, 2, 1, 2)))
 
 
 @pytest.mark.parametrize("N,K", [(2, 3), (2, 4), (3, 3)])
