@@ -112,9 +112,9 @@ def closure_invariant(p: Params, b: BraidWord) -> Scalar:
     [N] per one-strand factor and the curl scalar per destabilised
     crossing.  The curls add up to one power of zeta, applied once."""
     factors, loops, curls = _reduce(b)
-    acc = loop_power(p, loops)
+    acc = None if factors and not loops else loop_power(p, loops)
     for f in factors:
-        acc = acc * _path_closure(p, f)
+        acc = _path_closure(p, f) if acc is None else acc * _path_closure(p, f)
     return p.lift(acc, curls * (1 - p.N * p.N))
 
 

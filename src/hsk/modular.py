@@ -136,7 +136,10 @@ def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ..
     path t to lam, P_s onto those that begin with a fixed path s to mu;
     conjugated by beta, P_s projects onto mu on the last b strands, so
     the product is a minimal idempotent of lam (x) mu, whose rank in
-    the block nu is the multiplicity of V_nu."""
+    the block nu is the multiplicity of V_nu.  The trace reads rho(beta)
+    only on the columns of P_t and rho(beta)^-1 only on those of P_s, so
+    only those are computed: a block of f paths costs f len(beta) |cols|
+    slot operations per product, not f^2 len(beta)."""
     a, b = lam.size, mu.size
     model = path_model(p, a + b)
     # the row reading of a label, row i filled left to right, is its first path
@@ -149,9 +152,9 @@ def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ..
         rows_s = [k for k, path in enumerate(block.paths) if path[:b] == s]
         if not rows_t or not rows_s:
             continue
-        fwd, back = block_matrix(model, j, word), block_matrix(model, j, inverse)
-        tr = sum((back[i][k] * fwd[k][i] for i in rows_t for k in rows_s),
-                 Scalar.from_rational(p.subfield, 0))
+        fwd, back = block_matrix(model, j, word, rows_t), block_matrix(model, j, inverse, rows_s)
+        tr = sum((back[i][y] * fwd[k][x] for x, i in enumerate(rows_t)
+                  for y, k in enumerate(rows_s)), Scalar.from_rational(p.subfield, 0))
         if not tr.is_rational() or tr.den != 1 or tr.num[0] < 0:
             raise RuntimeError("fusion coefficient is not a nonnegative integer")
         found[block.label] = tr.num[0]

@@ -282,13 +282,17 @@ class Scalar:
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Scalar.from_rational(self.field, 1)
+        if not k:
+            return Scalar.from_rational(self.field, 1)
         base = self
-        while k:
-            if k & 1:
-                out = out * base
+        while not k & 1:
             base = base * base
             k >>= 1
+        out = base  # the lowest set bit; square only while bits remain
+        while k := k >> 1:
+            base = base * base
+            if k & 1:
+                out = out * base
         return out
 
     def __eq__(self, other) -> bool:

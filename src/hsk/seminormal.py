@@ -19,7 +19,11 @@ here meaning d > 0; otherwise T_i v_t = a_d v_t.  That covers boxes in
 one row or column (d = -1, +1: a_d = -1, q) and the level wall
 |d| = N+K-1, where a_d is q or -1.  Contents of consecutive boxes
 differ by 0 < |d| < N+K, so only q^d - 1 with 0 < |d| < N+K is ever
-inverted, once per d.  All entries lie in Q(q).
+inverted.  All entries lie in Q(q), and depend on d and the theory
+only: one table per theory (``_theory``, 16 kept, as ``path_model``)
+holds them, the rows of T^-1, the label weights and the matrices below
+of each entry at each scale s asked for, so a build lists paths, picks
+entries and compiles rows, and a theory inverts each a_d and weight once.
 
 The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
 with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
@@ -32,7 +36,8 @@ and makes one scalar, over D s^len, where a sum of lifted, weighted
 block traces made one per block.
 
 ``block_trace`` multiplies the word out row by row.  Every generator
-row is scaled by the common denominator s of all entries, so rows hold
+row is scaled by s, the common denominator of the entries of that
+model alone (no model depends on the builds before it), so rows hold
 integers; each row is stored as phi packed integers, one per
 coefficient of Q(q), with the matrix columns in fixed-width slots.  An
 entry of Q(q) then acts on a packed row as its phi x phi integer
@@ -40,8 +45,8 @@ multiplication matrix, and a letter costs O(phi^2) big-integer
 multiply-adds per row.  The slot width comes from a bound on the
 entries, the product of the letters' row norms, fixed before the
 product starts; the trace is s^-len times the sum of the diagonal
-slots, and ``block_matrix`` unpacks every slot (the fusion traces of
-``category``).
+slots.  ``block_matrix`` starts the product on the columns asked for
+and unpacks only theirs (``modular._fusion_row``).
 
 ``path_model`` refuses, before it lists a path, a quotient of
 dimension sum_lambda f_lambda^2 beyond 8!, the order of the largest
@@ -110,71 +115,75 @@ def _contents(path: tuple[int, ...]) -> list[int]:
     return out
 
 
-def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
-    """prod_{i<j} [d_i - d_j + j - i] / [j - i] over the N rows of d: the
-    weight of the block of d, and the quantum dimension of a label."""
-    num = den = p.one
-    for i in range(p.N):
-        for j in range(i + 1, p.N):
-            num = num * qint(p, d.row(i) - d.row(j) + j - i)
-            den = den * qint(p, j - i)
-    return num * den.inverse()
-
-
 @lru_cache(maxsize=16)
-def path_model(p: Params, n: int) -> PathModel:
-    check_size(p, n)
+def _theory(p: Params):
+    """What every path model of p shares: rows[(d, sign)], the diagonal
+    and partner entries of a row of T_i^sign whose boxes i, i+1 have
+    content difference d; the q-Weyl weight of each label
+    (``q_weyl_dimension``); and mul[(x, scale)], the matrix of scale x
+    (``_mul_matrix``).  The last two fill as builds ask for them."""
     F = p.subfield
-    q = p.q_pow_in(F, 1)
-    qinv = p.q_pow_in(F, -1)
-    one = Scalar.from_rational(F, 1)
+    q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
     a: dict[int, Scalar] = {}
     for d in range(1 - p.N - p.K, p.N + p.K):
         if d:
             qd = p.q_pow_in(F, d)
             a[d] = (q - 1) * qd * (qd - 1).inverse()
-    off = {d: a[d] * a[-d] + q for d in a if d > 0}
-    blocks = []
+    rows = {}
+    for d, x in a.items():
+        off = x * a[-d] + q if d > 0 else Scalar.from_rational(F, 1)
+        rows[d, 1] = (x, off)
+        rows[d, -1] = (qinv * x + qinv - 1, qinv * off)  # T^-1 = q^-1 T + (q^-1 - 1)
+    return rows, {}, {}
+
+
+def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
+    """prod_{i<j} [d_i - d_j + j - i] / [j - i] over the N rows of a
+    label d: the weight of the block of d, and its quantum dimension."""
+    _, weights, _ = _theory(p)
+    if d not in weights:
+        num = den = p.one
+        for i in range(p.N):
+            for j in range(i + 1, p.N):
+                num = num * qint(p, d.row(i) - d.row(j) + j - i)
+                den = den * qint(p, j - i)
+        weights[d] = num * den.inverse()
+    return weights[d]
+
+
+@lru_cache(maxsize=16)
+def path_model(p: Params, n: int) -> PathModel:
+    check_size(p, n)
+    rows, _, memo = _theory(p)
+    blocks, signed = [], []
     # Bratteli paths, grouped by the N-row shape they end at
     by_shape = _walk(p, n, [()], lambda paths, r: [t + (r,) for t in paths])
     for lab in gamma_n(p, n):
-        rows = tuple(lab.row(i) for i in range(p.N))
-        shape = tuple(x + (n - lab.size) // p.N for x in rows)
+        shape = tuple(lab.row(i) + (n - lab.size) // p.N for i in range(p.N))
         paths = tuple(sorted(by_shape[shape]))
         index = {t: j for j, t in enumerate(paths)}
         contents = [_contents(t) for t in paths]
-        gens = []
-        for i in range(n - 1):
-            gen = []
-            for j, t in enumerate(paths):
-                d = contents[j][i + 1] - contents[j][i]
-                u = index.get(t[:i] + (t[i + 1], t[i]) + t[i + 2:], -1) if t[i] != t[i + 1] else -1
-                gen.append((a[d], u, None if u < 0 else off[d] if d > 0 else one))
-            gens.append(tuple(gen))
-        blocks.append(Block(lab, paths, q_weyl_dimension(p, lab), tuple(gens)))
-    # T^-1 = q^-1 T + (q^-1 - 1), row by row.  The rows hold few distinct
-    # entries, so each entry's inverse-row form and multiplication
-    # matrix are made once per build.
-    inv_diag = lru_cache(maxsize=None)(lambda x: qinv * x + qinv - 1)
-    inv_off = lru_cache(maxsize=None)(lambda x: qinv * x)
-    signed = []
-    for b in blocks:
         table = {}
-        for i, gen in enumerate(b.gens):
-            table[(i, 1)] = gen
-            table[(i, -1)] = tuple((inv_diag(dg), u, None if off is None else inv_off(off))
-                                   for dg, u, off in gen)
+        for i in range(n - 1):
+            steps = [(c[i + 1] - c[i], index.get(t[:i] + (t[i + 1], t[i]) + t[i + 2:], -1)
+                      if t[i] != t[i + 1] else -1) for t, c in zip(paths, contents)]
+            for sign in (1, -1):
+                table[i, sign] = tuple((rows[d, sign][0], u, None if u < 0 else rows[d, sign][1])
+                                       for d, u in steps)
+        blocks.append(Block(lab, paths, q_weyl_dimension(p, lab),
+                            tuple(table[i, 1] for i in range(n - 1))))
         signed.append(table)
     scale = lcm(*(x.den for table in signed for gen in table.values() for row in gen
                   for x in (row[0], row[2]) if x is not None))
-    mul = lru_cache(maxsize=None)(lambda x: _mul_matrix(x, scale))
+    mul = lambda x: (memo.get((x, scale))  # noqa: E731
+                     or memo.setdefault((x, scale), _mul_matrix(x, scale)))
     ops = tuple({key: _compile(gen, mul) for key, gen in table.items()} for table in signed)
-    A, step = p.field, p.m // F.m
+    A, step = p.field, p.m // p.subfield.m
     wden = lcm(*(b.weight.den for b in blocks))
     weights = []
     for b in blocks:
         num = [c * (wden // b.weight.den) for c in b.weight.num]
-        cols = (A.monomial_map(num, 1, c * step) for c in range(F.phi))
+        cols = (A.monomial_map(num, 1, c * step) for c in range(p.subfield.phi))
         weights.append((b.weight, tuple(tuple((s, x) for s, x in enumerate(col) if x)
                                         for col in cols)))
     return PathModel(p, n, tuple(blocks), scale, ops, tuple(weights), wden)
@@ -213,19 +222,21 @@ def _compile(gen, mul):
     return tuple(rows), growth
 
 
-def _product(model: PathModel, b: int, word: tuple[int, ...]):
-    """s^len times rho_lambda(word) for block b as packed rows (row t
-    holds phi integers, column c of the row in slot c of each), and the
-    (offset, shift, mask, half) that read the signed slot c of such an
-    integer x as ((x + offset) >> shift * c & mask) - half."""
+def _product(model: PathModel, b: int, word: tuple[int, ...], cols):
+    """s^len times the columns cols of rho_lambda(word) for block b as
+    packed rows (row t holds phi integers, column cols[j] of the row in
+    slot j of each), and the (offset, shift, mask, half) that read the
+    signed slot j of such an integer x as ((x + offset) >> shift * j &
+    mask) - half."""
     phi = model.p.subfield.phi
     steps = [model.ops[b][(abs(e) - 1, 1 if e > 0 else -1)] for e in reversed(word)]
     bound = 1
     for _, growth in steps:
         bound *= growth
     w = bound.bit_length() + 1
-    f = len(model.blocks[b].paths)
-    X = [[1 << (w * t)] + [0] * (phi - 1) for t in range(f)]
+    X = [[0] * phi for _ in model.blocks[b].paths]
+    for j, c in enumerate(cols):
+        X[c][0] = 1 << (w * j)
     for rows, _ in steps:
         new = []
         for t, (md, u, mo) in enumerate(rows):
@@ -238,12 +249,12 @@ def _product(model: PathModel, b: int, word: tuple[int, ...]):
                             for r, ro in zip(md, mo)])
         X = new
     half = 1 << (w - 1)
-    return X, (sum(half << (w * t) for t in range(f)), w, (1 << w) - 1, half)
+    return X, (sum(half << (w * j) for j in range(len(cols))), w, (1 << w) - 1, half)
 
 
 def _diagonal(model: PathModel, b: int, word: tuple[int, ...]) -> list[int]:
     """The coordinates over Q(q) of s^len tr rho_lambda(word), block b."""
-    X, (offset, w, mask, half) = _product(model, b, word)
+    X, (offset, w, mask, half) = _product(model, b, word, range(len(model.blocks[b].paths)))
     return [sum(((row[k] + offset) >> w * t & mask) - half for t, row in enumerate(X))
             for k in range(model.p.subfield.phi)]
 
@@ -254,9 +265,11 @@ def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
     return Scalar._make(model.p.subfield, _diagonal(model, b, word), model.scale ** len(word))
 
 
-def block_matrix(model: PathModel, b: int, word: tuple[int, ...]) -> list[list[Scalar]]:
-    """rho_lambda(word) over Q(q) for block b, entry [t][c] in row t."""
-    X, (offset, w, mask, half) = _product(model, b, word)
+def block_matrix(model: PathModel, b: int, word: tuple[int, ...], cols) -> list[list[Scalar]]:
+    """The columns cols of rho_lambda(word) over Q(q) for block b: entry
+    [t][j] is rho_lambda(word)[t][cols[j]], and only these columns are
+    computed and unpacked; range(f) gives the whole matrix."""
+    X, (offset, w, mask, half) = _product(model, b, word, cols)
     F, den = model.p.subfield, model.scale ** len(word)
-    return [[Scalar._make(F, [((x + offset) >> w * c & mask) - half for x in row], den)
-             for c in range(len(X))] for row in X]
+    return [[Scalar._make(F, [((x + offset) >> w * j & mask) - half for x in row], den)
+             for j in range(len(cols))] for row in X]

@@ -167,6 +167,13 @@ def commands() -> list[list[str]]:
                           (5, 5, 9, "1 -2 1 -2 -3 -5 -5 -5 -6 -7")):
         cmds.append(["closure", "--N", str(N), "--K", str(K), "--strands", str(n),
                      "--braid", word])
+    # S~ at two more theories and 6-strand fusion tables, captured before
+    # the path model shared its entries across builds and fusion rows
+    # computed only the columns their traces read
+    for N, K in ((2, 5), (6, 1)):
+        cmds.append(["smatrix", "--N", str(N), "--K", str(K)])
+    for N, K in ((3, 2), (2, 3)):
+        cmds.append(["fusion", "--table", "--max-strands", "6", "--N", str(N), "--K", str(K)])
     return cmds
 
 

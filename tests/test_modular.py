@@ -23,6 +23,10 @@ import sys
 import pytest
 
 from hsk import Params, dagger, fusion, gamma_n, labels, mf_dim, path_count, qdim, qint, s_matrix, twist
+from hsk.closure import block_transposition_word
+from hsk.modular import _fusion_row
+from hsk.scalar import Scalar
+from hsk.seminormal import block_matrix, path_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from hskbench import oracles  # noqa: E402
@@ -147,3 +151,35 @@ def test_box_folds_count_paths(p):
     for n in range(7):
         for nu in gamma_n(p, n):
             assert mf_dim(p, 0, (box,) * n + (dagger(p, nu),)) == path_count(p, n, nu), (n, nu.rows)
+
+
+def _fusion_row_from_full_matrices(p, lam, mu):
+    """N_{lam mu}^nu over the label list from the full matrices of
+    rho(beta) and rho(beta)^-1, every entry unpacked."""
+    a, b = lam.size, mu.size
+    model = path_model(p, a + b)
+    t, s = (tuple(i for i, r in enumerate(d.rows) for _ in range(r)) for d in (lam, mu))
+    word = block_transposition_word(b, a).word if a and b else ()
+    inverse = tuple(-e for e in reversed(word))
+    found = {}
+    for j, block in enumerate(model.blocks):
+        rows_t = [i for i, path in enumerate(block.paths) if path[:a] == t]
+        rows_s = [k for k, path in enumerate(block.paths) if path[:b] == s]
+        f = range(len(block.paths))
+        fwd, back = block_matrix(model, j, word, f), block_matrix(model, j, inverse, f)
+        tr = sum((back[i][k] * fwd[k][i] for i in rows_t for k in rows_s),
+                 Scalar.from_rational(p.subfield, 0))
+        found[block.label] = int(tr.as_rational())
+    return tuple(found.get(nu, 0) for nu in labels(p))
+
+
+def test_fusion_rows_read_only_their_columns():
+    """_fusion_row, which computes rho(beta) on the columns of P_t and
+    rho(beta)^-1 on those of P_s, equals the trace of the full matrices
+    on every label pair at (3,2) with |lam| + |mu| <= 6."""
+    p = Params(3, 2)
+    pairs = [(lam, mu) for lam in labels(p) for mu in labels(p) if lam.size + mu.size <= 6]
+    assert len(pairs) == 33  # all but (2,1)(2,2), (2,2)(2,1), (2,2)(2,2)
+    for lam, mu in pairs:
+        assert _fusion_row(p, lam, mu) == _fusion_row_from_full_matrices(p, lam, mu), \
+            (lam.rows, mu.rows)

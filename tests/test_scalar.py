@@ -101,6 +101,28 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             p.zero.inverse()
 
+    def test_powers_make_no_product_by_one(self, monkeypatch):
+        """x^k starts from the lowest set bit of k and squares no further
+        than its highest: x^0 is one, x^1 costs nothing, x^8 three
+        squarings; every power equals the product of k factors."""
+        p = Params(3, 2)
+        x = _scalar_from_coeffs(p, [1, 2, 0, -1])
+        chain = [p.one]
+        for _ in range(20):
+            chain.append(chain[-1] * x)
+        products = []
+        real = Scalar.__mul__
+        monkeypatch.setattr(Scalar, "__mul__", lambda a, b: products.append((a, b)) or real(a, b))
+        counts = {}
+        for k in range(21):
+            products.clear()
+            assert x ** k == chain[k], k
+            assert all(p.one not in pair for pair in products), k
+            counts[k] = len(products)
+        assert (counts[0], counts[1], counts[2], counts[3], counts[8]) == (0, 0, 1, 2, 3)
+        assert counts[20] == 5  # 4 squarings and one product for the bit 4
+        assert x ** 0 == 1 and (x ** -3) * chain[3] == p.one
+
     @given(param_idx, small_coeffs, small_coeffs, small_coeffs)
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, i, a, b, c):

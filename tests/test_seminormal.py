@@ -20,7 +20,9 @@ from hsk import (BraidWord, Params, from_braid, gamma_n, labels, loop_power, mar
 from hsk import trace
 from hsk.hecke import full_twist_word
 from hsk.scalar import Scalar
-from hsk.seminormal import block_matrix, block_trace, check_size, dimension, path_model
+from hsk import seminormal
+from hsk.seminormal import (TRACE_LIMIT, block_matrix, block_trace, check_size, dimension,
+                            path_model, q_weyl_dimension)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -93,10 +95,68 @@ def test_block_matrix_is_the_product_of_the_generators(p):
                         T = [[qinv * x + (qinv - 1) * one[r][c] for c, x in enumerate(row)]
                              for r, row in enumerate(T)]
                     want = _mul(want, T)
-                got = block_matrix(model, j, word)
+                got = block_matrix(model, j, word, range(f))
                 assert got == want, (n, block.label, word)
                 assert sum(got[t][t] for t in range(1, f)) + got[0][0] == \
                     block_trace(model, j, word), (n, block.label, word)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_restricted_columns_are_columns_of_the_full_matrix(p):
+    """block_matrix on a column list (empty, one, some in any order, all)
+    is those columns of the whole matrix, on the empty word too."""
+    rng = Random(f"columns:{p.N},{p.K}")
+    for n in range(1, 7):
+        model = path_model(p, n)
+        for j, block in enumerate(model.blocks):
+            f = len(block.paths)
+            for length in (0, rng.randint(1, 4), rng.randint(5, 10)):
+                word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                             for _ in range(length if n > 1 else 0))
+                full = block_matrix(model, j, word, range(f))
+                for cols in ([], [rng.randrange(f)], rng.sample(range(f), rng.randint(1, f)),
+                             list(range(f))):
+                    assert block_matrix(model, j, word, cols) == \
+                        [[row[c] for c in cols] for row in full], (n, block.label, word, cols)
+
+
+def _fields(model):
+    return model.blocks, model.scale, model.ops, model.weights, model.wden
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_models_on_a_warm_table_equal_cold_builds(p):
+    """A model built on the theory table another build filled is field
+    for field the model built from nothing, in either build order."""
+    top = 6
+    cold = {}
+    for n in range(top + 1):
+        seminormal._theory.cache_clear()
+        path_model.cache_clear()
+        cold[n] = _fields(path_model(p, n))
+    path_model.cache_clear()
+    for order in (range(top + 1), range(top, -1, -1)):
+        for n in order:
+            assert _fields(path_model(p, n)) == cold[n], n
+        path_model.cache_clear()  # the table stays warm
+
+
+def test_rebuilt_models_make_no_inversion(monkeypatch):
+    """Every entry a_d and every label weight is inverted once per
+    theory: once the table holds them, rebuilding the models inverts
+    nothing."""
+    p = Params(3, 2)
+    for d in labels(p):
+        q_weyl_dimension(p, d)
+    for n in range(TRACE_LIMIT + 1):
+        path_model(p, n)
+    path_model.cache_clear()
+    calls = []
+    real = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or real(x))
+    for n in range(TRACE_LIMIT + 1):
+        path_model(p, n)
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)

@@ -549,6 +549,26 @@ class TestPhaseFold:
             closure_invariant(p, b)
         assert calls == []
 
+    def test_no_product_by_one(self, monkeypatch):
+        """A closure multiplies no factor into a one: a single factor with
+        no loops makes no product at all once its model is built, and a
+        loop times a factor makes one."""
+        p = Params(3, 2)
+        one_factor = BraidWord(4, (1, -2, 3, 1, -2, 3))
+        with_loops = BraidWord(4, (1, -2, 1, -2))  # strand 4 is a loop
+        factors, loops, _ = _reduce(one_factor)
+        assert (len(factors), loops) == (1, 0)
+        factors, loops, _ = _reduce(with_loops)
+        assert (len(factors), loops) == (1, 1)
+        values = [closure_invariant(p, b) for b in (one_factor, with_loops)]
+        products = []
+        real = Scalar.__mul__
+        monkeypatch.setattr(Scalar, "__mul__", lambda a, b: products.append((a, b)) or real(a, b))
+        assert closure_invariant(p, one_factor) == values[0]
+        assert products == []
+        assert closure_invariant(p, with_loops) == values[1]
+        assert len(products) == 1 and p.one not in products[0]
+
     def test_replaced_block_weight_is_refused(self, monkeypatch):
         """A block weight swapped after the build no longer matches the
         stored weight matrix, and the closure says so."""
