@@ -21,9 +21,10 @@ one row or column (d = -1, +1: a_d = -1, q) and the level wall
 differ by 0 < |d| < N+K, so only q^d - 1 with 0 < |d| < N+K is ever
 inverted.  All entries lie in Q(q), and depend on d and the theory
 only: one table per theory (``_theory``, 16 kept, as ``path_model``)
-holds them, the rows of T^-1, the label weights and the matrices below
-of each entry at each scale s asked for, so a build lists paths, picks
-entries and compiles rows, and a theory inverts each a_d and weight once.
+holds them, the rows of T^-1, the label weights and the row templates
+below, so a build lists paths and picks entries.  A theory inverts
+q^d - 1 for 0 < d < N+K only, since a_{-d} = -q^{-d} a_d, and the
+weights' common denominator prod_{i<j} [j-i] once.
 
 The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
 with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
@@ -35,18 +36,25 @@ so a closure sums the blocks' integer diagonals times these matrices
 and makes one scalar, over D s^len, where a sum of lifted, weighted
 block traces made one per block.
 
-``block_trace`` multiplies the word out row by row.  Every generator
-row is scaled by s, the common denominator of the entries of that
-model alone (no model depends on the builds before it), so rows hold
-integers; each row is stored as phi packed integers, one per
-coefficient of Q(q), with the matrix columns in fixed-width slots.  An
-entry of Q(q) then acts on a packed row as its phi x phi integer
-multiplication matrix, and a letter costs O(phi^2) big-integer
-multiply-adds per row.  The slot width comes from a bound on the
-entries, the product of the letters' row norms, fixed before the
-product starts; the trace is s^-len times the sum of the diagonal
-slots.  ``block_matrix`` starts the product on the columns asked for
-and unpacks only theirs (``modular._fusion_row``).
+``block_trace`` runs the word as a program over a flat state.  Every
+generator row is scaled by s, the common denominator of the entries of
+that model alone (no model depends on the builds before it), so the
+state holds integers: f phi of them, coordinate k of row t (one
+coefficient of Q(q)) at t phi + k, with the matrix columns in
+fixed-width slots of each.  A letter T_i^(+-1) of a block compiles, on
+first use, into a gather program (``_Programs``): output o is the dot
+product of T integer coefficients with T entries of the state, T the
+widest output of the letter and shorter outputs padded with zeros.
+The coefficients are those of the multiplication matrices of the row's
+diagonal and partner entries, assembled from per-theory row templates
+keyed by plain integers.  A letter is then one gather, one map of
+products and one map of sums over groups of T: no Python loop over
+rows.  The slot width comes from a bound on the entries, the product
+of the letters' growths (a program's largest absolute row sum), fixed
+before the product starts; the trace is s^-len times the sum of the
+diagonal slots.  ``block_matrix`` starts the product on the columns
+asked for and unpacks only theirs (``_entries``, which
+``modular._fusion_row`` also reads, as integers).
 
 ``path_model`` refuses, before it lists a path, a quotient of
 dimension sum_lambda f_lambda^2 beyond 8!, the order of the largest
@@ -57,6 +65,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial, lcm
+from operator import itemgetter, mul
 
 from .diagrams import YoungDiagram, _walk, gamma_n
 from .scalar import Params, Scalar, qint
@@ -79,14 +88,17 @@ class Block(namedtuple("Block", "label paths weight gens")):
 
 
 class PathModel(namedtuple("PathModel", "p n blocks scale ops weights wden")):
-    """The blocks of H_n's level-K quotient, with the integer form of
-    each generator row for ``block_trace``: ops[b][(i, sign)] is
-    (rows, growth), a row being (diag, partner, off) as multiplication
-    matrices of s times the entries of T_i^sign, and growth bounding
-    the factor by which a letter can enlarge the largest entry.
-    weights[b] is (d, cols): the weight d of block b and the integer
-    matrix of x -> wden d lift(x), column c the image of coordinate c of
-    Q(q) as its nonzero (ambient coordinate, entry)."""
+    """The blocks of H_n's level-K quotient, with the integer programs
+    of their generators for ``block_trace``: ops[b][(i, sign)] is the
+    program of T_i^sign on block b, compiled on first use
+    (``_Programs``), as (get, coeffs, T, growth).  Output o of the
+    letter is the sum of coeffs[oT:(o+1)T] times the state entries
+    idx[oT:(o+1)T], get = itemgetter(*idx), the coefficients being s
+    times those of T_i^sign, and growth bounds the factor by which the
+    letter can enlarge the largest entry.  weights[b] is (d, cols): the
+    weight d of block b and the integer matrix of x -> wden d lift(x),
+    column c the image of coordinate c of Q(q) as its nonzero (ambient
+    coordinate, entry)."""
 
     __slots__ = ()
 
@@ -115,47 +127,56 @@ def _contents(path: tuple[int, ...]) -> list[int]:
     return out
 
 
+_Theory = namedtuple("_Theory", "rows weights dinv terms templates")
+
+
 @lru_cache(maxsize=16)
-def _theory(p: Params):
+def _theory(p: Params) -> _Theory:
     """What every path model of p shares: rows[(d, sign)], the diagonal
     and partner entries of a row of T_i^sign whose boxes i, i+1 have
     content difference d; the q-Weyl weight of each label
-    (``q_weyl_dimension``); and mul[(x, scale)], the matrix of scale x
-    (``_mul_matrix``).  The last two fill as builds ask for them."""
+    (``q_weyl_dimension``) and dinv, the inverse of their common
+    denominator; and the row terms and templates of the programs
+    (``_terms``, ``_template``).  All but rows and dinv fill as builds
+    ask for them."""
     F = p.subfield
     q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
     a: dict[int, Scalar] = {}
-    for d in range(1 - p.N - p.K, p.N + p.K):
-        if d:
-            qd = p.q_pow_in(F, d)
-            a[d] = (q - 1) * qd * (qd - 1).inverse()
+    for d in range(1, p.N + p.K):
+        qd = p.q_pow_in(F, d)
+        a[d] = (q - 1) * qd * (qd - 1).inverse()
+        a[-d] = -p.q_pow_in(F, -d) * a[d]
     rows = {}
     for d, x in a.items():
         off = x * a[-d] + q if d > 0 else Scalar.from_rational(F, 1)
         rows[d, 1] = (x, off)
         rows[d, -1] = (qinv * x + qinv - 1, qinv * off)  # T^-1 = q^-1 T + (q^-1 - 1)
-    return rows, {}, {}
+    den = p.one
+    for i in range(p.N):
+        for j in range(i + 1, p.N):
+            den = den * qint(p, j - i)
+    return _Theory(rows, {}, den.inverse(), {}, {})
 
 
 def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
     """prod_{i<j} [d_i - d_j + j - i] / [j - i] over the N rows of a
     label d: the weight of the block of d, and its quantum dimension."""
-    _, weights, _ = _theory(p)
-    if d not in weights:
-        num = den = p.one
+    theory = _theory(p)
+    if d not in theory.weights:
+        num = p.one
         for i in range(p.N):
             for j in range(i + 1, p.N):
                 num = num * qint(p, d.row(i) - d.row(j) + j - i)
-                den = den * qint(p, j - i)
-        weights[d] = num * den.inverse()
-    return weights[d]
+        theory.weights[d] = num * theory.dinv
+    return theory.weights[d]
 
 
 @lru_cache(maxsize=16)
 def path_model(p: Params, n: int) -> PathModel:
     check_size(p, n)
-    rows, _, memo = _theory(p)
-    blocks, signed = [], []
+    theory = _theory(p)
+    rows = theory.rows
+    blocks, steps = [], []
     # Bratteli paths, grouped by the N-row shape they end at
     by_shape = _walk(p, n, [()], lambda paths, r: [t + (r,) for t in paths])
     for lab in gamma_n(p, n):
@@ -163,21 +184,19 @@ def path_model(p: Params, n: int) -> PathModel:
         paths = tuple(sorted(by_shape[shape]))
         index = {t: j for j, t in enumerate(paths)}
         contents = [_contents(t) for t in paths]
-        table = {}
-        for i in range(n - 1):
-            steps = [(c[i + 1] - c[i], index.get(t[:i] + (t[i + 1], t[i]) + t[i + 2:], -1)
-                      if t[i] != t[i + 1] else -1) for t, c in zip(paths, contents)]
-            for sign in (1, -1):
-                table[i, sign] = tuple((rows[d, sign][0], u, None if u < 0 else rows[d, sign][1])
-                                       for d, u in steps)
-        blocks.append(Block(lab, paths, q_weyl_dimension(p, lab),
-                            tuple(table[i, 1] for i in range(n - 1))))
-        signed.append(table)
-    scale = lcm(*(x.den for table in signed for gen in table.values() for row in gen
-                  for x in (row[0], row[2]) if x is not None))
-    mul = lambda x: (memo.get((x, scale))  # noqa: E731
-                     or memo.setdefault((x, scale), _mul_matrix(x, scale)))
-    ops = tuple({key: _compile(gen, mul) for key, gen in table.items()} for table in signed)
+        # per generator, each row's (content difference, partner row or -1)
+        block_steps = tuple(
+            tuple((c[i + 1] - c[i], index.get(t[:i] + (t[i + 1], t[i]) + t[i + 2:], -1)
+                   if t[i] != t[i + 1] else -1) for t, c in zip(paths, contents))
+            for i in range(n - 1))
+        gens = tuple(tuple((rows[d, 1][0], u, None if u < 0 else rows[d, 1][1]) for d, u in gen)
+                     for gen in block_steps)
+        blocks.append(Block(lab, paths, q_weyl_dimension(p, lab), gens))
+        steps.append(block_steps)
+    used = {(d, u >= 0) for block_steps in steps for gen in block_steps for d, u in gen}
+    scale = lcm(*(x.den for d, partner in used for sign in (1, -1)
+                  for x in rows[d, sign][:1 + partner]))
+    ops = tuple(_Programs(theory, block_steps, scale, p.subfield.phi) for block_steps in steps)
     A, step = p.field, p.m // p.subfield.m
     wden = lcm(*(b.weight.den for b in blocks))
     weights = []
@@ -189,10 +208,36 @@ def path_model(p: Params, n: int) -> PathModel:
     return PathModel(p, n, tuple(blocks), scale, ops, tuple(weights), wden)
 
 
+def _terms(theory: _Theory, d: int, sign: int, partner: bool, scale: int):
+    """A row of T_i^sign with content difference d, scaled by scale:
+    per output coordinate the (source, column, entry) it sums, source 0
+    the row itself and 1 its partner, then the widest output's length
+    and the largest absolute row sum (the row's growth)."""
+    key = (d, sign, partner, scale)
+    if key not in theory.terms:
+        diag, off = theory.rows[d, sign]
+        outs = [[(0, k, c) for k, c in r] for r in _mul_matrix(diag, scale)]
+        if partner:
+            for out, r in zip(outs, _mul_matrix(off, scale)):
+                out += [(1, k, c) for k, c in r]
+        theory.terms[key] = (outs, max(map(len, outs)),
+                             max(sum(abs(c) for _, _, c in out) for out in outs))
+    return theory.terms[key]
+
+
+def _template(theory: _Theory, key: tuple, T: int):
+    """The terms of ``_terms(theory, *key)`` as three flat tuples,
+    (source, column, entry), each output padded with zeros to T."""
+    if key + (T,) not in theory.templates:
+        outs = _terms(theory, *key)[0]
+        flat = [term for out in outs for term in out + [(0, 0, 0)] * (T - len(out))]
+        theory.templates[key + (T,)] = tuple(zip(*flat))
+    return theory.templates[key + (T,)]
+
+
 def _mul_matrix(x: Scalar, scale: int):
     """Rows of the integer matrix of multiplication by scale * x on the
-    coefficient vectors of Q(q), each row as its nonzero (column, entry),
-    and the absolute row sums."""
+    coefficient vectors of Q(q), each row as its nonzero (column, entry)."""
     F = x.field
     num = [c * (scale // x.den) for c in x.num]
     cols = []
@@ -200,63 +245,78 @@ def _mul_matrix(x: Scalar, scale: int):
         unit = [0] * F.phi
         unit[k] = 1
         cols.append(F.mul_vec(num, unit))
-    rows = tuple(tuple((k, cols[k][s]) for k in range(F.phi) if cols[k][s])
-                 for s in range(F.phi))
-    return rows, tuple(sum(abs(c) for _, c in r) for r in rows)
+    return [[(k, cols[k][s]) for k in range(F.phi) if cols[k][s]] for s in range(F.phi)]
 
 
-def _compile(gen, mul):
-    """The rows of gen as (diag, partner, off) multiplication matrices
-    (``mul``), and their growth, the largest absolute row sum of a
-    row's two matrices together."""
-    rows = []
-    growth = 1
-    for dg, u, off in gen:
-        md, norms = mul(dg)
-        mo = ()
-        if u >= 0:
-            mo, off_norms = mul(off)
-            norms = [x + y for x, y in zip(norms, off_norms)]
-        growth = max(growth, *norms)
-        rows.append((md, u, mo))
-    return tuple(rows), growth
+class _Programs(dict):
+    """The letter programs of one block: self[i, sign] is compiled on
+    first use from steps[i], each row's (content difference, partner),
+    and the theory's row templates at the model's scale; see
+    ``PathModel``."""
+
+    __slots__ = ("theory", "steps", "scale", "phi")
+
+    def __init__(self, theory: _Theory, steps, scale: int, phi: int):
+        super().__init__()
+        self.theory, self.steps, self.scale, self.phi = theory, steps, scale, phi
+
+    def __missing__(self, letter):
+        i, sign = letter
+        phi = self.phi
+        keys = [(d, sign, u >= 0, self.scale) for d, u in self.steps[i]]
+        found = [_terms(self.theory, *key) for key in set(keys)]
+        T = max(width for _, width, _ in found)
+        growth = max(1, *(norm for _, _, norm in found))
+        idx: list[int] = []
+        coeffs: list[int] = []
+        for t, ((_, u), key) in enumerate(zip(self.steps[i], keys)):
+            sources, columns, entries = _template(self.theory, key, T)
+            base = (t * phi, u * phi)
+            idx += [base[src] + k for src, k in zip(sources, columns)]
+            coeffs += entries
+        self[letter] = program = (itemgetter(*idx), tuple(coeffs), T, growth)
+        return program
 
 
 def _product(model: PathModel, b: int, word: tuple[int, ...], cols):
-    """s^len times the columns cols of rho_lambda(word) for block b as
-    packed rows (row t holds phi integers, column cols[j] of the row in
-    slot j of each), and the (offset, shift, mask, half) that read the
-    signed slot j of such an integer x as ((x + offset) >> shift * j &
-    mask) - half."""
+    """s^len times the columns cols of rho_lambda(word) for block b as a
+    flat packed state (coordinate k of row t at t phi + k, with column
+    cols[j] of that row in slot j), and the (offset, shift, mask, half)
+    that read the signed slot j of such an integer x as
+    ((x + offset) >> shift * j & mask) - half."""
     phi = model.p.subfield.phi
-    steps = [model.ops[b][(abs(e) - 1, 1 if e > 0 else -1)] for e in reversed(word)]
+    ops = model.ops[b]
+    steps = [ops[abs(e) - 1, 1 if e > 0 else -1] for e in reversed(word)]
     bound = 1
-    for _, growth in steps:
+    for *_, growth in steps:
         bound *= growth
     w = bound.bit_length() + 1
-    X = [[0] * phi for _ in model.blocks[b].paths]
+    X = [0] * (len(model.blocks[b].paths) * phi)
     for j, c in enumerate(cols):
-        X[c][0] = 1 << (w * j)
-    for rows, _ in steps:
-        new = []
-        for t, (md, u, mo) in enumerate(rows):
-            xt = X[t]
-            if u < 0:
-                new.append([sum(c * xt[k] for k, c in r) for r in md])
-            else:
-                xu = X[u]
-                new.append([sum(c * xt[k] for k, c in r) + sum(c * xu[k] for k, c in ro)
-                            for r, ro in zip(md, mo)])
-        X = new
+        X[c * phi] = 1 << (w * j)
+    for get, coeffs, T, _ in steps:
+        terms = map(mul, coeffs, get(X))
+        X = list(map(sum, zip(*[terms] * T)))
     half = 1 << (w - 1)
     return X, (sum(half << (w * j) for j in range(len(cols))), w, (1 << w) - 1, half)
 
 
 def _diagonal(model: PathModel, b: int, word: tuple[int, ...]) -> list[int]:
     """The coordinates over Q(q) of s^len tr rho_lambda(word), block b."""
-    X, (offset, w, mask, half) = _product(model, b, word, range(len(model.blocks[b].paths)))
-    return [sum(((row[k] + offset) >> w * t & mask) - half for t, row in enumerate(X))
-            for k in range(model.p.subfield.phi)]
+    f, phi = len(model.blocks[b].paths), model.p.subfield.phi
+    X, (offset, w, mask, half) = _product(model, b, word, range(f))
+    return [sum(((X[t * phi + k] + offset) >> w * t & mask) - half for t in range(f))
+            for k in range(phi)]
+
+
+def _entries(model: PathModel, b: int, word: tuple[int, ...], cols, rows) -> list[list[list[int]]]:
+    """The coordinates over Q(q) of s^len rho_lambda(word) for block b on
+    the rows and columns asked for: [r][j] is entry
+    rho_lambda(word)[rows[r]][cols[j]]; only these are unpacked."""
+    phi = model.p.subfield.phi
+    X, (offset, w, mask, half) = _product(model, b, word, cols)
+    return [[[((x + offset) >> w * j & mask) - half for x in X[t * phi:(t + 1) * phi]]
+             for j in range(len(cols))] for t in rows]
 
 
 def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
@@ -269,7 +329,6 @@ def block_matrix(model: PathModel, b: int, word: tuple[int, ...], cols) -> list[
     """The columns cols of rho_lambda(word) over Q(q) for block b: entry
     [t][j] is rho_lambda(word)[t][cols[j]], and only these columns are
     computed and unpacked; range(f) gives the whole matrix."""
-    X, (offset, w, mask, half) = _product(model, b, word, cols)
     F, den = model.p.subfield, model.scale ** len(word)
-    return [[Scalar._make(F, [((x + offset) >> w * j & mask) - half for x in row], den)
-             for j in range(len(cols))] for row in X]
+    return [[Scalar._make(F, v, den) for v in row]
+            for row in _entries(model, b, word, cols, range(len(model.blocks[b].paths)))]

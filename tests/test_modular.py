@@ -183,3 +183,25 @@ def test_fusion_rows_read_only_their_columns():
     for lam, mu in pairs:
         assert _fusion_row(p, lam, mu) == _fusion_row_from_full_matrices(p, lam, mu), \
             (lam.rows, mu.rows)
+
+
+def test_fusion_trace_that_is_not_a_nonnegative_integer_is_refused(monkeypatch):
+    """The integer trace is checked, not rounded: with the entries of
+    rho(beta)^-1 negated, the multiplicity of (1)(1) in (2) reads -1."""
+    from hsk import modular
+
+    p = Params(2, 2)
+    real = modular._entries
+
+    def negated_inverse(model, b, word, cols, rows):
+        entries = real(model, b, word, cols, rows)
+        if any(e < 0 for e in word):
+            entries = [[[-x for x in v] for v in row] for row in entries]
+        return entries
+
+    _fusion_row.cache_clear()
+    monkeypatch.setattr(modular, "_entries", negated_inverse)
+    box = labels(p)[1]
+    with pytest.raises(RuntimeError, match="nonnegative integer"):
+        _fusion_row(p, box, box)
+    _fusion_row.cache_clear()

@@ -45,7 +45,12 @@ def _dense(block, i: int, field) -> list[list[Scalar]]:
 
 
 def _mul(a, b):
-    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+    """a b, reading only the nonzero entries of b (a generator has at
+    most two in a column), so long words stay cheap."""
+    zero = Scalar.from_rational(b[0][0].field, 0)
+    cols = [[(k, row[j]) for k, row in enumerate(b) if not row[j].is_zero()]
+            for j in range(len(b[0]))]
+    return [[sum((row[k] * x for k, x in col), zero) for col in cols] for row in a]
 
 
 def _t_route(p, b):
@@ -73,32 +78,51 @@ def test_blocks_satisfy_the_hecke_relations(p):
                         assert _mul(T, U) == _mul(U, T), (n, block.label, i, j)
 
 
+# Theories whose long words reach wide slots: at (2,2) the scale is 2,
+# so entries grow about one bit per letter.
+LONG_WORDS = {Params(2, 1), Params(2, 2), Params(3, 2)}
+
+
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_block_matrix_is_the_product_of_the_generators(p):
     """block_matrix against dense products of T_i and T_i^-1 = q^-1 T_i +
-    (q^-1 - 1), and its diagonal against block_trace."""
+    (q^-1 - 1), and its diagonal against block_trace: three words of
+    length <= 8 per block on up to 5 strands and, where the slot width
+    and the packed integers grow large, one word of 40-60 letters per
+    block on 6 and 7 strands."""
     F = p.subfield
     qinv = p.q_pow_in(F, -1)
+
+    def check(model, j, word):
+        block = model.blocks[j]
+        f = len(block.paths)
+        one = [[Scalar.from_rational(F, int(r == c)) for c in range(f)] for r in range(f)]
+        want = one
+        for e in word:
+            T = _dense(block, abs(e) - 1, F)
+            if e < 0:
+                T = [[qinv * x + (qinv - 1) * one[r][c] for c, x in enumerate(row)]
+                     for r, row in enumerate(T)]
+            want = _mul(want, T)
+        got = block_matrix(model, j, word, range(f))
+        assert got == want, (model.n, block.label, word)
+        assert sum(got[t][t] for t in range(1, f)) + got[0][0] == \
+            block_trace(model, j, word), (model.n, block.label, word)
+
     rng = Random(f"block-matrix:{p.N},{p.K}")
     for n in range(1, 6):
         model = path_model(p, n)
-        for j, block in enumerate(model.blocks):
-            f = len(block.paths)
-            one = [[Scalar.from_rational(F, int(r == c)) for c in range(f)] for r in range(f)]
+        for j in range(len(model.blocks)):
             for _ in range(3):
                 length = 0 if n == 1 else rng.randint(0, 8)
-                word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
-                want = one
-                for e in word:
-                    T = _dense(block, abs(e) - 1, F)
-                    if e < 0:
-                        T = [[qinv * x + (qinv - 1) * one[r][c] for c, x in enumerate(row)]
-                             for r, row in enumerate(T)]
-                    want = _mul(want, T)
-                got = block_matrix(model, j, word, range(f))
-                assert got == want, (n, block.label, word)
-                assert sum(got[t][t] for t in range(1, f)) + got[0][0] == \
-                    block_trace(model, j, word), (n, block.label, word)
+                check(model, j, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                      for _ in range(length)))
+    if p in LONG_WORDS:
+        for n in (6, 7):
+            model = path_model(p, n)
+            for j in range(len(model.blocks)):
+                check(model, j, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                      for _ in range(rng.randint(40, 60))))
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
@@ -121,13 +145,23 @@ def test_restricted_columns_are_columns_of_the_full_matrix(p):
 
 
 def _fields(model):
-    return model.blocks, model.scale, model.ops, model.weights, model.wden
+    """The fields of a model with every letter program compiled, each
+    gather read as its index tuple (itemgetters compare by identity)."""
+    for programs in model.ops:
+        for i in range(model.n - 1):
+            for sign in (1, -1):
+                programs[i, sign]
+    ops = tuple({letter: (get.__reduce__()[1], *rest) for letter, (get, *rest) in programs.items()}
+                for programs in model.ops)
+    return model.blocks, model.scale, ops, model.weights, model.wden
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_models_on_a_warm_table_equal_cold_builds(p):
     """A model built on the theory table another build filled is field
-    for field the model built from nothing, in either build order."""
+    for field the model built from nothing, in either build order, with
+    every letter program compiled (programs are compiled on first use,
+    from templates shared by models of other scales)."""
     top = 6
     cold = {}
     for n in range(top + 1):
@@ -157,6 +191,19 @@ def test_rebuilt_models_make_no_inversion(monkeypatch):
     for n in range(TRACE_LIMIT + 1):
         path_model(p, n)
     assert calls == []
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_theory_inverts_each_entry_pair_and_the_weight_denominator_once(p, monkeypatch):
+    """A theory inverts q^d - 1 for 0 < d < N+K only (a_-d = -q^-d a_d)
+    and prod_{i<j} [j-i] once for all label weights: N+K inversions."""
+    calls = []
+    real = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or real(x))
+    seminormal._theory.cache_clear()
+    for d in labels(p):
+        q_weyl_dimension(p, d)
+    assert len(calls) == p.N + p.K
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
