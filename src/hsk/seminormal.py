@@ -36,25 +36,22 @@ so a closure sums the blocks' integer diagonals times these matrices
 and makes one scalar, over D s^len, where a sum of lifted, weighted
 block traces made one per block.
 
-``block_trace`` runs the word as a program over a flat state.  Every
-generator row is scaled by s, the common denominator of the entries of
-that model alone (no model depends on the builds before it), so the
-state holds integers: f phi of them, coordinate k of row t (one
-coefficient of Q(q)) at t phi + k, with the matrix columns in
-fixed-width slots of each.  A letter T_i^(+-1) of a block compiles, on
-first use, into a gather program (``_Programs``): output o is the dot
-product of T integer coefficients with T entries of the state, T the
-widest output of the letter and shorter outputs padded with zeros.
-The coefficients are those of the multiplication matrices of the row's
-diagonal and partner entries, assembled from per-theory row templates
-keyed by plain integers.  A letter is then one gather, one map of
-products and one map of sums over groups of T: no Python loop over
-rows.  The slot width comes from a bound on the entries, the product
-of the letters' growths (a program's largest absolute row sum), fixed
-before the product starts; the trace is s^-len times the sum of the
-diagonal slots.  ``block_matrix`` starts the product on the columns
-asked for and unpacks only theirs (``_entries``, which
-``modular._fusion_row`` also reads, as integers).
+``block_trace`` runs the word as one program per letter over a flat
+state.  Every generator row is scaled by s, the common denominator of
+the entries of that model alone (no model depends on the builds before
+it), so the state is f phi integers, coordinate k of row t at t phi + k,
+with the matrix columns in fixed-width slots.  A letter T_i^(+-1)
+compiles, on first use, into a gather program (``_Programs``) assembled
+from per-theory row templates: output o is the dot product of T
+integers, entries of the multiplication matrices of the row's entries,
+with T entries of the state, T the widest output of the letter.  A
+letter is then one gather, one map of products and one of sums, with no
+Python loop over rows.  The slot width comes from a bound on the
+entries, the product of the letters' growths, fixed before the product
+starts; the trace is s^-len times the sum of the diagonal slots.
+``block_matrix`` starts the product on the columns asked for and
+unpacks only theirs (``_entries``, which ``modular._fusion_row`` reads
+as integers).
 
 ``path_model`` refuses, before it lists a path, a quotient of
 dimension sum_lambda f_lambda^2 beyond 8!, the order of the largest
@@ -136,9 +133,9 @@ def _theory(p: Params) -> _Theory:
     and partner entries of a row of T_i^sign whose boxes i, i+1 have
     content difference d; the q-Weyl weight of each label
     (``q_weyl_dimension``) and dinv, the inverse of their common
-    denominator; and the row terms and templates of the programs
-    (``_terms``, ``_template``).  All but rows and dinv fill as builds
-    ask for them."""
+    denominator; and the row terms (``_terms``) and their templates,
+    padded to a letter's width T (``_Programs``).  All but rows and dinv
+    fill as builds ask for them."""
     F = p.subfield
     q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
     a: dict[int, Scalar] = {}
@@ -151,23 +148,24 @@ def _theory(p: Params) -> _Theory:
         off = x * a[-d] + q if d > 0 else Scalar.from_rational(F, 1)
         rows[d, 1] = (x, off)
         rows[d, -1] = (qinv * x + qinv - 1, qinv * off)  # T^-1 = q^-1 T + (q^-1 - 1)
-    den = p.one
+    return _Theory(rows, {}, _weyl_numerator(p, YoungDiagram()).inverse(), {}, {})
+
+
+def _weyl_numerator(p: Params, d: YoungDiagram) -> Scalar:
+    out = p.one
     for i in range(p.N):
         for j in range(i + 1, p.N):
-            den = den * qint(p, j - i)
-    return _Theory(rows, {}, den.inverse(), {}, {})
+            out = out * qint(p, d.row(i) - d.row(j) + j - i)
+    return out
 
 
 def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
     """prod_{i<j} [d_i - d_j + j - i] / [j - i] over the N rows of a
-    label d: the weight of the block of d, and its quantum dimension."""
+    label d: the weight of the block of d, and its quantum dimension.
+    The denominator is the numerator of the empty label."""
     theory = _theory(p)
     if d not in theory.weights:
-        num = p.one
-        for i in range(p.N):
-            for j in range(i + 1, p.N):
-                num = num * qint(p, d.row(i) - d.row(j) + j - i)
-        theory.weights[d] = num * theory.dinv
+        theory.weights[d] = _weyl_numerator(p, d) * theory.dinv
     return theory.weights[d]
 
 
@@ -225,26 +223,12 @@ def _terms(theory: _Theory, d: int, sign: int, partner: bool, scale: int):
     return theory.terms[key]
 
 
-def _template(theory: _Theory, key: tuple, T: int):
-    """The terms of ``_terms(theory, *key)`` as three flat tuples,
-    (source, column, entry), each output padded with zeros to T."""
-    if key + (T,) not in theory.templates:
-        outs = _terms(theory, *key)[0]
-        flat = [term for out in outs for term in out + [(0, 0, 0)] * (T - len(out))]
-        theory.templates[key + (T,)] = tuple(zip(*flat))
-    return theory.templates[key + (T,)]
-
-
 def _mul_matrix(x: Scalar, scale: int):
     """Rows of the integer matrix of multiplication by scale * x on the
     coefficient vectors of Q(q), each row as its nonzero (column, entry)."""
     F = x.field
     num = [c * (scale // x.den) for c in x.num]
-    cols = []
-    for k in range(F.phi):
-        unit = [0] * F.phi
-        unit[k] = 1
-        cols.append(F.mul_vec(num, unit))
+    cols = [F.monomial_map(num, 1, k) for k in range(F.phi)]  # scale x zeta^k
     return [[(k, cols[k][s]) for k in range(F.phi) if cols[k][s]] for s in range(F.phi)]
 
 
@@ -269,8 +253,13 @@ class _Programs(dict):
         growth = max(1, *(norm for _, _, norm in found))
         idx: list[int] = []
         coeffs: list[int] = []
+        templates = self.theory.templates
         for t, ((_, u), key) in enumerate(zip(self.steps[i], keys)):
-            sources, columns, entries = _template(self.theory, key, T)
+            if key + (T,) not in templates:  # (source, column, entry), outputs padded to T
+                outs = _terms(self.theory, *key)[0]
+                templates[key + (T,)] = tuple(zip(*(term for out in outs
+                                                    for term in out + [(0, 0, 0)] * (T - len(out)))))
+            sources, columns, entries = templates[key + (T,)]
             base = (t * phi, u * phi)
             idx += [base[src] + k for src, k in zip(sources, columns)]
             coeffs += entries
