@@ -152,6 +152,7 @@ def _theory(p: Params) -> _Theory:
 
 
 def _weyl_numerator(p: Params, d: YoungDiagram) -> Scalar:
+    """prod_{i<j} [d_i - d_j + j - i] over the N rows of d."""
     out = p.one
     for i in range(p.N):
         for j in range(i + 1, p.N):
