@@ -19,8 +19,9 @@ seminormal model: the Markov trace is the weighted block sum (Wenzl,
 Invent. Math. 92 (1988)), so the closure is zeta^k sum_lambda d_lambda
 tr rho_lambda(bare word).  The path model holds each x -> d_lambda x as
 an integer matrix over one denominator, so a factor's weighted sum is
-one packed product per block and integer sums, reduced to a scalar
-once.  Its work is len(word) sum_lambda f_lambda^2,
+one packed product over the whole model, every block at once, and
+integer sums, reduced to a scalar once.  Its work is
+len(word) sum_lambda f_lambda^2,
 with sum f_lambda^2 = 233 on 7 strands at (3,2) against 7! = 5,040
 permutations, and its one bound is the path model's size
 (``seminormal.check_size``), which a factor on fewer than 8 strands
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .scalar import Params, Scalar, qint
-from .seminormal import _diagonal, path_model
+from .seminormal import _diagonals, path_model
 
 __all__ = [
     "BraidWord", "CURL_MATCH_SIGN", "braid_phase", "full_twist_word",
@@ -169,16 +170,18 @@ def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
 
 def _path_closure(p: Params, b: BraidWord) -> Scalar:
     """zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the braid
-    phase: each block's integer diagonal times its integer weight
-    matrix (``PathModel.weights``), summed in integers, shifted by the
-    phase and reduced once."""
+    phase: the blocks' integer diagonals, from one product over the
+    whole model (``seminormal._diagonals``), each times its block's
+    integer weight matrix (``PathModel.weights``), summed in integers,
+    shifted by the phase and reduced once."""
     model = path_model(p, b.strands)
+    diagonals = _diagonals(model.whole, b.word, [len(block.paths) for block in model.blocks])
     A = p.field
     acc = [0] * A.phi
-    for j, (block, (weight, cols)) in enumerate(zip(model.blocks, model.weights)):
+    for j, (block, diagonal, (weight, cols)) in enumerate(zip(model.blocks, diagonals, model.weights)):
         if block.weight is not weight:
             raise RuntimeError(f"block {j} weight differs from its weight matrix")
-        for t, col in zip(_diagonal(model, j, b.word), cols):
+        for t, col in zip(diagonal, cols):
             if t:
                 for s, x in col:
                     acc[s] += x * t

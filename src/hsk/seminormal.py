@@ -22,9 +22,9 @@ differ by 0 < |d| < N+K, so only q^d - 1 with 0 < |d| < N+K is ever
 inverted.  All entries lie in Q(q), and depend on d and the theory
 only: one table per theory (``_theory``, 16 kept, as ``path_model``)
 holds them, the rows of T^-1, the label weights and the row templates
-below, so a build lists paths and picks entries.  A theory inverts
-q^d - 1 for 0 < d < N+K only, since a_{-d} = -q^{-d} a_d, and the
-weights' common denominator prod_{i<j} [j-i] once.
+below, so a build lists paths and picks entries.  A theory inverts the
+weights' common denominator prod_{i<j} [j-i] once, and, on its first
+path model, q^d - 1 for 0 < d < N+K only, since a_{-d} = -q^{-d} a_d.
 
 The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
 with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
@@ -36,22 +36,29 @@ so a closure sums the blocks' integer diagonals times these matrices
 and makes one scalar, over D s^len, where a sum of lifted, weighted
 block traces made one per block.
 
-``block_trace`` runs the word as one program per letter over a flat
-state.  Every generator row is scaled by s, the common denominator of
-the entries of that model alone (no model depends on the builds before
-it), so the state is f phi integers, coordinate k of row t at t phi + k,
-with the matrix columns in fixed-width slots.  A letter T_i^(+-1)
-compiles, on first use, into a gather program (``_Programs``) assembled
-from per-theory row templates: output o is the dot product of T
-integers, entries of the multiplication matrices of the row's entries,
-with T entries of the state, T the widest output of the letter.  A
-letter is then one gather, one map of products and one of sums, with no
+A product runs the word as one program per letter over a flat state,
+phi integers per row, coordinate k of row t at t phi + k, each block's
+matrix columns in fixed-width slots.  Its scope is one block
+(``block_trace``, ``block_matrix``, ``_entries``: twists and fusion
+rows) or the whole model, the blocks' rows one after another
+(``PathModel.whole``: a closure's block traces in one product).  Every
+row is scaled by s, the common denominator of the entries of that
+model alone (no model depends on the builds before it).  A letter
+T_i^(+-1) compiles, on first use, into a gather program
+(``_Programs``) assembled from per-theory row templates: output o is
+the dot product of T integers, entries of the multiplication matrices
+of the row's entries, with T entries of the state.  On the whole model
+a row is padded only to its own width T, rows of one width share a
+gather, and one more gather puts the outputs back in row order; a
+block pads every row to the letter's widest, one gather, which
+measured faster on the small blocks of twists and fusion.  A letter is
+gathers, maps of products and T - 1 chained maps of sums, with no
 Python loop over rows.  The slot width comes from a bound on the
-entries, the product of the letters' growths, fixed before the product
-starts; the trace is s^-len times the sum of the diagonal slots.
-``block_matrix`` starts the product on the columns asked for and
-unpacks only theirs (``_entries``, which ``modular._fusion_row`` reads
-as integers).
+entries, the product of the letters' growths (each the largest over
+the scope), fixed before the product starts; the trace is s^-len
+times the sum of the diagonal slots.  ``block_matrix`` starts the
+product on the columns asked for and unpacks only theirs
+(``_entries``, which ``modular._fusion_row`` reads as integers).
 
 ``path_model`` refuses, before it lists a path, a quotient of
 dimension sum_lambda f_lambda^2 beyond 8!, the order of the largest
@@ -61,8 +68,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .diagrams import YoungDiagram, _walk, gamma_n
 from .scalar import Params, Scalar, qint
@@ -75,27 +83,30 @@ __all__ = ["TRACE_LIMIT", "Block", "PathModel", "path_model", "dimension", "chec
 TRACE_LIMIT = 8
 
 
-class Block(namedtuple("Block", "label paths weight gens")):
-    """One block: its label, its paths (paths[t][k] = row of box k), its
-    weight d_lambda in the ambient field, and gens[i][t], row t of T_i:
-    (diagonal entry, partner path or -1, off-diagonal entry T[t][partner]
-    or None), in Q(q)."""
+class Block(namedtuple("Block", "label paths weight")):
+    """One block: its label, its paths (paths[t][k] = row of box k) and
+    its weight d_lambda in the ambient field."""
 
     __slots__ = ()
 
 
-class PathModel(namedtuple("PathModel", "p n blocks scale ops weights wden")):
+class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights wden")):
     """The blocks of H_n's level-K quotient, with the integer programs
-    of their generators for ``block_trace``: ops[b][(i, sign)] is the
-    program of T_i^sign on block b, compiled on first use
-    (``_Programs``), as (get, coeffs, T, growth).  Output o of the
-    letter is the sum of coeffs[oT:(o+1)T] times the state entries
-    idx[oT:(o+1)T], get = itemgetter(*idx), the coefficients being s
-    times those of T_i^sign, and growth bounds the factor by which the
-    letter can enlarge the largest entry.  weights[b] is (d, cols): the
-    weight d of block b and the integer matrix of x -> wden d lift(x),
-    column c the image of coordinate c of Q(q) as its nonzero (ambient
-    coordinate, entry)."""
+    of their generators (``_Programs``): ops[b] on block b alone, and
+    whole on every block at once, rows numbered block after block.
+    programs[i, sign] is the program of T_i^sign, compiled on first
+    use, as (groups, order, growth).  A group (get, coeffs, T) makes
+    outputs, output o the sum of coeffs[oT:(o+1)T] times the state
+    entries idx[oT:(o+1)T], get = itemgetter(*idx), the coefficients
+    being s times those of T_i^sign.  A block's letter is one group,
+    padded to its widest row; the whole model's rows are grouped by
+    their own width, and order (None for one group) puts the groups'
+    concatenated outputs back in row order.  growth bounds the factor
+    by which the letter can enlarge the largest entry of its scope.
+    programs.steps[i][t] is row t's (content difference, partner row or
+    -1) under T_i.  weights[b] is (d, cols): the weight d of block b and
+    the integer matrix of x -> wden d lift(x), column c the image of
+    coordinate c of Q(q) as its nonzero (ambient coordinate, entry)."""
 
     __slots__ = ()
 
@@ -131,24 +142,30 @@ _Theory = namedtuple("_Theory", "rows weights dinv terms templates")
 def _theory(p: Params) -> _Theory:
     """What every path model of p shares: rows[(d, sign)], the diagonal
     and partner entries of a row of T_i^sign whose boxes i, i+1 have
-    content difference d; the q-Weyl weight of each label
+    content difference d (``_rows``); the q-Weyl weight of each label
     (``q_weyl_dimension``) and dinv, the inverse of their common
     denominator; and the row terms (``_terms``) and their templates,
-    padded to a letter's width T (``_Programs``).  All but rows and dinv
-    fill as builds ask for them."""
-    F = p.subfield
-    q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
-    a: dict[int, Scalar] = {}
-    for d in range(1, p.N + p.K):
-        qd = p.q_pow_in(F, d)
-        a[d] = (q - 1) * qd * (qd - 1).inverse()
-        a[-d] = -p.q_pow_in(F, -d) * a[d]
-    rows = {}
-    for d, x in a.items():
-        off = x * a[-d] + q if d > 0 else Scalar.from_rational(F, 1)
-        rows[d, 1] = (x, off)
-        rows[d, -1] = (qinv * x + qinv - 1, qinv * off)  # T^-1 = q^-1 T + (q^-1 - 1)
-    return _Theory(rows, {}, _weyl_numerator(p, YoungDiagram()).inverse(), {}, {})
+    padded to a width T (``_Programs``).  All but dinv fill as builds
+    ask for them, so a weight alone makes one inversion."""
+    return _Theory({}, {}, _weyl_numerator(p, YoungDiagram()).inverse(), {}, {})
+
+
+def _rows(p: Params, theory: _Theory) -> dict:
+    """theory.rows, filled on the theory's first path model: a_d for
+    0 < |d| < N+K by N+K-1 inversions, and the rows of T^-1."""
+    if not theory.rows:
+        F = p.subfield
+        q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
+        a: dict[int, Scalar] = {}
+        for d in range(1, p.N + p.K):
+            qd = p.q_pow_in(F, d)
+            a[d] = (q - 1) * qd * (qd - 1).inverse()
+            a[-d] = -p.q_pow_in(F, -d) * a[d]
+        for d, x in a.items():
+            off = x * a[-d] + q if d > 0 else Scalar.from_rational(F, 1)
+            theory.rows[d, 1] = (x, off)
+            theory.rows[d, -1] = (qinv * x + qinv - 1, qinv * off)  # T^-1 = q^-1 T + (q^-1 - 1)
+    return theory.rows
 
 
 def _weyl_numerator(p: Params, d: YoungDiagram) -> Scalar:
@@ -174,8 +191,9 @@ def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
 def path_model(p: Params, n: int) -> PathModel:
     check_size(p, n)
     theory = _theory(p)
-    rows = theory.rows
+    rows = _rows(p, theory)
     blocks, steps = [], []
+    whole: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
     # Bratteli paths, grouped by the N-row shape they end at
     by_shape = _walk(p, n, [()], lambda paths, r: [t + (r,) for t in paths])
     for lab in gamma_n(p, n):
@@ -188,14 +206,17 @@ def path_model(p: Params, n: int) -> PathModel:
             tuple((c[i + 1] - c[i], index.get(t[:i] + (t[i + 1], t[i]) + t[i + 2:], -1)
                    if t[i] != t[i + 1] else -1) for t, c in zip(paths, contents))
             for i in range(n - 1))
-        gens = tuple(tuple((rows[d, 1][0], u, None if u < 0 else rows[d, 1][1]) for d, u in gen)
-                     for gen in block_steps)
-        blocks.append(Block(lab, paths, q_weyl_dimension(p, lab), gens))
+        start = sum(len(b.paths) for b in blocks)
+        for gen, out in zip(block_steps, whole):
+            out += [(d, u + start if u >= 0 else -1) for d, u in gen]
+        blocks.append(Block(lab, paths, q_weyl_dimension(p, lab)))
         steps.append(block_steps)
-    used = {(d, u >= 0) for block_steps in steps for gen in block_steps for d, u in gen}
+    used = {(d, u >= 0) for gen in whole for d, u in gen}
     scale = lcm(*(x.den for d, partner in used for sign in (1, -1)
                   for x in rows[d, sign][:1 + partner]))
-    ops = tuple(_Programs(theory, block_steps, scale, p.subfield.phi) for block_steps in steps)
+    phi = p.subfield.phi
+    ops = tuple(_Programs(theory, block_steps, scale, phi, False) for block_steps in steps)
+    whole_ops = _Programs(theory, whole, scale, phi, True)
     A, step = p.field, p.m // p.subfield.m
     wden = lcm(*(b.weight.den for b in blocks))
     weights = []
@@ -204,7 +225,7 @@ def path_model(p: Params, n: int) -> PathModel:
         cols = (A.monomial_map(num, 1, c * step) for c in range(p.subfield.phi))
         weights.append((b.weight, tuple(tuple((s, x) for s, x in enumerate(col) if x)
                                         for col in cols)))
-    return PathModel(p, n, tuple(blocks), scale, ops, tuple(weights), wden)
+    return PathModel(p, n, tuple(blocks), scale, ops, whole_ops, tuple(weights), wden)
 
 
 def _terms(theory: _Theory, d: int, sign: int, partner: bool, scale: int):
@@ -234,69 +255,88 @@ def _mul_matrix(x: Scalar, scale: int):
 
 
 class _Programs(dict):
-    """The letter programs of one block: self[i, sign] is compiled on
-    first use from steps[i], each row's (content difference, partner),
-    and the theory's row templates at the model's scale; see
-    ``PathModel``."""
+    """The letter programs of one scope, a block or the whole model:
+    self[i, sign] is compiled on first use from steps[i], each row's
+    (content difference, partner row or -1), and the theory's row
+    templates at the model's scale; see ``PathModel``.  The scope alone
+    decides the padding: rows of the whole model are grouped by their
+    own width, a block's rows form one group padded to the widest."""
 
-    __slots__ = ("theory", "steps", "scale", "phi")
+    __slots__ = ("theory", "steps", "scale", "phi", "whole")
 
-    def __init__(self, theory: _Theory, steps, scale: int, phi: int):
+    def __init__(self, theory: _Theory, steps, scale: int, phi: int, whole: bool):
         super().__init__()
-        self.theory, self.steps, self.scale, self.phi = theory, steps, scale, phi
+        self.theory, self.steps, self.scale, self.phi, self.whole = theory, steps, scale, phi, whole
 
     def __missing__(self, letter):
         i, sign = letter
-        phi = self.phi
-        keys = [(d, sign, u >= 0, self.scale) for d, u in self.steps[i]]
-        found = [_terms(self.theory, *key) for key in set(keys)]
-        T = max(width for _, width, _ in found)
-        growth = max(1, *(norm for _, _, norm in found))
-        idx: list[int] = []
-        coeffs: list[int] = []
-        templates = self.theory.templates
-        for t, ((_, u), key) in enumerate(zip(self.steps[i], keys)):
-            if key + (T,) not in templates:  # (source, column, entry), outputs padded to T
-                outs = _terms(self.theory, *key)[0]
-                templates[key + (T,)] = tuple(zip(*(term for out in outs
-                                                    for term in out + [(0, 0, 0)] * (T - len(out)))))
-            sources, columns, entries = templates[key + (T,)]
+        phi, templates, steps = self.phi, self.theory.templates, self.steps[i]
+        found = {(d, partner): _terms(self.theory, d, sign, partner, self.scale)
+                 for d, partner in {(d, u >= 0) for d, u in steps}}
+        _, sizes, norms = zip(*found.values())
+        growth, widest = max(1, *norms), max(sizes)
+        groups: dict[int, tuple[list[int], list[int], list[int]]] = {}  # T: indices, coefficients, rows
+        padded = {}  # (d, partner): the group of the row's width T, then its template
+        for (d, partner), (outs, width, _) in found.items():
+            T = width if self.whole else widest
+            key = (d, sign, partner, self.scale, T)
+            if key not in templates:  # (source, column, entry), outputs padded to T
+                templates[key] = tuple(zip(*(term for out in outs
+                                             for term in out + [(0, 0, 0)] * (T - len(out)))))
+            padded[d, partner] = (groups.setdefault(T, ([], [], [])), *templates[key])
+        for t, (d, u) in enumerate(steps):
+            (idx, coeffs, rows), sources, columns, entries = padded[d, u >= 0]
             base = (t * phi, u * phi)
             idx += [base[src] + k for src, k in zip(sources, columns)]
             coeffs += entries
-        self[letter] = program = (itemgetter(*idx), tuple(coeffs), T, growth)
+            rows.append(t)
+        order = None
+        if len(groups) > 1:  # row t's outputs sit at place[t] phi + k of the groups in width order
+            groups = dict(sorted(groups.items()))
+            place = {t: j for j, t in enumerate(t for _, _, rows in groups.values() for t in rows)}
+            order = itemgetter(*(place[t] * phi + k for t in range(len(steps)) for k in range(phi)))
+        self[letter] = program = (tuple([(itemgetter(*idx), tuple(coeffs), T)
+                                         for T, (idx, coeffs, _) in groups.items()]), order, growth)
         return program
 
 
-def _product(model: PathModel, b: int, word: tuple[int, ...], cols):
-    """s^len times the columns cols of rho_lambda(word) for block b as a
-    flat packed state (coordinate k of row t at t phi + k, with column
-    cols[j] of that row in slot j), and the (offset, shift, mask, half)
-    that read the signed slot j of such an integer x as
-    ((x + offset) >> shift * j & mask) - half."""
-    phi = model.p.subfield.phi
-    ops = model.ops[b]
-    steps = [ops[abs(e) - 1, 1 if e > 0 else -1] for e in reversed(word)]
+def _product(programs: _Programs, word: tuple[int, ...], size: int, ones, slots: int):
+    """s^len times rho(word) on the scope of the programs (size rows) as
+    a flat packed state, coordinate k of row t at t phi + k, started
+    from ones, pairs (j, t) putting 1 in slot j of row t, coordinate 0;
+    and the (offset, shift, mask, half) that read the signed slot j < slots
+    of such an integer x as ((x + offset) >> shift * j & mask) - half."""
+    phi = programs.phi
+    steps = [programs[abs(e) - 1, 1 if e > 0 else -1] for e in reversed(word)]
     bound = 1
     for *_, growth in steps:
         bound *= growth
     w = bound.bit_length() + 1
-    X = [0] * (len(model.blocks[b].paths) * phi)
-    for j, c in enumerate(cols):
-        X[c * phi] = 1 << (w * j)
-    for get, coeffs, T, _ in steps:
-        terms = map(mul, coeffs, get(X))
-        X = list(map(sum, zip(*[terms] * T)))
+    X = [0] * (size * phi)
+    for j, t in ones:
+        X[t * phi] = 1 << (w * j)
+    for groups, order, _ in steps:
+        out: list[int] = []
+        for get, coeffs, T in groups:
+            acc = terms = map(mul, coeffs, get(X))
+            for _ in range(T - 1):
+                acc = map(add, acc, terms)  # T consecutive products per output
+            out += acc
+        X = order(out) if order else out
     half = 1 << (w - 1)
-    return X, (sum(half << (w * j) for j in range(len(cols))), w, (1 << w) - 1, half)
+    return X, (sum(half << (w * j) for j in range(slots)), w, (1 << w) - 1, half)
 
 
-def _diagonal(model: PathModel, b: int, word: tuple[int, ...]) -> list[int]:
-    """The coordinates over Q(q) of s^len tr rho_lambda(word), block b."""
-    f, phi = len(model.blocks[b].paths), model.p.subfield.phi
-    X, (offset, w, mask, half) = _product(model, b, word, range(f))
-    return [sum(((X[t * phi + k] + offset) >> w * t & mask) - half for t in range(f))
-            for k in range(phi)]
+def _diagonals(programs: _Programs, word: tuple[int, ...], sizes) -> list[list[int]]:
+    """Per block of the scope of the programs (of sizes[b] rows each,
+    numbered block after block), the coordinates over Q(q) of
+    s^len tr rho_lambda(word), from one product: row t of each block
+    starts in slot t."""
+    phi, starts = programs.phi, list(zip(accumulate(sizes, initial=0), sizes))
+    X, (offset, w, mask, half) = _product(programs, word, sum(sizes), ((t, r + t) for r, f in starts
+                                                                       for t in range(f)), max(sizes))
+    return [[sum(((X[(r + t) * phi + k] + offset) >> w * t & mask) - half for t in range(f))
+             for k in range(phi)] for r, f in starts]
 
 
 def _entries(model: PathModel, b: int, word: tuple[int, ...], cols, rows) -> list[list[list[int]]]:
@@ -304,7 +344,8 @@ def _entries(model: PathModel, b: int, word: tuple[int, ...], cols, rows) -> lis
     the rows and columns asked for: [r][j] is entry
     rho_lambda(word)[rows[r]][cols[j]]; only these are unpacked."""
     phi = model.p.subfield.phi
-    X, (offset, w, mask, half) = _product(model, b, word, cols)
+    X, (offset, w, mask, half) = _product(model.ops[b], word, len(model.blocks[b].paths),
+                                          enumerate(cols), len(cols))
     return [[[((x + offset) >> w * j & mask) - half for x in X[t * phi:(t + 1) * phi]]
              for j in range(len(cols))] for t in rows]
 
@@ -312,7 +353,8 @@ def _entries(model: PathModel, b: int, word: tuple[int, ...], cols, rows) -> lis
 def block_trace(model: PathModel, b: int, word: tuple[int, ...]) -> Scalar:
     """tr rho_lambda(T_{s_|e1|}^sign(e1) ... ) over Q(q) for block b of the
     model and a braid word read as bare generators."""
-    return Scalar._make(model.p.subfield, _diagonal(model, b, word), model.scale ** len(word))
+    return Scalar._make(model.p.subfield, _diagonals(model.ops[b], word, [len(model.blocks[b].paths)])[0],
+                        model.scale ** len(word))
 
 
 def block_matrix(model: PathModel, b: int, word: tuple[int, ...], cols) -> list[list[Scalar]]:

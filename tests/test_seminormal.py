@@ -18,7 +18,9 @@ import pytest
 from hsk import (BraidWord, Params, from_braid, gamma_n, labels, loop_power, markov_trace,
                  path_count, qint)
 from hsk import trace
+from hsk.closure import braid_phase
 from hsk.hecke import full_twist_word
+from hsk.modular import qdim
 from hsk.scalar import Scalar
 from hsk import seminormal
 from hsk.seminormal import (TRACE_LIMIT, block_matrix, block_trace, check_size, dimension,
@@ -33,12 +35,15 @@ THEORIES = [Params(2, 1), Params(2, 2), Params(3, 2), Params(4, 1), Params(2, 3)
 ids = [f"{p.N},{p.K}" for p in THEORIES]
 
 
-def _dense(block, i: int, field) -> list[list[Scalar]]:
-    f = len(block.paths)
-    zero = Scalar.from_rational(field, 0)
-    mat = [[zero] * f for _ in range(f)]
-    for t, (diag, u, off) in enumerate(block.gens[i]):
-        mat[t][t] = diag
+def _dense(model, j: int, i: int) -> list[list[Scalar]]:
+    """T_i on block j as a matrix over Q(q), from the theory's entries
+    and the block's stored (content difference, partner) steps."""
+    rows = seminormal._theory(model.p).rows
+    steps = model.ops[j].steps[i]
+    zero = Scalar.from_rational(model.p.subfield, 0)
+    mat = [[zero] * len(steps) for _ in steps]
+    for t, (d, u) in enumerate(steps):
+        mat[t][t], off = rows[d, 1]
         if u >= 0:
             mat[t][u] = off
     return mat
@@ -62,8 +67,9 @@ def test_blocks_satisfy_the_hecke_relations(p):
     F = p.subfield
     q = p.q_pow_in(F, 1)
     for n in range(2, 7):
-        for block in path_model(p, n).blocks:
-            gens = [_dense(block, i, F) for i in range(n - 1)]
+        model = path_model(p, n)
+        for j, block in enumerate(model.blocks):
+            gens = [_dense(model, j, i) for i in range(n - 1)]
             f = len(block.paths)
             for i, T in enumerate(gens):
                 # (T - q)(T + 1) = T^2 - (q-1) T - q = 0
@@ -99,7 +105,7 @@ def test_block_matrix_is_the_product_of_the_generators(p):
         one = [[Scalar.from_rational(F, int(r == c)) for c in range(f)] for r in range(f)]
         want = one
         for e in word:
-            T = _dense(block, abs(e) - 1, F)
+            T = _dense(model, j, abs(e) - 1)
             if e < 0:
                 T = [[qinv * x + (qinv - 1) * one[r][c] for c, x in enumerate(row)]
                      for r, row in enumerate(T)]
@@ -125,6 +131,71 @@ def test_block_matrix_is_the_product_of_the_generators(p):
                                       for _ in range(rng.randint(40, 60))))
 
 
+def _bound(programs, word):
+    """The product of the letters' growths on a scope: its slots' bound."""
+    bound = 1
+    for e in word:
+        bound *= programs[abs(e) - 1, 1 if e > 0 else -1][2]
+    return bound
+
+
+@pytest.mark.parametrize("p", [Params(2, 2), Params(3, 2), Params(2, 3)],
+                         ids=lambda p: f"{p.N},{p.K}")
+def test_one_product_over_the_model_is_the_block_products(p):
+    """The closure's one product over the whole model against one product
+    per block, on seeded words of 40-60 letters on 3-8 strands: each
+    block's integer diagonal, and the closure as the weighted sum of
+    block traces.  At (2,2) the scale is 2 and slots are wide, and the
+    blocks share every growth.  Elsewhere some words bound one block
+    below another; at (2,3) on 3 strands slots sized by the one-path
+    block are too narrow for the other."""
+    rng = Random(f"whole-model:{p.N},{p.K}")
+    uneven = 0
+    for n in (3, 4, 5, 6, 7, 8):
+        model = path_model(p, n)
+        for _ in range(2):
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                         for _ in range(rng.randint(40, 60)))
+            sizes = [len(block.paths) for block in model.blocks]
+            assert seminormal._diagonals(model.whole, word, sizes) == \
+                [seminormal._diagonals(programs, word, [f])[0]
+                 for programs, f in zip(model.ops, sizes)], (n, word)
+            b = BraidWord(n, word)
+            phase = braid_phase(p, b)
+            assert trace._path_closure(p, b) == sum(
+                (block.weight * p.lift(block_trace(model, j, word), phase)
+                 for j, block in enumerate(model.blocks)), p.zero), (n, word)
+            uneven += len({_bound(programs, word) for programs in model.ops}) > 1
+    assert uneven or p == Params(2, 2)
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_programs_pad_rows_by_scope(p):
+    """A whole-model letter holds each row's template padded to the
+    row's own width T (phi T coefficients), one group per width, and
+    reorders only when there are two groups or more; its growth, which
+    sizes the one slot width, is the largest of the blocks'.  A block's
+    letter is one group padded to its widest row."""
+    theory, phi = seminormal._theory(p), p.subfield.phi
+    for n in range(2, 8):
+        model = path_model(p, n)
+        for i in range(n - 1):
+            for sign in (1, -1):
+                def widths(programs):
+                    return [seminormal._terms(theory, d, sign, u >= 0, model.scale)[1]
+                            for d, u in programs.steps[i]]
+
+                groups, order, growth = model.whole[i, sign]
+                assert sum(len(coeffs) for _, coeffs, _ in groups) == phi * sum(widths(model.whole))
+                assert [T for *_, T in groups] == sorted(set(widths(model.whole)))
+                assert (order is None) == (len(groups) == 1)
+                assert growth == max(programs[i, sign][2] for programs in model.ops)
+                for programs in model.ops:
+                    (_, coeffs, T), = programs[i, sign][0]
+                    assert T == max(widths(programs))
+                    assert len(coeffs) == phi * T * len(programs.steps[i])
+
+
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_restricted_columns_are_columns_of_the_full_matrix(p):
     """block_matrix on a column list (empty, one, some in any order, all)
@@ -144,16 +215,24 @@ def test_restricted_columns_are_columns_of_the_full_matrix(p):
                         [[row[c] for c in cols] for row in full], (n, block.label, word, cols)
 
 
+def _programs(programs, n):
+    """Every letter program of a scope, compiled, with each gather and
+    the reorder read as index tuples (itemgetters compare by identity)."""
+    def index(get):
+        return get and get.__reduce__()[1]
+
+    return {(i, sign): (tuple((index(get), coeffs, T) for get, coeffs, T in groups),
+                        index(order), growth)
+            for i in range(n - 1) for sign in (1, -1)
+            for groups, order, growth in [programs[i, sign]]}
+
+
 def _fields(model):
-    """The fields of a model with every letter program compiled, each
-    gather read as its index tuple (itemgetters compare by identity)."""
-    for programs in model.ops:
-        for i in range(model.n - 1):
-            for sign in (1, -1):
-                programs[i, sign]
-    ops = tuple({letter: (get.__reduce__()[1], *rest) for letter, (get, *rest) in programs.items()}
-                for programs in model.ops)
-    return model.blocks, model.scale, ops, model.weights, model.wden
+    """The fields of a model with every letter program of every block
+    and of the whole model compiled."""
+    ops = tuple(_programs(programs, model.n) for programs in model.ops)
+    return (model.blocks, model.scale, ops, _programs(model.whole, model.n), model.weights,
+            model.wden)
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
@@ -196,14 +275,32 @@ def test_rebuilt_models_make_no_inversion(monkeypatch):
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_theory_inverts_each_entry_pair_and_the_weight_denominator_once(p, monkeypatch):
     """A theory inverts q^d - 1 for 0 < d < N+K only (a_-d = -q^-d a_d)
-    and prod_{i<j} [j-i] once for all label weights: N+K inversions."""
+    and prod_{i<j} [j-i] once for all label weights: N+K inversions,
+    the entries' on its first path model."""
     calls = []
     real = Scalar.inverse
     monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or real(x))
     seminormal._theory.cache_clear()
+    path_model.cache_clear()
     for d in labels(p):
         q_weyl_dimension(p, d)
+    path_model(p, 2)
     assert len(calls) == p.N + p.K
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_first_qdim_inverts_only_the_weight_denominator(p, monkeypatch):
+    """A single qdim on a fresh theory builds no entry a_d: one
+    inversion, the weights' common denominator."""
+    calls = []
+    real = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or real(x))
+    seminormal._theory.cache_clear()
+    lab = labels(p)[-1]
+    got = qdim(p, lab)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == qdim_by_young_idempotent(p, lab)
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
