@@ -20,11 +20,10 @@ Invent. Math. 92 (1988)), so the closure is zeta^k sum_lambda d_lambda
 tr rho_lambda(bare word).  The path model holds each x -> d_lambda x as
 an integer matrix over one denominator, so a factor's weighted sum is
 one packed product over the whole model, every block at once, and
-integer sums, reduced to a scalar once.  Its work is
-len(word) sum_lambda f_lambda^2,
-with sum f_lambda^2 = 233 on 7 strands at (3,2) against 7! = 5,040
-permutations, and its one bound is the path model's size
-(``seminormal.check_size``), which a factor on fewer than 8 strands
+integer sums, reduced to a scalar once.  Its work is len(word)
+sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on 7 strands at (3,2)
+against 7! = 5,040 permutations, and its one bound is the path model's
+size (``seminormal.check_size``), which a factor on fewer than 8 strands
 always meets since sum f_lambda^2 <= n!.  Nothing here builds a
 permutation table or a trace vector; ``hsk trace`` prints [N]^-n times
 the closure.  The T expansion, [N]^n Tr(from_braid(b)) on the word as

@@ -333,8 +333,8 @@ def _diagonals(programs: _Programs, word: tuple[int, ...], sizes) -> list[list[i
     s^len tr rho_lambda(word), from one product: row t of each block
     starts in slot t."""
     phi, starts = programs.phi, list(zip(accumulate(sizes, initial=0), sizes))
-    X, (offset, w, mask, half) = _product(programs, word, sum(sizes), ((t, r + t) for r, f in starts
-                                                                       for t in range(f)), max(sizes))
+    ones = ((t, r + t) for r, f in starts for t in range(f))
+    X, (offset, w, mask, half) = _product(programs, word, sum(sizes), ones, max(sizes))
     return [[sum(((X[(r + t) * phi + k] + offset) >> w * t & mask) - half for t in range(f))
              for k in range(phi)] for r, f in starts]
 
