@@ -1,0 +1,141 @@
+"""Run the standing mutation checks of the path model.
+
+Each mutant is one exact text replacement in one file, with the tests
+expected to fail under it.  The tree (src, tests, hskbench and
+pyproject.toml) is copied once to a temporary directory; each mutant is
+applied there in turn, only its tests run, and the file is restored.
+One line per mutant says whether it was
+
+    killed    its tests failed,
+    survived  its tests passed: a missing check,
+    stale     its old text is not in the file exactly once: update it.
+
+    python3 scripts/mutants.py              # every mutant
+    python3 scripts/mutants.py NAME [...]   # the mutants named
+
+The exit status is 0 when every mutant run was killed.  Only the
+standard library is used; the tests need pytest and hypothesis.
+"""
+
+import argparse
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "hskbench", "pyproject.toml")
+
+Mutant = namedtuple("Mutant", "name file old new tests")
+
+SEMINORMAL = "src/hsk/seminormal.py"
+T_SEMI = "tests/test_seminormal.py::"
+
+MUTANTS = [
+    # the theory table's closed forms and entries built on demand
+    Mutant("a_-d = q - 1 + a_d", SEMINORMAL,
+           "        b = q - 1 - a\n", "        b = q - 1 + a\n",
+           [T_SEMI + "test_blocks_satisfy_the_hecke_relations",
+            T_SEMI + "test_entries_fill_per_content_difference_on_demand"]),
+    Mutant("closed form without its 1/n", SEMINORMAL,
+           "F.monomial_map(range(n), k, shift), n)", "F.monomial_map(range(n), k, shift), 1)",
+           [T_SEMI + "test_closed_form_inverses_equal_norm_inverses"]),
+    Mutant("[k]^-1 shifted by h^k, not h^(k-1)", SEMINORMAL,
+           "2 * p.N * k, p.N * (k - 1))", "2 * p.N * k, p.N * k)",
+           [T_SEMI + "test_closed_form_inverses_equal_norm_inverses",
+            T_SEMI + "test_weights_are_quantum_dimensions"]),
+    Mutant("T^-1 diagonal +q^-1 a_-d", SEMINORMAL,
+           "rows[d, -1], rows[-d, -1] = (-qinv * b, qinv * off)",
+           "rows[d, -1], rows[-d, -1] = (qinv * b, qinv * off)",
+           [T_SEMI + "test_block_matrix_is_the_product_of_the_generators",
+            T_SEMI + "test_entries_fill_per_content_difference_on_demand"]),
+    Mutant("partner entry of d < 0 is q", SEMINORMAL,
+           "rows[d, 1], rows[-d, 1] = (a, off), (b, one)",
+           "rows[d, 1], rows[-d, 1] = (a, off), (b, q)",
+           [T_SEMI + "test_blocks_satisfy_the_hecke_relations"]),
+    Mutant("weight matrices from block.weight", "src/hsk/closure.py",
+           "weights = [table[block.label] for block in model.blocks]",
+           "weights = [block.weight for block in model.blocks]",
+           ["tests/test_trace.py::TestPhaseFold::test_replaced_block_weight_is_refused"]),
+    # the letter programs and the packed product
+    Mutant("slot width capped at 48 bits", SEMINORMAL,
+           "    w = bound.bit_length() + 1\n", "    w = min(bound.bit_length() + 1, 48)\n",
+           [T_SEMI + "test_block_matrix_is_the_product_of_the_generators",
+            "tests/test_modular.py"]),
+    Mutant("template key without the scale", SEMINORMAL,
+           "key = (d, sign, partner, self.scale, T)", "key = (d, sign, partner, T)",
+           [T_SEMI + "test_models_on_a_warm_table_equal_cold_builds"]),
+    Mutant("letter growth from one row kind", SEMINORMAL,
+           "growth, widest = max(1, *norms), max(sizes)",
+           "growth, widest = max(1, norms[0]), max(sizes)",
+           [T_SEMI + "test_programs_pad_rows_by_scope",
+            T_SEMI + "test_one_product_over_the_model_is_the_block_products"]),
+    Mutant("reorder shifted by one row", SEMINORMAL,
+           "itemgetter(*(place[t] * phi + k for t",
+           "itemgetter(*((place[t] + 1) % len(place) * phi + k for t",
+           [T_SEMI + "test_one_product_over_the_model_is_the_block_products",
+            T_SEMI + "test_path_route_matches_t_route_on_mixed_words"]),
+]
+
+
+def is_stale(root: pathlib.Path, mutant: Mutant) -> bool:
+    """True when the mutant's old text is not in its file exactly once."""
+    path = root / mutant.file
+    return not path.is_file() or path.read_text(encoding="utf-8").count(mutant.old) != 1
+
+
+def run(tree: pathlib.Path, mutant: Mutant) -> str:
+    """Apply the mutant in tree, run its tests, restore the file."""
+    if is_stale(tree, mutant):
+        return "stale"
+    path = tree / mutant.file
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               *mutant.tests], cwd=tree, env=env, capture_output=True, text=True)
+    finally:
+        path.write_text(text, encoding="utf-8")
+    if done.returncode == 0:
+        return "survived"
+    if done.returncode == 1:
+        return "killed"
+    return f"error (pytest exit {done.returncode}: {done.stdout.strip().splitlines()[-1:]})"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("names", nargs="*", help="run only the mutants of these names")
+    args = ap.parse_args()
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        ap.error(f"no mutant named {sorted(unknown)}")
+    outcomes = []
+    with tempfile.TemporaryDirectory(prefix="hsk-mutants-") as tmp:
+        tree = pathlib.Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hskbench-out"))
+            else:
+                shutil.copy2(src, tree / name)
+        for mutant in chosen:
+            start = time.perf_counter()
+            outcome = run(tree, mutant)
+            outcomes.append(outcome)
+            print(f"{outcome:<9} {time.perf_counter() - start:6.1f}s  {mutant.file}: {mutant.name}",
+                  flush=True)
+    killed = outcomes.count("killed")
+    print(f"{killed}/{len(outcomes)} killed, {outcomes.count('stale')} stale")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

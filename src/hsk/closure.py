@@ -17,8 +17,9 @@ to sigma_1 after the flip i -> n - i, conjugation by the half twist.  A
 one-strand factor closes to [N].  Every other factor is traced in the
 seminormal model: the Markov trace is the weighted block sum (Wenzl,
 Invent. Math. 92 (1988)), so the closure is zeta^k sum_lambda d_lambda
-tr rho_lambda(bare word).  The path model holds each x -> d_lambda x as
-an integer matrix over one denominator, so a factor's weighted sum is
+tr rho_lambda(bare word).  A model's first closure stores each
+x -> d_lambda x as an integer matrix over one denominator, kept on the
+model (``_weight_matrices``), so a factor's weighted sum is
 one packed product over the whole model, every block at once, and
 integer sums, reduced to a scalar once.  Its work is len(word)
 sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on 7 strands at (3,2)
@@ -45,9 +46,10 @@ inversion once the path models are built.  The one-negative-crossing
 from __future__ import annotations
 
 from collections import namedtuple
+from math import lcm
 
 from .scalar import Params, Scalar, qint
-from .seminormal import _diagonals, path_model
+from .seminormal import PathModel, _diagonals, path_model
 
 __all__ = [
     "BraidWord", "CURL_MATCH_SIGN", "braid_phase", "full_twist_word",
@@ -171,13 +173,14 @@ def _path_closure(p: Params, b: BraidWord) -> Scalar:
     """zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the braid
     phase: the blocks' integer diagonals, from one product over the
     whole model (``seminormal._diagonals``), each times its block's
-    integer weight matrix (``PathModel.weights``), summed in integers,
+    integer weight matrix (``_weight_matrices``), summed in integers,
     shifted by the phase and reduced once."""
     model = path_model(p, b.strands)
     diagonals = _diagonals(model.whole, b.word, [len(block.paths) for block in model.blocks])
+    wden, matrices = _weight_matrices(p, model)
     A = p.field
     acc = [0] * A.phi
-    for j, (block, diagonal, (weight, cols)) in enumerate(zip(model.blocks, diagonals, model.weights)):
+    for j, (block, diagonal, (weight, cols)) in enumerate(zip(model.blocks, diagonals, matrices)):
         if block.weight is not weight:
             raise RuntimeError(f"block {j} weight differs from its weight matrix")
         for t, col in zip(diagonal, cols):
@@ -185,7 +188,30 @@ def _path_closure(p: Params, b: BraidWord) -> Scalar:
                 for s, x in col:
                     acc[s] += x * t
     num = A.monomial_map(acc, 1, braid_phase(p, b))
-    return Scalar._make(A, num, model.wden * model.scale ** len(b.word))
+    return Scalar._make(A, num, wden * model.scale ** len(b.word))
+
+
+def _weight_matrices(p: Params, model: PathModel) -> tuple[int, tuple]:
+    """(D, matrices), built on the model's first closure and kept in
+    ``model.weights``: matrices[b] is (d, cols), the weight d of block b
+    and the integer matrix of x -> D d lift(x), column c the image of
+    coordinate c of Q(q) as its nonzero (ambient coordinate, entry), D
+    the weights' common denominator.  The weights are read from the
+    theory's table, not from the blocks, so a block weight replaced
+    after the build differs from its matrix's."""
+    if not model.weights:
+        table = model.whole.theory.weights
+        weights = [table[block.label] for block in model.blocks]
+        A, step = p.field, p.m // p.subfield.m
+        wden = lcm(*(w.den for w in weights))
+        matrices = []
+        for w in weights:
+            num = [c * (wden // w.den) for c in w.num]
+            cols = (A.monomial_map(num, 1, c * step) for c in range(p.subfield.phi))
+            matrices.append((w, tuple(tuple((s, x) for s, x in enumerate(col) if x)
+                                      for col in cols)))
+        model.weights.append((wden, tuple(matrices)))
+    return model.weights[0]
 
 
 def loop_power(p: Params, n: int) -> Scalar:

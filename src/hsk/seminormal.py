@@ -18,23 +18,27 @@ when s_i t (boxes i, i+1 swapped) is also a path and t comes first,
 here meaning d > 0; otherwise T_i v_t = a_d v_t.  That covers boxes in
 one row or column (d = -1, +1: a_d = -1, q) and the level wall
 |d| = N+K-1, where a_d is q or -1.  Contents of consecutive boxes
-differ by 0 < |d| < N+K, so only q^d - 1 with 0 < |d| < N+K is ever
-inverted.  All entries lie in Q(q), and depend on d and the theory
-only: one table per theory (``_theory``, 16 kept, as ``path_model``)
-holds them, the rows of T^-1, the label weights and the row templates
-below, so a build lists paths and picks entries.  A theory inverts the
-weights' common denominator prod_{i<j} [j-i] once, and, on its first
-path model, q^d - 1 for 0 < d < N+K only, since a_{-d} = -q^{-d} a_d.
+differ by 0 < |d| < N+K, and by |d| < n on n strands.  All entries lie
+in Q(q), and depend on d and the theory only: one table per theory
+(``_theory``, 16 kept, as ``path_model``) holds them, the rows of T^-1,
+the label weights and the row templates below, so a build lists paths
+and picks entries.  The entries of each |d| are built on the first
+model whose rows use it, so a one-strand model needs none.  The table
+makes no field inversion: for y of order n, 1/(y - 1) = (1/n) sum_{i<n}
+i y^i, one sum of monomials, gives a_d, with a_{-d} = q - 1 - a_d, and
+the weights' common denominator prod_{i<j} [j-i] through
+[k]^-1 = q^((k-1)/2) (q - 1)/(q^k - 1).
 
 The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
 with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
 a closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the
-braid normalisation of ``closure.braid_phase``.  ``path_model`` stores
-x -> d_lambda lift(x), from Q(q) to the ambient field, as an integer
-matrix per block over one common denominator D (``PathModel.weights``),
-so a closure sums the blocks' integer diagonals times these matrices
-and makes one scalar, over D s^len, where a sum of lifted, weighted
-block traces made one per block.
+braid normalisation of ``closure.braid_phase``.  A model's first
+closure stores x -> d_lambda lift(x), from Q(q) to the ambient field,
+as an integer matrix per block over one common denominator D
+(``PathModel.weights``), so a closure sums the blocks' integer
+diagonals times these matrices and makes one scalar, over D s^len,
+where a sum of lifted, weighted block traces made one per block.
+Twists, fusion rows and S~ never build them.
 
 A product runs the word as one program per letter over a flat state,
 phi integers per row, coordinate k of row t at t phi + k, each block's
@@ -69,11 +73,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from operator import add, itemgetter, mul
 
 from .diagrams import YoungDiagram, _walk, gamma_n
-from .scalar import Params, Scalar, qint
+from .scalar import Params, Scalar, _Field, qint
 
 __all__ = ["TRACE_LIMIT", "Block", "PathModel", "path_model", "dimension", "check_size",
            "q_weyl_dimension", "block_trace", "block_matrix"]
@@ -90,7 +94,7 @@ class Block(namedtuple("Block", "label paths weight")):
     __slots__ = ()
 
 
-class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights wden")):
+class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights")):
     """The blocks of H_n's level-K quotient, with the integer programs
     of their generators (``_Programs``): ops[b] on block b alone, and
     whole on every block at once, rows numbered block after block.
@@ -104,9 +108,10 @@ class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights wden
     concatenated outputs back in row order.  growth bounds the factor
     by which the letter can enlarge the largest entry of its scope.
     programs.steps[i][t] is row t's (content difference, partner row or
-    -1) under T_i.  weights[b] is (d, cols): the weight d of block b and
-    the integer matrix of x -> wden d lift(x), column c the image of
-    coordinate c of Q(q) as its nonzero (ambient coordinate, entry)."""
+    -1) under T_i.  weights is empty until the model's first closure,
+    which puts in (D, matrices), matrices[b] the integer matrix of
+    x -> D d_lambda lift(x) over one common denominator D
+    (``closure._weight_matrices``); nothing else reads it."""
 
     __slots__ = ()
 
@@ -144,28 +149,49 @@ def _theory(p: Params) -> _Theory:
     and partner entries of a row of T_i^sign whose boxes i, i+1 have
     content difference d (``_rows``); the q-Weyl weight of each label
     (``q_weyl_dimension``) and dinv, the inverse of their common
-    denominator; and the row terms (``_terms``) and their templates,
-    padded to a width T (``_Programs``).  All but dinv fill as builds
-    ask for them, so a weight alone makes one inversion."""
-    return _Theory({}, {}, _weyl_numerator(p, YoungDiagram()).inverse(), {}, {})
+    denominator prod_{i<j} [j-i], in closed form (``_qint_inverse``);
+    and the row terms (``_terms``) and their templates, padded to a
+    width T (``_Programs``).  All but dinv fill as builds ask for them,
+    and none makes a field inversion."""
+    dinv = prod((_qint_inverse(p, k) ** (p.N - k) for k in range(2, p.N)), start=p.one)
+    return _Theory({}, {}, dinv, {}, {})
 
 
-def _rows(p: Params, theory: _Theory) -> dict:
-    """theory.rows, filled on the theory's first path model: a_d for
-    0 < |d| < N+K by N+K-1 inversions, and the rows of T^-1."""
-    if not theory.rows:
-        F = p.subfield
-        q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
-        a: dict[int, Scalar] = {}
-        for d in range(1, p.N + p.K):
-            qd = p.q_pow_in(F, d)
-            a[d] = (q - 1) * qd * (qd - 1).inverse()
-            a[-d] = -p.q_pow_in(F, -d) * a[d]
-        for d, x in a.items():
-            off = x * a[-d] + q if d > 0 else Scalar.from_rational(F, 1)
-            theory.rows[d, 1] = (x, off)
-            theory.rows[d, -1] = (qinv * x + qinv - 1, qinv * off)  # T^-1 = q^-1 T + (q^-1 - 1)
-    return theory.rows
+def _over_root_minus_one(F: _Field, k: int, shift: int = 0) -> Scalar:
+    """zeta^shift / (zeta^k - 1) in F, zeta^k != 1: for y of order n,
+    1/(y - 1) = (1/n) sum_{i<n} i y^i, one exact sum of monomials."""
+    n = F.m // gcd(k, F.m)
+    return Scalar._make(F, F.monomial_map(range(n), k, shift), n)
+
+
+def _qint_inverse(p: Params, k: int) -> Scalar:
+    """[k]^-1 = h^(k-1) (q - 1)/(q^k - 1) in the ambient field, h = q^(1/2),
+    for 0 < k < N+K."""
+    return (p.q - 1) * _over_root_minus_one(p.field, 2 * p.N * k, p.N * (k - 1))
+
+
+def _rows(p: Params, theory: _Theory, used) -> dict:
+    """theory.rows, with the entries of each |d| of the content
+    differences used filled on the first model that uses it:
+    a_d = (q-1) q^d/(q^d - 1) in closed form (``_over_root_minus_one``)
+    and a_-d = q - 1 - a_d, since a_d + a_-d = q - 1; the partner entry
+    a_d a_-d + q of d > 0 and 1 of d < 0; and the rows of
+    T^-1 = q^-1 T + (q^-1 - 1), whose diagonal is -q^-1 a_-d."""
+    rows = theory.rows
+    todo = {abs(d) for d in used} - {d for d, _ in rows}
+    if not todo:
+        return rows
+    F = p.subfield
+    step = F.m // (p.N + p.K)  # q = zeta_F^step
+    q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
+    one = Scalar.from_rational(F, 1)
+    for d in todo:
+        a = (q - 1) * _over_root_minus_one(F, d * step, d * step)
+        b = q - 1 - a
+        off = a * b + q
+        rows[d, 1], rows[-d, 1] = (a, off), (b, one)
+        rows[d, -1], rows[-d, -1] = (-qinv * b, qinv * off), (-qinv * a, qinv)
+    return rows
 
 
 def _weyl_numerator(p: Params, d: YoungDiagram) -> Scalar:
@@ -191,7 +217,6 @@ def q_weyl_dimension(p: Params, d: YoungDiagram) -> Scalar:
 def path_model(p: Params, n: int) -> PathModel:
     check_size(p, n)
     theory = _theory(p)
-    rows = _rows(p, theory)
     blocks, steps = [], []
     whole: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
     # Bratteli paths, grouped by the N-row shape they end at
@@ -212,20 +237,12 @@ def path_model(p: Params, n: int) -> PathModel:
         blocks.append(Block(lab, paths, q_weyl_dimension(p, lab)))
         steps.append(block_steps)
     used = {(d, u >= 0) for gen in whole for d, u in gen}
+    rows = _rows(p, theory, {d for d, _ in used})
     scale = lcm(*(x.den for d, partner in used for sign in (1, -1)
                   for x in rows[d, sign][:1 + partner]))
     phi = p.subfield.phi
     ops = tuple(_Programs(theory, block_steps, scale, phi, False) for block_steps in steps)
-    whole_ops = _Programs(theory, whole, scale, phi, True)
-    A, step = p.field, p.m // p.subfield.m
-    wden = lcm(*(b.weight.den for b in blocks))
-    weights = []
-    for b in blocks:
-        num = [c * (wden // b.weight.den) for c in b.weight.num]
-        cols = (A.monomial_map(num, 1, c * step) for c in range(p.subfield.phi))
-        weights.append((b.weight, tuple(tuple((s, x) for s, x in enumerate(col) if x)
-                                        for col in cols)))
-    return PathModel(p, n, tuple(blocks), scale, ops, whole_ops, tuple(weights), wden)
+    return PathModel(p, n, tuple(blocks), scale, ops, _Programs(theory, whole, scale, phi, True), [])
 
 
 def _terms(theory: _Theory, d: int, sign: int, partner: bool, scale: int):

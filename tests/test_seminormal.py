@@ -15,9 +15,9 @@ from random import Random
 
 import pytest
 
-from hsk import (BraidWord, Params, from_braid, gamma_n, labels, loop_power, markov_trace,
-                 path_count, qint)
-from hsk import trace
+from hsk import (BraidWord, Params, dagger, from_braid, fusion, gamma_n, labels, loop_power,
+                 markov_trace, mf_dim, path_count, qint, s_matrix, twist)
+from hsk import closure, modular, trace
 from hsk.closure import braid_phase
 from hsk.hecke import full_twist_word
 from hsk.modular import qdim
@@ -229,10 +229,10 @@ def _programs(programs, n):
 
 def _fields(model):
     """The fields of a model with every letter program of every block
-    and of the whole model compiled."""
+    and of the whole model compiled, and its weight matrices built."""
     ops = tuple(_programs(programs, model.n) for programs in model.ops)
-    return (model.blocks, model.scale, ops, _programs(model.whole, model.n), model.weights,
-            model.wden)
+    return (model.blocks, model.scale, ops, _programs(model.whole, model.n),
+            closure._weight_matrices(model.p, model))
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
@@ -272,35 +272,121 @@ def test_rebuilt_models_make_no_inversion(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("p", THEORIES, ids=ids)
-def test_theory_inverts_each_entry_pair_and_the_weight_denominator_once(p, monkeypatch):
-    """A theory inverts q^d - 1 for 0 < d < N+K only (a_-d = -q^-d a_d)
-    and prod_{i<j} [j-i] once for all label weights: N+K inversions,
-    the entries' on its first path model."""
+def _spy_inverse(monkeypatch) -> list:
     calls = []
     real = Scalar.inverse
     monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or real(x))
+    return calls
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_theory_inverts_each_entry_pair_and_the_weight_denominator_once(p, monkeypatch):
+    """A theory's tables make no field inversion: neither every label
+    weight (the denominator prod_{i<j} [j-i] in closed form) nor every
+    path model on n <= 6 strands (each entry a_d in closed form, a_-d
+    from a_d)."""
+    calls = _spy_inverse(monkeypatch)
     seminormal._theory.cache_clear()
     path_model.cache_clear()
     for d in labels(p):
         q_weyl_dimension(p, d)
-    path_model(p, 2)
-    assert len(calls) == p.N + p.K
+    for n in range(7):
+        path_model(p, n)
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_first_qdim_inverts_only_the_weight_denominator(p, monkeypatch):
-    """A single qdim on a fresh theory builds no entry a_d: one
-    inversion, the weights' common denominator."""
-    calls = []
-    real = Scalar.inverse
-    monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or real(x))
+    """A single qdim on a fresh theory builds no entry a_d and makes no
+    field inversion: the weights' common denominator is inverted in
+    closed form."""
+    calls = _spy_inverse(monkeypatch)
     seminormal._theory.cache_clear()
     lab = labels(p)[-1]
     got = qdim(p, lab)
-    assert len(calls) == 1
+    assert calls == []
     monkeypatch.undo()
     assert got == qdim_by_young_idempotent(p, lab)
+
+
+@pytest.mark.parametrize("p", [Params(2, 1), Params(2, 2), Params(3, 2), Params(4, 1), Params(2, 3),
+                               Params(3, 3), Params(5, 5)], ids=lambda p: f"{p.N},{p.K}")
+def test_closed_form_inverses_equal_norm_inverses(p):
+    """1/(y - 1) = (1/n) sum_{i<n} i y^i, y of order n, against the
+    Galois-norm inverse: 1/(q^d - 1) and q^d/(q^d - 1) in Q(q) for
+    0 < d < N+K, and [k]^-1 in the ambient field for 1 <= k < N+K."""
+    F = p.subfield
+    step = F.m // (p.N + p.K)
+    for d in range(1, p.N + p.K):
+        qd = p.q_pow_in(F, d)
+        assert seminormal._over_root_minus_one(F, d * step) == (qd - 1).inverse(), d
+        assert seminormal._over_root_minus_one(F, d * step, d * step) == qd * (qd - 1).inverse(), d
+    for k in range(1, p.N + p.K):
+        assert seminormal._qint_inverse(p, k) == qint(p, k).inverse(), k
+
+
+def _rows_by_inversion(p) -> dict:
+    """Every entry and T^-1 row as built before the closed forms: a_d by
+    a norm inversion of q^d - 1 for 0 < d < N+K, a_-d = -q^-d a_d, and
+    the T^-1 diagonal q^-1 a + q^-1 - 1."""
+    F = p.subfield
+    q, qinv = p.q_pow_in(F, 1), p.q_pow_in(F, -1)
+    a = {}
+    for d in range(1, p.N + p.K):
+        qd = p.q_pow_in(F, d)
+        a[d] = (q - 1) * qd * (qd - 1).inverse()
+        a[-d] = -p.q_pow_in(F, -d) * a[d]
+    rows = {}
+    for d, x in a.items():
+        off = x * a[-d] + q if d > 0 else Scalar.from_rational(F, 1)
+        rows[d, 1] = (x, off)
+        rows[d, -1] = (qinv * x + qinv - 1, qinv * off)
+    return rows
+
+
+@pytest.mark.parametrize("p", THEORIES, ids=ids)
+def test_entries_fill_per_content_difference_on_demand(p):
+    """A fresh table holds no entry after a one-strand model, and after
+    an n-strand model exactly the entries of the |d| its rows use, both
+    signs of d and of the letter, all with 0 < |d| < min(n, N+K); at
+    (4,1) the 3- and 4-strand models use |d| = 1 alone, and no model
+    |d| = 2 or 3.  Every entry and T^-1 row filled equals the inverting
+    construction."""
+    for n in range(1, p.N + p.K + 2):
+        seminormal._theory.cache_clear()
+        path_model.cache_clear()
+        model = path_model(p, n)
+        used = {abs(d) for gen in model.whole.steps for d, _ in gen}
+        assert used <= set(range(1, min(n, p.N + p.K))), n
+        assert set(seminormal._theory(p).rows) == {(e * d, sign) for d in used
+                                                   for e in (1, -1) for sign in (1, -1)}, n
+    rows, oracle = seminormal._theory(p).rows, _rows_by_inversion(p)
+    assert rows == {key: oracle[key] for key in rows}
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(4, 1), Params(3, 2)],
+                         ids=lambda p: f"{p.N},{p.K}")
+def test_modular_data_build_no_weight_matrices(p, monkeypatch):
+    """Twists, fusion rows, S~ and mf_dim leave every path model they
+    read without weight matrices; a closure builds them, once."""
+    seminormal._theory.cache_clear()
+    path_model.cache_clear()
+    models = []
+    real = modular.path_model
+    monkeypatch.setattr(modular, "path_model", lambda p, n: models.append(real(p, n)) or models[-1])
+    labs = labels(p)
+    for lab in labs:
+        twist(p, lab)
+    fusion(p, labs[1], labs[-1], labs[1])
+    s_matrix(p)
+    mf_dim(p, 1, (labs[1], dagger(p, labs[1])))
+    assert models and all(model.weights == [] for model in models)
+    b = BraidWord(3, (1, -2, 1))
+    trace._path_closure(p, b)
+    built = path_model(p, 3).weights
+    assert len(built) == 1
+    trace._path_closure(p, b)
+    assert path_model(p, 3).weights is built and len(built) == 1
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
