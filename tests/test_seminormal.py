@@ -255,9 +255,8 @@ def test_models_on_a_warm_table_equal_cold_builds(p):
 
 
 def test_rebuilt_models_make_no_inversion(monkeypatch):
-    """Every entry a_d and every label weight is inverted once per
-    theory: once the table holds them, rebuilding the models inverts
-    nothing."""
+    """Rebuilding every model on 0-8 strands on a warm table inverts
+    nothing (the cold builds are checked on n <= 6 below)."""
     p = Params(3, 2)
     for d in labels(p):
         q_weyl_dimension(p, d)
@@ -369,8 +368,8 @@ def test_entries_fill_per_content_difference_on_demand(p):
 def test_modular_data_build_no_weight_matrices(p, monkeypatch):
     """Twists, fusion rows, S~ and mf_dim leave every path model they
     read without weight matrices; a closure builds them, once."""
-    seminormal._theory.cache_clear()
-    path_model.cache_clear()
+    for cached in (seminormal._theory, path_model, modular.s_matrix, modular._fusion_row):
+        cached.cache_clear()
     models = []
     real = modular.path_model
     monkeypatch.setattr(modular, "path_model", lambda p, n: models.append(real(p, n)) or models[-1])
