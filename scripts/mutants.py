@@ -33,7 +33,9 @@ COPIED = ("src", "tests", "hskbench", "pyproject.toml")
 Mutant = namedtuple("Mutant", "name file old new tests")
 
 SEMINORMAL = "src/hsk/seminormal.py"
+CLOSURE = "src/hsk/closure.py"
 T_SEMI = "tests/test_seminormal.py::"
+T_REDUCE = "tests/test_trace.py::TestReduction::"
 
 MUTANTS = [
     # the theory table's closed forms and entries built on demand
@@ -57,10 +59,23 @@ MUTANTS = [
            "rows[d, 1], rows[-d, 1] = (a, off), (b, one)",
            "rows[d, 1], rows[-d, 1] = (a, off), (b, q)",
            [T_SEMI + "test_blocks_satisfy_the_hecke_relations"]),
-    Mutant("weight matrices from block.weight", "src/hsk/closure.py",
+    Mutant("+ q dropped from the off-diagonal", SEMINORMAL,
+           "off = a * b + q", "off = a * b",
+           [T_SEMI + "test_blocks_satisfy_the_hecke_relations"]),
+    Mutant("weight matrices from block.weight", CLOSURE,
            "weights = [table[block.label] for block in model.blocks]",
            "weights = [block.weight for block in model.blocks]",
            ["tests/test_trace.py::TestPhaseFold::test_replaced_block_weight_is_refused"]),
+    # the closure's curl and its cancellation up to far commutation
+    Mutant("curl off by one power of zeta", CLOSURE,
+           "return p.zeta_pow(sign * (1 - p.N * p.N))", "return p.zeta_pow(sign * (2 - p.N * p.N))",
+           ["tests/test_trace.py::TestPhaseFold::test_curl_is_the_markov_formula"]),
+    Mutant("adjacent generators commute", CLOSURE,
+           "last > at[g - 1][-1] and last > at[g + 1][-1] and", "last >= 0 and",
+           [T_REDUCE + "test_far_commuting_pairs", T_REDUCE + "test_reduced_equals_unreduced"]),
+    Mutant("a letter cancels an equal letter", CLOSURE,
+           "and out[last] == -e:", "and out[last] == e:",
+           [T_REDUCE + "test_far_commuting_pairs", T_REDUCE + "test_reduced_equals_unreduced"]),
     # the letter programs and the packed product
     Mutant("slot width capped at 48 bits", SEMINORMAL,
            "    w = bound.bit_length() + 1\n", "    w = min(bound.bit_length() + 1, 48)\n",

@@ -5,9 +5,16 @@ A braid generator is sigma_i = -q^(-(N-1)/2N) T_{s_i} (``hecke``), so
 the image of a word is zeta^k times the bare word in T_{s_i}^(+/-1),
 k = ``braid_phase``.
 
-A closure is first reduced by exact moves (``_reduce``), applied until
-none changes the word: (a) s s^-1 cancels, freely and cyclically (the
-closure is a class function); (b) a word without sigma_i closes to the
+A closure is first reduced by exact moves (``_reduce``).  (a) Inverse
+letters cancel up to far commutation, sigma_i sigma_j = sigma_j sigma_i
+for |i - j| >= 2, freely and cyclically (the closure is a class
+function): a letter cancels an earlier inverse it reaches past letters
+it commutes with, and a letter that commutes to the front cancels an
+inverse that commutes to the back (``_commute_cancel``).  This runs
+once, on the word as given; after each move below only adjacent s s^-1
+cancel, freely and cyclically, since the far pass there would cost
+more than the letters it still removes.  The moves are applied until none
+changes the word: (b) a word without sigma_i closes to the
 product of the closures on strands 1..i and i+1..n, the upper letters
 shifted down by i, since the Markov trace is multiplicative on x (x) y
 and the phase of ``braid_phase`` is additive over letters; (c) if
@@ -134,14 +141,58 @@ def _cancel(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out[i:j])
 
 
+def _commute_cancel(n: int, word: tuple[int, ...]) -> tuple[int, ...]:
+    """The word on n strands with every inverse pair cancelled that meets
+    across letters it commutes with, freely and then cyclically.
+
+    Letters of generators i and j commute unless |i - j| = 1.  Freely, a
+    letter reaches back past every letter but those of the neighbouring
+    generators, and of its own generator only the last letter can be its
+    inverse (an earlier one would have cancelled), so it cancels that
+    last letter if it is its inverse and no neighbour follows it.
+    Cyclically, the first and last letters of a generator cancel if they
+    are inverse, no neighbour precedes the first and none follows the
+    last: the word is then the rest conjugated by the first.  at[g] lists the
+    places in out of generator g's letters, after a -1 that stands for
+    none; a cancelled letter's place is set to 0."""
+    out: list[int] = []
+    at = [[-1] for _ in range(n + 1)]
+    for e in word:
+        g = abs(e)
+        places = at[g]
+        last = places[-1]
+        if last > at[g - 1][-1] and last > at[g + 1][-1] and out[last] == -e:
+            out[places.pop()] = 0
+        else:
+            places.append(len(out))
+            out.append(e)
+    again = True
+    while again:
+        again = False
+        for g in range(1, n):
+            places, low, high = at[g], at[g - 1], at[g + 1]
+            if len(places) < 3:
+                continue
+            first, last = places[1], places[-1]
+            if (out[first] == -out[last] and last > low[-1] and last > high[-1]
+                    and (len(low) == 1 or first < low[1]) and (len(high) == 1 or first < high[1])):
+                out[first] = out[last] = 0
+                places.pop()
+                places.pop(1)
+                again = True
+    return tuple(e for e in out if e)
+
+
 def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
     """(factors, loops, curls): the closure of b is [N]^loops
     curl(sign(curls))^|curls| times the product of the factors'
-    closures.  Each factor is reduced by the exact moves (a) cancel,
-    (b) split at an absent generator, (c) destabilise a top generator
-    that occurs once and (d) destabilise a bottom one through the flip
-    i -> n - i; a one-strand factor counts as a loop."""
-    todo = [(b.strands, b.word)]
+    closures.  The word as given is cancelled up to far commutation
+    (``_commute_cancel``), once.  Then each factor is reduced by the
+    exact moves (a) cancel adjacent s s^-1 (``_cancel``), (b) split at
+    an absent generator, (c) destabilise a top generator that occurs
+    once and (d) destabilise a bottom one through the flip i -> n - i;
+    a one-strand factor counts as a loop."""
+    todo = [(b.strands, _commute_cancel(b.strands, b.word))]
     factors: list[BraidWord] = []
     loops = curls = 0
     while todo:
@@ -150,22 +201,22 @@ def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
         if n == 1:
             loops += 1
             continue
-        present = {abs(e) for e in word}
-        gap = next((i for i in range(1, n) if i not in present), 0)
-        if gap:
+        present = set(map(abs, word))
+        if len(present) < n - 1:
+            gap = next(i for i in range(1, n) if i not in present)
             todo.append((gap, tuple(e for e in word if abs(e) < gap)))
             todo.append((n - gap, tuple(e - gap if e > 0 else e + gap
                                         for e in word if abs(e) > gap)))
             continue
-        for w in (word, tuple(n - e if e > 0 else -n - e for e in word)):
-            tops = [j for j, e in enumerate(w) if abs(e) == n - 1]
-            if len(tops) == 1:
-                j = tops[0]
-                curls += 1 if w[j] > 0 else -1
-                todo.append((n - 1, w[j + 1:] + w[:j]))
-                break
-        else:
-            factors.append(BraidWord(n, word))
+        top = n - 1
+        if word.count(top) + word.count(-top) != 1:
+            if word.count(1) + word.count(-1) != 1:
+                factors.append(BraidWord(n, word))
+                continue
+            word = tuple(n - e if e > 0 else -n - e for e in word)
+        j = word.index(top) if top in word else word.index(-top)
+        curls += 1 if word[j] > 0 else -1
+        todo.append((top, word[j + 1:] + word[:j]))
     return factors, loops, curls
 
 

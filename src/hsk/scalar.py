@@ -452,14 +452,12 @@ def qint(p: Params, j: int) -> Scalar:
     [j] vanishes exactly when N+K divides j; in particular [N+K] = 0 and
     [j] is invertible for 1 <= j < N+K.  Since q^(1/2) has order 2(N+K),
     [j + 2(N+K)] = [j], so j is reduced first and the sum has fewer
-    than 2(N+K) terms."""
+    than 2(N+K) terms.  With q^(1/2) = zeta^N the terms are
+    zeta^(N(j-1-2t)), t < j: one monomial map."""
     if j < 0:
         raise ValueError("quantum integer of negative argument")
     j %= 2 * (p.N + p.K)
-    acc = p.zero
-    for t in range(j):
-        acc = acc + p.q_half_pow(j - 1 - 2 * t)
-    return acc
+    return Scalar._make(p.field, p.field.monomial_map([1] * j, -2 * p.N, p.N * (j - 1)), 1)
 
 
 def qfact(p: Params, n: int) -> Scalar:

@@ -174,6 +174,20 @@ def commands() -> list[list[str]]:
         cmds.append(["smatrix", "--N", str(N), "--K", str(K)])
     for N, K in ((3, 2), (2, 3)):
         cmds.append(["fusion", "--table", "--max-strands", "6", "--N", str(N), "--K", str(K)])
+    # words whose inverse pairs meet only across far-commuting letters,
+    # freely or cyclically, captured before the closures cancelled them;
+    # the 9- and 10-strand words are too large for (4,3) as given
+    far = [(6, "1 3 -1 5 2 -4 -2 1 4 -3 -5 2"), (7, "3 1 5 -3 6 2 -1 4 -6 1 -2 3 -5 2"),
+           (8, "2 4 6 1 -4 3 -6 5 7 -2 1 -3 4 -7 6"),
+           (8, "3 1 5 2 -6 4 1 7 2 2 -5 6 -1 -7 5 -3")]
+    wide = [(9, "-5 1 3 7 2 -1 4 -7 6 8 -3 5 -2 1 -8 3"),
+            (10, "1 3 5 7 9 -1 2 4 -3 6 8 -9 -5 1 -7 3 2 -6 9 4"),
+            (10, "4 -1 3 6 -8 2 5 -3 9 -6 7 1 -2 8 -5 3")]
+    for N, K in ((2, 2), (3, 2), (4, 3)):
+        for n, word in far + (wide if K == 2 else []):
+            for kind in ("closure", "trace"):
+                cmds.append([kind, "--N", str(N), "--K", str(K), "--strands", str(n),
+                             "--braid", word])
     return cmds
 
 

@@ -197,8 +197,9 @@ class TestQuantumIntegers:
                 assert qint(p, j) * den == num
 
     def test_periodic_reduction_matches_plain_sum(self):
-        # q^(1/2) has order 2(N+K), so qint reduces j before summing
-        for p in PARAMS:
+        # q^(1/2) has order 2(N+K), so qint reduces j before summing; the
+        # plain sum is the oracle of its one monomial map
+        for p in [*PARAMS, Params(2, 3), Params(5, 5)]:
             for j in range(4 * (p.N + p.K)):
                 plain = p.zero
                 for t in range(j):

@@ -42,7 +42,8 @@ from hsk.hecke import _gen_step, full_twist_word, random_element
 from hsk.perms import perm_table
 from hsk.linalg import positive_definite, rref
 from hsk import Scalar, closure, trace
-from hsk.closure import _path_closure, braid_phase
+from hsk.closure import _commute_cancel, _path_closure, braid_phase
+from hsk.scalar import _field
 from hsk.seminormal import block_trace, path_model
 from hsk.trace import (CURL_MATCH_SIGN, _closure_unreduced, _reduce, _trace_vector, gram_bilinear,
                        gram_hermitian, gram_rref)
@@ -390,6 +391,12 @@ def _shift(word, k):
     return tuple(e + k if e > 0 else e - k for e in word)
 
 
+def _far_letters(rng, n, i, length):
+    """A random word in the generators that commute with sigma_i."""
+    far = [j for j in range(1, n) if abs(j - i) != 1]
+    return tuple(rng.choice((1, -1)) * rng.choice(far) for _ in range(length))
+
+
 def _move_words(rng, n):
     """Words on n strands built so that each move fires: a conjugate, a
     stabilisation and a sigma_1-only destabilisation of each sign, and a
@@ -438,6 +445,56 @@ class TestReduction:
             braids = [BraidWord(n, _random_word(rng, n, rng.randint(0, 10))) for _ in range(3)]
             for b in braids + _move_words(rng, n):
                 assert closure_invariant(p, b) == _closure_unreduced(p, b), b
+
+    def test_far_commuting_pairs(self):
+        # the sigma_1 pair stands apart only by sigma_3: it cancels
+        assert _commute_cancel(4, (2, 1, 3, -1, 2)) == (2, 3, 2)
+        assert _reduce(BraidWord(5, (2, 2, 1, 3, -1, 4, 2, -3))) == (
+            [BraidWord(3, (1, -2, 1, 1, 2))], 1, 1)
+        # sigma_2 stands between the sigma_1 pair: it survives
+        blocked = BraidWord(3, (1, 2, -1, 2))
+        assert _commute_cancel(3, blocked.word) == blocked.word
+        assert _reduce(blocked) == ([blocked], 0, 0)
+        # sigma_1 commutes to the front past sigma_3 and its inverse to the
+        # back past sigma_4: the word is conjugate to the rest
+        cyclic = BraidWord(6, (3, 1, 2, 2, -1, 4, 5, 4, 5))
+        assert _commute_cancel(6, cyclic.word) == (3, 2, 2, 4, 5, 4, 5)
+        assert _reduce(cyclic) == ([BraidWord(5, (2, 1, 1, 3, 4, 3, 4))], 1, 0)
+
+    def test_cancelled_top_pair_shrinks_the_model(self, monkeypatch):
+        # sigma_4 and its inverse meet across sigma_1 sigma_2; without
+        # them the fifth strand splits off and the rest closes on four
+        p = Params(3, 2)
+        b = BraidWord(5, (1, 2, 3, 4, 1, 2, -4, 3, 2, 1))
+        asked = []
+        real = closure.path_model
+        monkeypatch.setattr(closure, "path_model", lambda p, n: asked.append(n) or real(p, n))
+        got = closure_invariant(p, b)
+        monkeypatch.undo()
+        assert asked == [4]
+        assert got == _closure_unreduced(p, b)
+
+    @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (4, 1)])
+    def test_inserted_commuting_conjugates(self, N, K):
+        """g x g^-1 with x commuting with g, inserted into a random word,
+        and g, g^-1 around a random word, each reached across letters
+        that commute with g: both pairs cancel, and the closure is the T
+        expansion's."""
+        p = Params(N, K)
+        rng = Random(f"far pairs:{N},{K}")
+        for n in range(3, TRACE_LIMIT + 1):
+            for _ in range(2):
+                w = _random_word(rng, n, rng.randint(2, 8))
+                i = rng.randint(1, n - 1)
+                g = rng.choice((1, -1)) * i
+                j = rng.randint(0, len(w))
+                free = w[:j] + (g,) + _far_letters(rng, n, i, rng.randint(1, 3)) + (-g,) + w[j:]
+                cyclic = (_far_letters(rng, n, i, rng.randint(1, 2)) + (g,) + w + (-g,)
+                          + _far_letters(rng, n, i, rng.randint(1, 2)))
+                for word in (free, cyclic):
+                    assert len(_commute_cancel(n, word)) <= len(word) - 2, word
+                    b = BraidWord(n, word)
+                    assert closure_invariant(p, b) == _closure_unreduced(p, b), b
 
     def test_eight_strands_build_no_table_or_trace_vector(self, monkeypatch):
         # an 8-strand word that no move changes: the path model traces
@@ -589,7 +646,16 @@ def test_level_rank_duality(N, K):
     """V_{K,N}(b) = conj(V_{N,K}(b)) (-1)^w exp(2 pi i w/(2NK)), w the
     writhe: SU(N)_K <-> SU(K)_N level-rank duality on the fundamental
     colour (Naculich and Schnitzer, Nucl. Phys. B 347 (1990)).  The two
-    sides share no path model, field or braid phase."""
+    sides share no path model, field or braid phase; both are compared
+    exactly in Q(zeta_L), L = lcm(2N(N+K), 2K(N+K), 2NK), where
+    (-1)^w = zeta_L^(wL/2) and exp(2 pi i w/(2NK)) = zeta_L^(wL/(2NK))."""
+    L = math.lcm(2 * N * (N + K), 2 * K * (N + K), 2 * N * K)
+    F = _field(L)
+
+    def embed(x, step, k=0):
+        # zeta_m -> zeta_L^step, times zeta_L^k
+        return Scalar._make(F, F.monomial_map(x.num, step, k), x.den)
+
     rng = Random(f"level-rank:{N},{K}")
     braids = [BraidWord(n, _random_word(rng, n, rng.randint(1, 14)))
               for n in range(2, 10) for _ in range(4)]
@@ -598,10 +664,10 @@ def test_level_rank_duality(N, K):
         braids += [ft, BraidWord(n, _inverse(ft.word))]
     for b in braids:
         w = sum(1 if e > 0 else -1 for e in b.word)
-        got = closure_invariant(Params(K, N), b).embed()
-        want = (closure_invariant(Params(N, K), b).embed().conjugate()
-                * (-1) ** w * cmath.exp(2j * math.pi * w / (2 * N * K)))
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), b
+        got = closure_invariant(Params(K, N), b)
+        want = closure_invariant(Params(N, K), b)
+        assert embed(got, L // got.field.m) == embed(want, -(L // want.field.m),
+                                                      w * (L // 2 + L // (2 * N * K))), b
 
 
 @given(param_idx, st.integers(0, 2 ** 30))
