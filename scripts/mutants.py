@@ -34,6 +34,8 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 
 SEMINORMAL = "src/hsk/seminormal.py"
 CLOSURE = "src/hsk/closure.py"
+MODULAR = "src/hsk/modular.py"
+TRACE = "src/hsk/trace.py"
 T_SEMI = "tests/test_seminormal.py::"
 T_REDUCE = "tests/test_trace.py::TestReduction::"
 
@@ -62,7 +64,7 @@ MUTANTS = [
     Mutant("+ q dropped from the off-diagonal", SEMINORMAL,
            "off = a * b + q", "off = a * b",
            [T_SEMI + "test_blocks_satisfy_the_hecke_relations"]),
-    Mutant("weight matrices from block.weight", CLOSURE,
+    Mutant("weight matrices from block.weight", SEMINORMAL,
            "weights = [table[block.label] for block in model.blocks]",
            "weights = [block.weight for block in model.blocks]",
            ["tests/test_trace.py::TestPhaseFold::test_replaced_block_weight_is_refused"]),
@@ -76,6 +78,19 @@ MUTANTS = [
     Mutant("a letter cancels an equal letter", CLOSURE,
            "and out[last] == -e:", "and out[last] == e:",
            [T_REDUCE + "test_far_commuting_pairs", T_REDUCE + "test_reduced_equals_unreduced"]),
+    Mutant("destabilised word left uncancelled", CLOSURE,
+           "todo.append((top, _commute_cancel(top, word[j + 1:] + word[:j])))",
+           "todo.append((top, word[j + 1:] + word[:j]))",
+           [T_REDUCE + "test_destabilised_word_is_cancelled_up_to_commutation"]),
+    # the modular data and the hermitian form
+    Mutant("every vacuum fusion coefficient raised by 1", MODULAR,
+           "return tuple(found.get(nu, 0) for nu in labels(p))",
+           "return tuple(found.get(nu, 0) + (not a or not b) for nu in labels(p))",
+           ["tests/test_category.py::TestFusion::test_unit"]),
+    Mutant("gram_hermitian returning -K", TRACE,
+           "return tuple(zip(*_gram_rows(p, n, -1)))",
+           "return tuple(tuple(-x for x in row) for row in zip(*_gram_rows(p, n, -1)))",
+           ["tests/test_trace.py::TestGram::test_psd"]),
     # the letter programs and the packed product
     Mutant("slot width capped at 48 bits", SEMINORMAL,
            "    w = bound.bit_length() + 1\n", "    w = min(bound.bit_length() + 1, 48)\n",

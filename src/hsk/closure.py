@@ -10,33 +10,29 @@ letters cancel up to far commutation, sigma_i sigma_j = sigma_j sigma_i
 for |i - j| >= 2, freely and cyclically (the closure is a class
 function): a letter cancels an earlier inverse it reaches past letters
 it commutes with, and a letter that commutes to the front cancels an
-inverse that commutes to the back (``_commute_cancel``).  This runs
-once, on the word as given; after each move below only adjacent s s^-1
-cancel, freely and cyclically, since the far pass there would cost
-more than the letters it still removes.  The moves are applied until none
-changes the word: (b) a word without sigma_i closes to the
-product of the closures on strands 1..i and i+1..n, the upper letters
-shifted down by i, since the Markov trace is multiplicative on x (x) y
-and the phase of ``braid_phase`` is additive over letters; (c) if
-sigma_(n-1)^(+/-1) occurs once, it is rotated to the end and dropped with
-one strand, times curl(+/-1) (Markov destabilisation); (d) (c) applies
-to sigma_1 after the flip i -> n - i, conjugation by the half twist.  A
-one-strand factor closes to [N].  Every other factor is traced in the
-seminormal model: the Markov trace is the weighted block sum (Wenzl,
-Invent. Math. 92 (1988)), so the closure is zeta^k sum_lambda d_lambda
-tr rho_lambda(bare word).  A model's first closure stores each
-x -> d_lambda x as an integer matrix over one denominator, kept on the
-model (``_weight_matrices``), so a factor's weighted sum is
-one packed product over the whole model, every block at once, and
-integer sums, reduced to a scalar once.  Its work is len(word)
-sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on 7 strands at (3,2)
-against 7! = 5,040 permutations, and its one bound is the path model's
-size (``seminormal.check_size``), which a factor on fewer than 8 strands
-always meets since sum f_lambda^2 <= n!.  Nothing here builds a
-permutation table or a trace vector; ``hsk trace`` prints [N]^-n times
-the closure.  The T expansion, [N]^n Tr(from_braid(b)) on the word as
-given (``trace._closure_unreduced``), is the oracle of the reduction
-and the path model.
+inverse that commutes to the back (``_commute_cancel``).  This runs on
+the word as given and on each word (c) and (d) leave, not on the pieces
+of (b): every letter of one piece commutes with the other.  The moves
+are applied until none changes the word: (b) a word without sigma_i
+closes to the product of the closures on strands 1..i and i+1..n, the
+upper letters shifted down by i, since the Markov trace is
+multiplicative on x (x) y and the phase of ``braid_phase`` is additive
+over letters; (c) if sigma_(n-1)^(+/-1) occurs once, it is rotated to
+the end and dropped with one strand, times curl(+/-1) (Markov
+destabilisation); (d) (c) applies to sigma_1 after the flip
+i -> n - i, conjugation by the half twist.  A one-strand factor closes
+to [N].  Every other factor is traced in the
+seminormal model (``seminormal.closure_trace``): the Markov trace is
+the weighted block sum (Wenzl, Invent. Math. 92 (1988)), so the
+closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word).  Its
+work is len(word) sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on
+7 strands at (3,2) against 7! = 5,040 permutations, and its one bound
+is the path model's size (``seminormal.check_size``), which a factor on
+fewer than 8 strands always meets since sum f_lambda^2 <= n!.  Nothing
+here builds a permutation table or a trace vector; ``hsk trace`` prints
+[N]^-n times the closure.  The T expansion, [N]^n Tr(from_braid(b)) on
+the word as given (``trace._closure_unreduced``), is the oracle of the
+reduction and the path model.
 
 Closures of braids are normalised so that the trivial n-strand braid
 closes to [N]^n, the unlink value; a single +/-1 kink contributes the
@@ -53,10 +49,9 @@ inversion once the path models are built.  The one-negative-crossing
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
 
 from .scalar import Params, Scalar, qint
-from .seminormal import PathModel, _diagonals, path_model
+from .seminormal import closure_trace, path_model
 
 __all__ = [
     "BraidWord", "CURL_MATCH_SIGN", "braid_phase", "full_twist_word",
@@ -127,20 +122,6 @@ def closure_invariant(p: Params, b: BraidWord) -> Scalar:
     return p.lift(acc, curls * (1 - p.N * p.N))
 
 
-def _cancel(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The word with every s s^-1 cancelled, freely and cyclically."""
-    out: list[int] = []
-    for e in word:
-        if out and out[-1] == -e:
-            out.pop()
-        else:
-            out.append(e)
-    i, j = 0, len(out)
-    while j - i > 1 and out[i] == -out[j - 1]:
-        i, j = i + 1, j - 1
-    return tuple(out[i:j])
-
-
 def _commute_cancel(n: int, word: tuple[int, ...]) -> tuple[int, ...]:
     """The word on n strands with every inverse pair cancelled that meets
     across letters it commutes with, freely and then cyclically.
@@ -186,18 +167,17 @@ def _commute_cancel(n: int, word: tuple[int, ...]) -> tuple[int, ...]:
 def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
     """(factors, loops, curls): the closure of b is [N]^loops
     curl(sign(curls))^|curls| times the product of the factors'
-    closures.  The word as given is cancelled up to far commutation
-    (``_commute_cancel``), once.  Then each factor is reduced by the
-    exact moves (a) cancel adjacent s s^-1 (``_cancel``), (b) split at
-    an absent generator, (c) destabilise a top generator that occurs
-    once and (d) destabilise a bottom one through the flip i -> n - i;
-    a one-strand factor counts as a loop."""
+    closures.  The word is reduced by the exact moves (a) cancel up to
+    far commutation (``_commute_cancel``), on the word as given and on
+    each destabilised one, (b) split at an absent generator, (c)
+    destabilise a top generator that occurs once and (d) destabilise a
+    bottom one through the flip i -> n - i; a one-strand factor counts
+    as a loop."""
     todo = [(b.strands, _commute_cancel(b.strands, b.word))]
     factors: list[BraidWord] = []
     loops = curls = 0
     while todo:
         n, word = todo.pop()
-        word = _cancel(word)
         if n == 1:
             loops += 1
             continue
@@ -216,53 +196,14 @@ def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
             word = tuple(n - e if e > 0 else -n - e for e in word)
         j = word.index(top) if top in word else word.index(-top)
         curls += 1 if word[j] > 0 else -1
-        todo.append((top, word[j + 1:] + word[:j]))
+        todo.append((top, _commute_cancel(top, word[j + 1:] + word[:j])))
     return factors, loops, curls
 
 
 def _path_closure(p: Params, b: BraidWord) -> Scalar:
     """zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the braid
-    phase: the blocks' integer diagonals, from one product over the
-    whole model (``seminormal._diagonals``), each times its block's
-    integer weight matrix (``_weight_matrices``), summed in integers,
-    shifted by the phase and reduced once."""
-    model = path_model(p, b.strands)
-    diagonals = _diagonals(model.whole, b.word, [len(block.paths) for block in model.blocks])
-    wden, matrices = _weight_matrices(p, model)
-    A = p.field
-    acc = [0] * A.phi
-    for j, (block, diagonal, (weight, cols)) in enumerate(zip(model.blocks, diagonals, matrices)):
-        if block.weight is not weight:
-            raise RuntimeError(f"block {j} weight differs from its weight matrix")
-        for t, col in zip(diagonal, cols):
-            if t:
-                for s, x in col:
-                    acc[s] += x * t
-    num = A.monomial_map(acc, 1, braid_phase(p, b))
-    return Scalar._make(A, num, wden * model.scale ** len(b.word))
-
-
-def _weight_matrices(p: Params, model: PathModel) -> tuple[int, tuple]:
-    """(D, matrices), built on the model's first closure and kept in
-    ``model.weights``: matrices[b] is (d, cols), the weight d of block b
-    and the integer matrix of x -> D d lift(x), column c the image of
-    coordinate c of Q(q) as its nonzero (ambient coordinate, entry), D
-    the weights' common denominator.  The weights are read from the
-    theory's table, not from the blocks, so a block weight replaced
-    after the build differs from its matrix's."""
-    if not model.weights:
-        table = model.whole.theory.weights
-        weights = [table[block.label] for block in model.blocks]
-        A, step = p.field, p.m // p.subfield.m
-        wden = lcm(*(w.den for w in weights))
-        matrices = []
-        for w in weights:
-            num = [c * (wden // w.den) for c in w.num]
-            cols = (A.monomial_map(num, 1, c * step) for c in range(p.subfield.phi))
-            matrices.append((w, tuple(tuple((s, x) for s, x in enumerate(col) if x)
-                                      for col in cols)))
-        model.weights.append((wden, tuple(matrices)))
-    return model.weights[0]
+    phase, traced in the path model (``seminormal.closure_trace``)."""
+    return closure_trace(path_model(p, b.strands), b.word, braid_phase(p, b))
 
 
 def loop_power(p: Params, n: int) -> Scalar:

@@ -29,14 +29,14 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial
-from operator import mul
 
 from .closure import (CURL_MATCH_SIGN, BraidWord, block_transposition_word, braid_phase,
                       full_twist_word)
 from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_counts
 from .linalg import determinant
 from .scalar import Params, Scalar
-from .seminormal import _entries, block_trace, check_size, dimension, path_model, q_weyl_dimension
+from .seminormal import (block_trace, check_size, dimension, fusion_trace, path_model,
+                         q_weyl_dimension)
 
 __all__ = [
     "GRAM_LIMIT", "PurifiedDim", "FusionTable", "SMatrix", "purified_dim", "block_summary",
@@ -108,7 +108,6 @@ class FusionTable(namedtuple("FusionTable", "p entries")):
         }
 
 
-@lru_cache(maxsize=None)
 def fusion_table(p: Params, max_strands: int | None = None) -> FusionTable:
     """All coefficients N_{lam mu}^nu with |lam|+|mu| within the default
     reach GRAM_LIMIT (or a stricter cap)."""
@@ -137,39 +136,19 @@ def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ..
     path t to lam, P_s onto those that begin with a fixed path s to mu;
     conjugated by beta, P_s projects onto mu on the last b strands, so
     the product is a minimal idempotent of lam (x) mu, whose rank in
-    the block nu is the multiplicity of V_nu.  The trace reads rho(beta)
-    only on the columns of P_t and rho(beta)^-1 only on those of P_s, so
-    only those are computed: a block of f paths costs f len(beta) |cols|
-    slot operations per product, not f^2 len(beta).  The |rows_t| |rows_s|
-    products of the trace are summed on the integer coordinates
-    (``seminormal._entries``), unreduced, and reduced once mod Phi into
-    one scalar per block, over s^(2 len(beta))."""
+    the block nu is the multiplicity of V_nu (``seminormal.fusion_trace``)."""
     a, b = lam.size, mu.size
     model = path_model(p, a + b)
-    F = p.subfield
     # the row reading of a label, row i filled left to right, is its first path
     t, s = (tuple(i for i, r in enumerate(d.rows) for _ in range(r)) for d in (lam, mu))
     word = block_transposition_word(b, a).word if a and b else ()
-    inverse = tuple(-e for e in reversed(word))
     found = {}
     for j, block in enumerate(model.blocks):
         rows_t = [i for i, path in enumerate(block.paths) if path[:a] == t]
         rows_s = [k for k, path in enumerate(block.paths) if path[:b] == s]
         if not rows_t or not rows_s:
             continue
-        # fwd[y][x] = rho(beta)[rows_s[y]][rows_t[x]] and
-        # back[x][y] = rho(beta)^-1[rows_t[x]][rows_s[y]], as integer coordinates
-        fwd = _entries(model, j, word, rows_t, rows_s)
-        back = _entries(model, j, inverse, rows_s, rows_t)
-        # us[e], vs[c]: coordinate e of each back entry and c of its fwd partner,
-        # pair by pair, so acc collects the trace as an unreduced polynomial
-        us = zip(*(u for row in back for u in row))
-        vs = list(zip(*(fwd[y][x] for x in range(len(rows_t)) for y in range(len(rows_s)))))
-        acc = [0] * (2 * F.phi - 1)
-        for e, ue in enumerate(us):
-            for c, vc in enumerate(vs):
-                acc[e + c] += sum(map(mul, ue, vc))
-        tr = Scalar._make(F, F.monomial_map(acc, 1), model.scale ** (2 * len(word)))
+        tr = fusion_trace(model, j, word, rows_t, rows_s)
         if not tr.is_rational() or tr.den != 1 or tr.num[0] < 0:
             raise RuntimeError("fusion coefficient is not a nonnegative integer")
         found[block.label] = tr.num[0]

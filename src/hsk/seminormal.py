@@ -29,26 +29,30 @@ i y^i, one sum of monomials, gives a_d, with a_{-d} = q - 1 - a_d, and
 the weights' common denominator prod_{i<j} [j-i] through
 [k]^-1 = q^((k-1)/2) (q - 1)/(q^k - 1).
 
-The Markov trace is Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda,
-with d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i], so
-a closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word), k the
-braid normalisation of ``closure.braid_phase``.  A model's first
-closure stores x -> d_lambda lift(x), from Q(q) to the ambient field,
-as an integer matrix per block over one common denominator D
-(``PathModel.weights``), so a closure sums the blocks' integer
-diagonals times these matrices and makes one scalar, over D s^len,
-where a sum of lifted, weighted block traces made one per block.
-Twists, fusion rows and S~ never build them.
+Three traces are read off the products below, and no other module
+reads their packed state.  ``block_trace`` is tr rho_lambda(word) on
+one block, over Q(q) (twists).  ``closure_trace`` is
+zeta^k sum_lambda d_lambda tr rho_lambda(word), the Markov trace
+Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda times [N]^n and a
+phase, d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i]
+(closures, k their ``closure.braid_phase``).  Its first call on a
+model stores x -> d_lambda lift(x), from Q(q) to the ambient field, as
+an integer matrix per block over one common denominator D
+(``PathModel.weights``), so it sums the blocks' integer diagonals times
+these matrices and makes one scalar, over D s^len, not one per block.
+``fusion_trace`` is tr(P_t rho(word)^-1 P_s rho(word)) on one block,
+over Q(q), P_t and P_s projections onto sets of paths (fusion rows).
+Twists, fusion rows and S~ never build weight matrices.
 
 A product runs the word as one program per letter over a flat state,
 phi integers per row, coordinate k of row t at t phi + k, each block's
 matrix columns in fixed-width slots.  Its scope is one block
-(``block_trace``, ``block_matrix``, ``_entries``: twists and fusion
-rows) or the whole model, the blocks' rows one after another
-(``PathModel.whole``: a closure's block traces in one product).  Every
-row is scaled by s, the common denominator of the entries of that
-model alone (no model depends on the builds before it).  A letter
-T_i^(+-1) compiles, on first use, into a gather program
+(``block_trace``, ``block_matrix``, ``fusion_trace``) or the whole
+model, the blocks' rows one after another (``PathModel.whole``:
+``closure_trace``, every block in one product).  Every row is scaled
+by s, the common denominator of the entries of that model alone (no
+model depends on the builds before it).  A letter T_i^(+-1) compiles,
+on first use, into a gather program
 (``_Programs``) assembled from per-theory row templates: output o is
 the dot product of T integers, entries of the multiplication matrices
 of the row's entries, with T entries of the state.  On the whole model
@@ -62,7 +66,7 @@ entries, the product of the letters' growths (each the largest over
 the scope), fixed before the product starts; the trace is s^-len
 times the sum of the diagonal slots.  ``block_matrix`` starts the
 product on the columns asked for and unpacks only theirs
-(``_entries``, which ``modular._fusion_row`` reads as integers).
+(``_entries``, which ``fusion_trace`` reads as integers).
 
 ``path_model`` refuses, before it lists a path, a quotient of
 dimension sum_lambda f_lambda^2 beyond 8!, the order of the largest
@@ -80,7 +84,7 @@ from .diagrams import YoungDiagram, _walk, gamma_n
 from .scalar import Params, Scalar, _Field, qint
 
 __all__ = ["TRACE_LIMIT", "Block", "PathModel", "path_model", "dimension", "check_size",
-           "q_weyl_dimension", "block_trace", "block_matrix"]
+           "q_weyl_dimension", "block_trace", "block_matrix", "closure_trace", "fusion_trace"]
 
 # Largest n with a permutation table (``perms``), hence with T-basis
 # elements; its order 8! also bounds the path model (``check_size``).
@@ -111,7 +115,7 @@ class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights")):
     -1) under T_i.  weights is empty until the model's first closure,
     which puts in (D, matrices), matrices[b] the integer matrix of
     x -> D d_lambda lift(x) over one common denominator D
-    (``closure._weight_matrices``); nothing else reads it."""
+    (``_weight_matrices``); nothing else reads it."""
 
     __slots__ = ()
 
@@ -381,3 +385,74 @@ def block_matrix(model: PathModel, b: int, word: tuple[int, ...], cols) -> list[
     F, den = model.p.subfield, model.scale ** len(word)
     return [[Scalar._make(F, v, den) for v in row]
             for row in _entries(model, b, word, cols, range(len(model.blocks[b].paths)))]
+
+
+def closure_trace(model: PathModel, word: tuple[int, ...], phase: int) -> Scalar:
+    """zeta^phase sum_lambda d_lambda tr rho_lambda(word) in the ambient
+    field, the word read as bare generators: the blocks' integer
+    diagonals, from one product over the whole model, each times its
+    block's integer weight matrix (``_weight_matrices``), summed in
+    integers, shifted by the phase and reduced once."""
+    diagonals = _diagonals(model.whole, word, [len(block.paths) for block in model.blocks])
+    wden, matrices = _weight_matrices(model)
+    A = model.p.field
+    acc = [0] * A.phi
+    for j, (block, diagonal, (weight, cols)) in enumerate(zip(model.blocks, diagonals, matrices)):
+        if block.weight is not weight:
+            raise RuntimeError(f"block {j} weight differs from its weight matrix")
+        for t, col in zip(diagonal, cols):
+            if t:
+                for s, x in col:
+                    acc[s] += x * t
+    num = A.monomial_map(acc, 1, phase)
+    return Scalar._make(A, num, wden * model.scale ** len(word))
+
+
+def _weight_matrices(model: PathModel) -> tuple[int, tuple]:
+    """(D, matrices), built on the model's first closure trace and kept
+    in ``model.weights``: matrices[b] is (d, cols), the weight d of
+    block b and the integer matrix of x -> D d lift(x), column c the
+    image of coordinate c of Q(q) as its nonzero (ambient coordinate,
+    entry), D the weights' common denominator.  The weights are read
+    from the theory's table, not from the blocks, so a block weight
+    replaced after the build differs from its matrix's."""
+    if not model.weights:
+        p = model.p
+        table = model.whole.theory.weights
+        weights = [table[block.label] for block in model.blocks]
+        A, step = p.field, p.m // p.subfield.m
+        wden = lcm(*(w.den for w in weights))
+        matrices = []
+        for w in weights:
+            num = [c * (wden // w.den) for c in w.num]
+            cols = (A.monomial_map(num, 1, c * step) for c in range(p.subfield.phi))
+            matrices.append((w, tuple(tuple((s, x) for s, x in enumerate(col) if x)
+                                      for col in cols)))
+        model.weights.append((wden, tuple(matrices)))
+    return model.weights[0]
+
+
+def fusion_trace(model: PathModel, b: int, word: tuple[int, ...], rows_t, rows_s) -> Scalar:
+    """tr(P_t rho(word)^-1 P_s rho(word)) over Q(q) for block b, P_t and
+    P_s the projections onto the rows rows_t and rows_s.  The trace reads
+    rho(word) only on the columns of P_t and rho(word)^-1 only on those
+    of P_s, so only those are computed (``_entries``): a block of f rows
+    costs f len(word) |cols| slot operations per product, not
+    f^2 len(word).  The |rows_t| |rows_s| products are summed on the
+    integer coordinates, unreduced, and reduced once mod Phi into one
+    scalar, over s^(2 len(word))."""
+    F = model.p.subfield
+    inverse = tuple(-e for e in reversed(word))
+    # fwd[y][x] = rho(word)[rows_s[y]][rows_t[x]] and
+    # back[x][y] = rho(word)^-1[rows_t[x]][rows_s[y]], as integer coordinates
+    fwd = _entries(model, b, word, rows_t, rows_s)
+    back = _entries(model, b, inverse, rows_s, rows_t)
+    # us[e], vs[c]: coordinate e of each back entry and c of its fwd partner,
+    # pair by pair, so acc collects the trace as an unreduced polynomial
+    us = zip(*(u for row in back for u in row))
+    vs = list(zip(*(fwd[y][x] for x in range(len(rows_t)) for y in range(len(rows_s)))))
+    acc = [0] * (2 * F.phi - 1)
+    for e, ue in enumerate(us):
+        for c, vc in enumerate(vs):
+            acc[e + c] += sum(map(mul, ue, vc))
+    return Scalar._make(F, F.monomial_map(acc, 1), model.scale ** (2 * len(word)))

@@ -186,21 +186,18 @@ def test_fusion_rows_read_only_their_columns():
 
 
 def test_fusion_trace_that_is_not_a_nonnegative_integer_is_refused(monkeypatch):
-    """The integer trace is checked, not rounded: with the entries of
-    rho(beta)^-1 negated, the multiplicity of (1)(1) in (2) reads -1."""
+    """The integer trace is checked, not rounded: with the block trace
+    negated, the multiplicity of (1)(1) in (2) reads -1."""
     from hsk import modular
 
     p = Params(2, 2)
-    real = modular._entries
+    real = modular.fusion_trace
 
-    def negated_inverse(model, b, word, cols, rows):
-        entries = real(model, b, word, cols, rows)
-        if any(e < 0 for e in word):
-            entries = [[[-x for x in v] for v in row] for row in entries]
-        return entries
+    def negated(model, b, word, rows_t, rows_s):
+        return -real(model, b, word, rows_t, rows_s)
 
     _fusion_row.cache_clear()
-    monkeypatch.setattr(modular, "_entries", negated_inverse)
+    monkeypatch.setattr(modular, "fusion_trace", negated)
     box = labels(p)[1]
     with pytest.raises(RuntimeError, match="nonnegative integer"):
         _fusion_row(p, box, box)

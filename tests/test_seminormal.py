@@ -7,6 +7,7 @@ Bratteli path, and carry the q-Weyl dimension as its weight; together
 the weighted block traces must reproduce the Markov trace of the
 T-basis expansion."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 
 from hsk import (BraidWord, Params, dagger, from_braid, fusion, gamma_n, labels, loop_power,
                  markov_trace, mf_dim, path_count, qint, s_matrix, twist)
-from hsk import closure, modular, trace
+from hsk import modular, trace
 from hsk.closure import braid_phase
 from hsk.hecke import full_twist_word
 from hsk.modular import qdim
@@ -232,7 +233,7 @@ def _fields(model):
     and of the whole model compiled, and its weight matrices built."""
     ops = tuple(_programs(programs, model.n) for programs in model.ops)
     return (model.blocks, model.scale, ops, _programs(model.whole, model.n),
-            closure._weight_matrices(model.p, model))
+            seminormal._weight_matrices(model))
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
@@ -521,3 +522,16 @@ def test_path_routed_closure_builds_no_permutation_table():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True).stdout
     assert out.strip() == "0"
+
+
+def test_readers_import_no_private_name_from_seminormal():
+    """closure, modular and category read the path model only through
+    its public traces: none imports a _-prefixed name from it."""
+    root = pathlib.Path(seminormal.__file__).resolve().parent
+    for module in ("closure", "modular", "category"):
+        tree = ast.parse((root / f"{module}.py").read_text(encoding="utf-8"))
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "seminormal"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == [], module

@@ -461,6 +461,16 @@ class TestReduction:
         assert _commute_cancel(6, cyclic.word) == (3, 2, 2, 4, 5, 4, 5)
         assert _reduce(cyclic) == ([BraidWord(5, (2, 1, 1, 3, 4, 3, 4))], 1, 0)
 
+    @pytest.mark.parametrize("N,K", [(2, 2), (3, 2)])
+    def test_destabilised_word_is_cancelled_up_to_commutation(self, N, K):
+        # the flip gives (-1, -1, 3, -2, -3, -4); sigma_4^-1 is dropped, and
+        # in (-1, -1, 3, -2, -3) the sigma_3 pair cancels cyclically past
+        # the sigma_1 letters, so the fourth strand splits off as a loop
+        b = BraidWord(5, (-4, -4, 2, -3, -2, -1))
+        assert _reduce(b) == ([BraidWord(2, (-1, -1))], 1, -2)
+        p = Params(N, K)
+        assert closure_invariant(p, b) == _closure_unreduced(p, b)
+
     def test_cancelled_top_pair_shrinks_the_model(self, monkeypatch):
         # sigma_4 and its inverse meet across sigma_1 sigma_2; without
         # them the fifth strand splits off and the rest closes on four
