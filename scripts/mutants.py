@@ -25,7 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "hskbench", "pyproject.toml")
@@ -36,8 +36,10 @@ SEMINORMAL = "src/hsk/seminormal.py"
 CLOSURE = "src/hsk/closure.py"
 MODULAR = "src/hsk/modular.py"
 TRACE = "src/hsk/trace.py"
+CATEGORY = "src/hsk/category.py"
 T_SEMI = "tests/test_seminormal.py::"
 T_REDUCE = "tests/test_trace.py::TestReduction::"
+T_CAT = "tests/test_category.py::"
 
 MUTANTS = [
     # the theory table's closed forms and entries built on demand
@@ -91,6 +93,19 @@ MUTANTS = [
            "return tuple(zip(*_gram_rows(p, n, -1)))",
            "return tuple(tuple(-x for x in row) for row in zip(*_gram_rows(p, n, -1)))",
            ["tests/test_trace.py::TestGram::test_psd"]),
+    # the echelon form of the path model over the T_w, its centre and branching
+    Mutant("E on entry (t, 0), not (t, t)", CATEGORY,
+           "diagonal = [(k, t == s) for", "diagonal = [(k, s == 0) for",
+           [T_CAT + "TestOldRoutes::test_echelon_form_is_the_gram_elimination",
+            T_CAT + "TestBlocks::test_resolution_of_identity_mod_radical"]),
+    Mutant("a pivot in E let through", CATEGORY,
+           "if piv[-1] >= size:", "if piv[-1] > size:",
+           [T_CAT + "TestBlocks::test_lost_block_is_caught"]),
+    Mutant("branching reads the previous block", CATEGORY,
+           "k = path_model(p, n), perm_table(n).word, labs.index(lam)",
+           "k = path_model(p, n), perm_table(n).word, labs.index(lam) - 1",
+           [T_CAT + "TestBranching::test_multiplicities_match_path_recursion",
+            T_CAT + "TestBranching::test_known_values"]),
     # the letter programs and the packed product
     Mutant("slot width capped at 48 bits", SEMINORMAL,
            "    w = bound.bit_length() + 1\n", "    w = min(bound.bit_length() + 1, 48)\n",
@@ -162,6 +177,12 @@ def main() -> int:
             outcomes.append(outcome)
             print(f"{outcome:<9} {time.perf_counter() - start:6.1f}s  {mutant.file}: {mutant.name}",
                   flush=True)
+    per_file: dict[str, Counter] = {}
+    for mutant, outcome in zip(chosen, outcomes):
+        per_file.setdefault(mutant.file, Counter())[outcome.split()[0]] += 1
+    for file, counts in per_file.items():
+        print(f"{file}: {counts['killed']} killed, {counts['survived']} survived, "
+              f"{counts['stale']} stale")
     killed = outcomes.count("killed")
     print(f"{killed}/{len(outcomes)} killed, {outcomes.count('stale')} stale")
     return 0 if killed == len(outcomes) else 1

@@ -6,9 +6,9 @@ distinguished weight purifies H_n to a semisimple quotient whose
 blocks are indexed by level-bounded Young diagrams.  The Bratteli
 path model of the quotient (``seminormal``) holds each block's data:
 quantum dimensions are its q-Weyl weights, central idempotents the
-Gram duals of its weighted characters, and fusion rules, twists, the
-S-matrix and modular-functor dimensions traces in its blocks, all
-exactly.
+preimages of its block identities on the T basis, and fusion rules,
+twists, the S-matrix and modular-functor dimensions traces in its
+blocks, all exactly.
 """
 
 from importlib import import_module
@@ -27,7 +27,7 @@ from .modular import (GRAM_LIMIT, FusionTable, SMatrix, fusion, fusion_matrix,
 # modules imports the ones before it, so a name loads only what it needs.
 def __getattr__(name: str):
     if name in __all__:
-        for mod in ("hecke", "trace", "category", "verify"):
+        for mod in ("hecke", "category", "trace", "verify"):
             names = vars(import_module(f"{__name__}.{mod}"))
             if name in names:
                 return names[name]

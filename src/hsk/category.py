@@ -1,47 +1,35 @@
-"""The purified algebras A_n on the T basis: their Gram-pivot
-coordinates, central idempotents and branching multiplicities.
+"""The purified algebras A_n on the T basis: their echelon coordinates,
+central idempotents and branching multiplicities.
 
-The purified algebra A_n is H_n modulo the radical of the Markov-trace
-form.  A concrete basis comes out of the Gram elimination for free:
-the pivot columns J of the reduced echelon form pick out basis
-elements {T_j : j in J}, and the nonpivot columns of the echelon form
-express every other T_w over them, because row operations preserve
-column relations.  The central idempotents and branching multiplicities
-are computed in the coordinates of this basis; trace pairings reduce to
-vector-matrix products against the pivot-restricted Gram matrix, so no
-element products are needed.  ``PurifiedAlgebra`` holds just this: the
-pivots, the echelon map ``rmap`` and the pivot Gram matrix.
+A_n, H_n modulo the radical of the Markov-trace form, is
+sum_lambda End(V_lambda) over Gamma^n (Wenzl, Invent. Math. 92 (1988)),
+the image of the path model's representation rho (``seminormal``).
+Let M be the matrix whose column w lists the entries of rho_lambda(T_w)
+over every block.  M has full row rank sum f_lambda^2, and the Gram
+matrix of the trace form is G = M^T W M, W invertible (it pairs entries
+(i, j) and (j, i) of a block, weighted by d_lambda/[N]^n != 0), so G and
+M share their reduced echelon form; verify's ``gram_rref`` is its oracle.
 
-The centre comes from the path model (``seminormal``), which holds
-every block's data exactly: its path count f_lambda, its weight
-Tr(e_lambda) = d_lambda/[N]^n for a minimal idempotent e_lambda, d_lambda
-the q-Weyl dimension, and its character tr rho_lambda.  Since z_lambda
-is the identity on the block lambda and zero on the others,
-Tr(z_lambda T_j) = (d_lambda/[N]^n) tr rho_lambda(T_j), and z_lambda is
-the Gram dual of these traces: the vector on the pivots J with
-G_J z_lambda = b_lambda, b_lambda[j] = Tr(z_lambda T_j).  G_J is
-nonsingular, since J picks r independent rows and columns of a rank-r
-symmetric matrix, so one elimination of [G_J | B] gives every z_lambda.
-
-Branching multiplicities (``branching_multiplicity``) are trace ratios.
-A_n is split semisimple, and an idempotent x has rank
-Tr(z_nu x) / Tr(e_nu) in the block nu, one pairing against the pivot
-Gram matrix; for an embedded minimal idempotent of A_{n-1} that rank is
-the branching multiplicity.
+``purified_algebra`` runs one elimination per (p, n), of [M | E] over
+Q(q), E holding per block the flattened identity of that block, and
+lifts each entry to the ambient field once.  The first n! columns are
+the echelon form: its pivots J pick out a basis {T_j : j in J}, and its
+column w expresses T_w over them (``rmap``), since row operations keep
+column relations.  The column of E for block lambda becomes M_J^-1
+e_lambda, the coordinates of the central idempotent z_lambda, as
+rho(z_lambda) is the identity on the block lambda and zero on the others.
+A branching multiplicity is the rank, so the trace, of rho_lambda(e) for
+the embedded minimal idempotent e of a block of A_{n-1}.
 
 The modular data, block summaries and the rank of the trace form
 (``purified_dim``) never build A_n: they live in ``modular``, which
 reads them off the path model, and this module re-exports their names.
-The Gram route serves only what is written on the T basis:
-``central_idempotents`` and ``branching_multiplicity``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .closure import loop_power
 from .diagrams import YoungDiagram, gamma_n
 from .hecke import HeckeElement, jones_wenzl, tensor_embed, young_idempotent
 from .linalg import rref
@@ -50,8 +38,7 @@ from .modular import (GRAM_LIMIT, FusionTable, PurifiedDim, SMatrix,  # noqa: F4
                       purified_dim, qdim, s_matrix, twist)
 from .perms import perm_table
 from .scalar import Params, Scalar
-from .seminormal import block_trace, path_model
-from .trace import gram_bilinear, gram_rref
+from .seminormal import block_matrix, block_trace, path_model
 
 __all__ = [
     "PurifiedAlgebra",
@@ -77,15 +64,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PurifiedAlgebra:
-    """Coordinates for A_n = H_n / radical on the Gram pivot basis:
-    column w of ``rmap`` holds the coordinates of T_w over the pivots,
-    and ``gram_pivots`` is the Gram matrix restricted to them."""
+    """Coordinates for A_n = H_n / radical on the pivot basis
+    {T_j : j in pivots}: column w of ``rmap`` holds the coordinates of
+    T_w, and centre[k] those of the central idempotent of block k of
+    the path model."""
 
     p: Params
     n: int
     pivots: tuple[int, ...]
     rmap: tuple[tuple[Scalar, ...], ...]
-    gram_pivots: tuple[tuple[Scalar, ...], ...]
+    centre: tuple[tuple[Scalar, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -103,26 +91,40 @@ class PurifiedAlgebra:
     def lift(self, vec) -> HeckeElement:
         return HeckeElement(self.p, self.n, {j: c for j, c in zip(self.pivots, vec)})
 
-    def trace_pair(self, u, v) -> Scalar:
-        """Tr(lift(u) lift(v)) = u^T G|_J v."""
-        acc = self.p.zero
-        for ur, row in zip(u, self.gram_pivots):
-            if ur.is_zero():
-                continue
-            inner = self.p.zero
-            for g, vs in zip(row, v):
-                if not vs.is_zero() and not g.is_zero():
-                    inner = inner + g * vs
-            acc = acc + ur * inner
-        return acc
+
+def _braid(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The braid letters of a reduced word of perm_table, T_w as a product of generators."""
+    return tuple(i + 1 for i in word)
 
 
 @lru_cache(maxsize=None)
 def purified_algebra(p: Params, n: int) -> PurifiedAlgebra:
-    red, piv = gram_rref(p, n)
-    gram = gram_bilinear(p, n)
-    gram_pivots = tuple(tuple(gram[r][c] for c in piv) for r in piv)
-    return PurifiedAlgebra(p, n, piv, red, gram_pivots)
+    """The echelon form of [M | E] over Q(q), from one elimination; see
+    the module docstring."""
+    if n > GRAM_LIMIT:
+        raise ValueError(f"Gram computations limited to {GRAM_LIMIT} strands")
+    model = path_model(p, n)
+    words = perm_table(n).word
+    sizes = [len(block.paths) for block in model.blocks]
+    F = p.subfield
+    one, zero = Scalar.from_rational(F, 1), Scalar.from_rational(F, 0)
+    # row (k, t, s) of M is entry [t][s] of block k; E has a 1 on its diagonal rows
+    cols = [[x for k, f in enumerate(sizes)
+             for row in block_matrix(model, k, _braid(word), range(f)) for x in row]
+            for word in words]
+    diagonal = [(k, t == s) for k, f in enumerate(sizes) for t in range(f) for s in range(f)]
+    rows = [list(row) + [one if on and k == b else zero for b in range(len(sizes))]
+            for row, (k, on) in zip(zip(*cols), diagonal)]
+    red, piv = rref(p, rows)
+    size = len(words)
+    if piv[-1] >= size:
+        raise RuntimeError("the T_w do not span the path model: a pivot lies in E")
+    red = [[p.lift(x) for x in row] for row in red]
+    centre = tuple(zip(*(row[size:] for row in red)))
+    # the z_lambda sum to the identity, whose coordinates are column 0 of rmap
+    if [sum(col, p.zero) for col in zip(*centre)] != [row[0] for row in red]:
+        raise RuntimeError("central idempotents do not sum to the identity")
+    return PurifiedAlgebra(p, n, tuple(piv), tuple(tuple(row[:size]) for row in red), centre)
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +146,6 @@ def minimal_idempotent(p: Params, n: int, d: YoungDiagram) -> HeckeElement:
 class BlockEntry:
     z: HeckeElement
     dim: int
-    weight: Scalar  # Tr(e) for a minimal idempotent e of the block
     zvec: tuple[Scalar, ...]
 
 
@@ -165,47 +166,27 @@ class BlockData:
 @lru_cache(maxsize=None)
 def central_idempotents(p: Params, n: int) -> BlockData:
     """The minimal central idempotents z_lambda of A_n, one per label
-    of Gamma^n, as representatives in H_n (well defined mod radical):
-    the solutions of G_J z_lambda = b_lambda, with b_lambda[j] =
-    Tr(z_lambda T_j) the weighted block character of the path model."""
+    of Gamma^n, as representatives in H_n (well defined mod radical),
+    read off the echelon form of ``purified_algebra``."""
     a = purified_algebra(p, n)
-    model = path_model(p, n)
-    words = perm_table(n).word
-    norm = loop_power(p, n).inverse()
-    weights = [block.weight * norm for block in model.blocks]
-    aug = [list(row) + [w * p.lift(block_trace(model, k, tuple(i + 1 for i in words[j])))
-                        for k, w in enumerate(weights)]
-           for j, row in zip(a.pivots, a.gram_pivots)]
-    red, piv = rref(p, aug)
-    if piv != list(range(a.dim)):
-        raise RuntimeError("singular pivot Gram matrix")
-    zvecs = [tuple(row[a.dim + k] for row in red) for k in range(len(weights))]
-    # the z_lambda sum to the identity, whose coordinates are column 0 of rmap
-    if [sum(col, p.zero) for col in zip(*zvecs)] != [row[0] for row in a.rmap]:
-        raise RuntimeError("central idempotents do not sum to the identity")
-    blocks: dict[YoungDiagram, BlockEntry] = {}
-    for block, w, zvec in zip(model.blocks, weights, zvecs):
-        blocks[block.label] = BlockEntry(z=a.lift(zvec), dim=len(block.paths), weight=w, zvec=zvec)
-    return BlockData(p, n, blocks)
+    return BlockData(p, n, {block.label: BlockEntry(a.lift(zvec), len(block.paths), zvec)
+                            for block, zvec in zip(path_model(p, n).blocks, a.centre)})
 
 
 def branching_multiplicity(p: Params, n: int, lam: YoungDiagram, sub: YoungDiagram) -> int:
     """Multiplicity of the block `sub` of A_{n-1} in the restriction of
-    the block `lam` of A_n: the rank Tr(z_lam e) / Tr(e_lam) of the
-    embedded minimal idempotent e of `sub`, with Tr(z_lam e) paired
-    against the pivot Gram matrix.  The ratio is read off one
-    coefficient and checked on all of them, which needs no inversion."""
-    bd = central_idempotents(p, n)
-    if lam not in bd.blocks:
+    the block `lam` of A_n: the rank of rho_lam(e), e the embedded
+    minimal idempotent of `sub`, which is its trace
+    sum_w c_w tr rho_lam(T_w) over the coefficients c_w of e."""
+    labs = gamma_n(p, n)
+    if lam not in labs:
         raise ValueError("lam is not a label of Gamma^n")
     if sub not in gamma_n(p, n - 1):
         raise ValueError("sub is not a label of Gamma^{n-1}")
     e_sub = tensor_embed(minimal_idempotent(p, n - 1, sub), HeckeElement.identity(p, 1))
-    a, blk = purified_algebra(p, n), bd.blocks[lam]
-    num = a.trace_pair(blk.zvec, a.reduce(e_sub))
-    weight = blk.weight
-    j = next(i for i, c in enumerate(weight.num) if c)
-    m = Fraction(num.num[j] * weight.den, num.den * weight.num[j])
-    if m.denominator != 1 or m < 0 or weight * m != num:
+    model, words, k = path_model(p, n), perm_table(n).word, labs.index(lam)
+    m = sum((c * p.lift(block_trace(model, k, _braid(words[w]))) for w, c in e_sub.terms.items()),
+            p.zero)
+    if not m.is_rational() or m.den != 1 or m.num[0] < 0:
         raise RuntimeError("branching multiplicity is not a nonnegative integer")
-    return int(m)
+    return m.num[0]

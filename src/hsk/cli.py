@@ -20,10 +20,13 @@ compiling the sources is the remaining per-call floor beside the
 interpreter's own start.
 
 The T-basis outputs, `jw`, `yidem`, `gram --full` and `blocks --full`,
-are cached on disk (``hsk.cache``).  Every other command reads the path
-model, which costs less than a cache read, and caches nothing.  The
-T-basis route and the cache module are imported only where they are
-used, so a path-model call never loads them.
+are cached on disk (``hsk.cache``).  The last two read the radical and
+the central idempotents off one elimination of the path model's block
+matrices of the T_w (``category.purified_algebra``); `gram --full`
+also builds the n! x n! Gram matrix it prints.  Every other command
+reads the path model, which costs less than a cache read, and caches
+nothing.  The T-basis route and the cache module are imported only
+where they are used, so a path-model call never loads them.
 """
 
 from __future__ import annotations

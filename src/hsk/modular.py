@@ -43,7 +43,7 @@ __all__ = [
     "fusion", "fusion_table", "fusion_matrix", "qdim", "twist", "s_matrix", "mf_dim",
 ]
 
-# Largest n for full n! x n! Gram computations (``trace``), and the
+# Largest n for the n!-column eliminations of ``category`` and ``trace``, and the
 # default reach of ``fusion_table``.
 GRAM_LIMIT = 6
 

@@ -39,6 +39,11 @@ Both Gram matrices grow from it by one row recursion over the weak
 order (``_gram_rows``): the bilinear rows by forward generator steps on
 the left, the hermitian ones by inverse steps on the right, transposed.
 
+The radical of either form is the kernel of the path model's
+representation: ``gram`` reads it off ``category.purified_algebra``,
+whose oracle in verify and the tests is ``gram_rref``, the elimination
+of the n! x n! bilinear Gram matrix.
+
 The closure route (``closure``) and the modular data (``modular``)
 live in their own modules and import nothing from here; this module
 re-exports their names.  ``from_braid`` and ``markov_trace`` are their
@@ -50,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .category import purified_algebra
 from .closure import (CURL_MATCH_SIGN, BraidWord, _path_closure, _reduce,  # noqa: F401
                       closure_invariant, curl_scalar, loop_power)
 from .hecke import HeckeElement, from_braid
@@ -238,7 +244,8 @@ def gram_rref(p: Params, n: int) -> tuple[tuple[tuple[Scalar, ...], ...], tuple[
 
     Returns (R, pivots).  Because row operations preserve column
     relations, column w of R expresses column w of the Gram matrix over
-    the pivot columns; this is what the purified-algebra quotient uses."""
+    the pivot columns.  The oracle of ``category.purified_algebra``,
+    whose echelon form over the path model is the same."""
     red, piv = rref(p, [list(r) for r in gram_bilinear(p, n)])
     return tuple(tuple(r) for r in red), tuple(piv)
 
@@ -247,8 +254,10 @@ def gram_rref(p: Params, n: int) -> tuple[tuple[tuple[Scalar, ...], ...], tuple[
 class GramData:
     """Gram matrix of a trace form on the T_w basis of H_n, with its
     exact rank and a kernel basis (the radical of the form), both taken
-    from ``gram_rref``; verify's ``trace.gram_psd`` proves from K itself
-    that the hermitian form is positive semidefinite of that rank."""
+    from the echelon form of ``category.purified_algebra``; the matrix
+    is built only when asked for.  verify's ``trace.gram_psd`` proves
+    from K itself that the hermitian form is positive semidefinite of
+    that rank."""
 
     p: Params
     n: int
@@ -279,24 +288,22 @@ class GramData:
 
 
 def gram(p: Params, n: int, form: str = "bilinear") -> GramData:
-    """Full Gram matrix of the chosen trace form with exact rank and
-    kernel.  The kernel of the hermitian form is taken on the left
-    (coordinates of x in (x,y) enter unconjugated): x with
-    Tr(T_v^-1 x) = 0 for all v.  The T_v^-1 span H_n, so that is the
-    bilinear radical itself; equal kernels give equal row spaces, and
-    the reduced echelon form of K^T is ``gram_rref``.  One elimination
-    serves both forms."""
+    """Gram matrix of the chosen trace form with exact rank and kernel.
+    The kernel of the hermitian form is taken on the left (coordinates
+    of x in (x,y) enter unconjugated): x with Tr(T_v^-1 x) = 0 for all
+    v.  The T_v^-1 span H_n, so that is the bilinear radical itself, the
+    kernel of the path model's representation; both are read off the
+    echelon form of ``category.purified_algebra``."""
     if form not in ("bilinear", "hermitian"):
         raise ValueError("form must be 'bilinear' or 'hermitian'")
-    red, piv = gram_rref(p, n)
+    a = purified_algebra(p, n)
     size = perm_table(n).size
-    kern = kernel_from_rref(p, red, piv, size)
+    kern = kernel_from_rref(p, a.rmap, a.pivots, size)
     elements = tuple(
         HeckeElement(p, n, {w: c for w, c in enumerate(vec) if not c.is_zero()})
         for vec in kern
     )
-    rank = size - len(elements)
-    return GramData(p, n, form, rank, elements)
+    return GramData(p, n, form, a.dim, elements)
 
 
 def _closure_unreduced(p: Params, b: BraidWord) -> Scalar:

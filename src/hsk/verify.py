@@ -17,7 +17,7 @@ Jones-Wenzl projectors beyond the vanishing quantum factorial, or an
 S-matrix whose largest label pair needs a path model beyond its
 bound) is reported as skipped with the reason, never silently dropped.
 
-The checks on the Gram matrices of the trace forms (ranks, positivity,
+The checks on the T basis of A_n and its Gram matrices (ranks, positivity,
 blocks, branching) stop at five strands (``FORM_CHECK_LIMIT``) whatever
 max_n is: the 720 x 720 exact Gram matrix at six strands is outside
 desk-scale budgets.  Fusion and modular-functor dimensions run in the
@@ -480,8 +480,8 @@ def _check_gram_rank(p: Params, max_n: int, rng: Random) -> str:
     ranks = []
     for n in range(1, cap + 1):
         expected = sum(f * f for f in path_counts(p, n).values())
-        gb = gram(p, n, "bilinear")
-        _assert(gb.rank == expected, f"bilinear rank at n={n}: {gb.rank} != {expected}")
+        rank = len(gram_rref(p, n)[1])
+        _assert(rank == expected, f"bilinear rank at n={n}: {rank} != {expected}")
         ranks.append(expected)
     note = "" if max_n <= cap else f" (n > {cap} skipped: desk-scale budget)"
     return (f"bilinear rank = sum of squared path counts, n <= {cap}: {ranks}{note}; "
@@ -489,11 +489,13 @@ def _check_gram_rank(p: Params, max_n: int, rng: Random) -> str:
 
 
 def _check_gram_psd(p: Params, max_n: int, rng: Random) -> str:
-    """K is PSD of rank |J|, J the bilinear pivot columns: K is hermitian,
-    each r in the bilinear radical R has r^T K = 0 (so K conj(r) = 0),
-    and every x is y + r with y supported on J, so x^T K conj(x) =
-    y^T K conj(y); a positive definite pivot block K[J][J] leaves R as
-    the kernel."""
+    """K is PSD of rank |J|, J the bilinear pivot columns of
+    ``gram_rref``: K is hermitian, each r in the bilinear radical R has
+    r^T K = 0 (so K conj(r) = 0), and every x is y + r with y supported
+    on J, so x^T K conj(x) = y^T K conj(y); a positive definite pivot
+    block K[J][J] leaves R as the kernel.  The basis of R is that of
+    ``gram``, read off the path model's echelon form, so its check
+    against K is also one across the two routes."""
     cap = min(max_n, FORM_CHECK_LIMIT)
     for n in range(1, cap + 1):
         gh = gram(p, n, "hermitian")

@@ -6,7 +6,6 @@ ring with S~ = [[1, [2], 1], [[2], 0, -[2]], [1, -[2], 1]] where
 [2] = sqrt(2).  Level-1 theories are the abelian Z_N anyons."""
 
 import cmath
-import dataclasses
 import math
 import sys
 import time
@@ -47,7 +46,7 @@ from hsk.hecke import (BraidWord, _gen_step, block_transposition_word, from_brai
                        full_twist_word)
 from hsk.linalg import rref
 from hsk.perms import perm_table
-from hsk.seminormal import path_model
+from hsk.seminormal import block_trace, path_model
 from hsk.trace import CURL_MATCH_SIGN, markov_trace
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
@@ -56,9 +55,11 @@ BOX = YoungDiagram.of(1)
 
 
 def in_radical(p: Params, n: int, x: HeckeElement) -> bool:
-    """x lies in the radical of the trace form iff its image in the
-    purified algebra A_n vanishes."""
-    return all(c.is_zero() for c in purified_algebra(p, n).reduce(x))
+    """x lies in the radical of the trace form iff x^T G = 0 for the
+    bilinear Gram matrix G, which shares nothing with the path model."""
+    gram = trace.gram_bilinear(p, n)
+    return all(sum((c * gram[u][v] for u, c in x.terms.items()), p.zero).is_zero()
+               for v in range(len(gram)))
 
 
 class TestPurifiedDim:
@@ -142,40 +143,23 @@ class TestBlocks:
         with pytest.raises(ValueError):
             minimal_idempotent(Params(2, 2), 3, YoungDiagram.of(3))
 
-    def test_wrong_block_weight_is_caught(self, monkeypatch):
-        """A path model whose weight on one block is off breaks the sum
-        of the z_lambda, which must be the identity."""
-        real = category.path_model
+    def test_lost_block_is_caught(self, monkeypatch):
+        """Block matrices that lose a block leave its identity outside
+        the span of the T_w: a pivot lands in E."""
+        real = category.block_matrix
 
-        def skewed(p, n):
-            model = real(p, n)
-            first = model.blocks[0]
-            first = first._replace(weight=first.weight * 2)
-            return model._replace(blocks=(first,) + model.blocks[1:])
+        def lossy(model, b, word, cols):
+            rows = real(model, b, word, cols)
+            return [[x * 0 for x in row] for row in rows] if b == 0 else rows
 
-        monkeypatch.setattr(category, "path_model", skewed)
+        monkeypatch.setattr(category, "block_matrix", lossy)
+        category.purified_algebra.cache_clear()
         category.central_idempotents.cache_clear()
         try:
-            with pytest.raises(RuntimeError, match="sum to the identity"):
+            with pytest.raises(RuntimeError, match="a pivot lies in E"):
                 central_idempotents(Params(2, 2), 4)
         finally:
-            category.central_idempotents.cache_clear()
-
-    def test_singular_pivot_gram_is_caught(self, monkeypatch):
-        real = category.purified_algebra
-
-        def degenerate(p, n):
-            a = real(p, n)
-            rows = (a.gram_pivots[0],) * a.dim
-            return dataclasses.replace(a, gram_pivots=rows)
-
-        monkeypatch.setattr(category, "purified_algebra", degenerate)
-        category.central_idempotents.cache_clear()
-        try:
-            with pytest.raises(RuntimeError, match="singular pivot Gram"):
-                central_idempotents(Params(2, 2), 3)
-        finally:
-            category.central_idempotents.cache_clear()
+            category.purified_algebra.cache_clear()
 
     def test_json_shape(self):
         bd = central_idempotents(Params(2, 2), 3)
@@ -354,7 +338,7 @@ def _compressed_rank(p, a, u, v):
                 if not x.is_zero():
                     col[r] = col[r] + c * x
         cols.append(col)
-    paired = [_mat_vec(p, a.gram_pivots, ck) for ck in cols]
+    paired = [_mat_vec(p, gram_pivots(p, a), ck) for ck in cols]
     form = [_mat_vec(p, paired, cj) for cj in cols]
     return len(rref(p, form)[1])
 
@@ -364,18 +348,46 @@ def pair_idempotent(p, lam, mu):
     return tensor_embed(young_idempotent(p, lam).idem, young_idempotent(p, mu).idem)
 
 
+def gram_pivots(p, a):
+    """G_J, the bilinear Gram matrix on the pivots of the purified algebra."""
+    gram = trace.gram_bilinear(p, a.n)
+    return [[gram[i][j] for j in a.pivots] for i in a.pivots]
+
+
 def fusion_by_trace_ratio(p, lam, mu, nu):
     """The Gram route: N_{lam mu}^nu = Tr(z_nu pi) / Tr(e_nu), the rank
     of pi = y_lam (x) y_mu in the block nu of the purified algebra A_n,
-    paired against its pivot Gram matrix."""
+    paired against its pivot Gram matrix, with
+    Tr(e_nu) = d_nu / [N]^n."""
     n = lam.size + mu.size
     if n == 0:
         return 1
     a = purified_algebra(p, n)
-    blk = central_idempotents(p, n).blocks[nu]
-    m = a.trace_pair(blk.zvec, a.reduce(pair_idempotent(p, lam, mu))) * blk.weight.inverse()
+    zvec = central_idempotents(p, n).blocks[nu].zvec
+    paired = _mat_vec(p, gram_pivots(p, a), a.reduce(pair_idempotent(p, lam, mu)))
+    m = _mat_vec(p, [zvec], paired)[0] * loop_power(p, n) * qdim(p, nu).inverse()
     assert m.is_rational() and m.den == 1 and m.num[0] >= 0, "fusion coefficient"
     return m.num[0]
+
+
+def gram_centre(p, n):
+    """The coordinates of each z_lambda on the Gram pivots J as the Gram
+    dual of the path model's weighted block character: G_J z_lambda =
+    b_lambda, b_lambda[j] = Tr(z_lambda T_j) = (d_lambda/[N]^n)
+    tr rho_lambda(T_j), for every block in one elimination of [G_J | B]."""
+    piv = trace.gram_rref(p, n)[1]
+    gram = trace.gram_bilinear(p, n)
+    model = path_model(p, n)
+    words = perm_table(n).word
+    norm = loop_power(p, n).inverse()
+    weights = [block.weight * norm for block in model.blocks]
+    aug = [[gram[i][j] for j in piv]
+           + [w * p.lift(block_trace(model, k, tuple(x + 1 for x in words[i])))
+              for k, w in enumerate(weights)]
+           for i in piv]
+    solved, cols = rref(p, aug)
+    assert cols == list(range(len(piv))), "singular pivot Gram matrix"
+    return tuple(tuple(row[len(piv) + k] for row in solved) for k in range(len(weights)))
 
 
 def qdim_by_young_idempotent(p, d):
@@ -469,9 +481,38 @@ def forbid(monkeypatch, *funcs):
                     monkeypatch.setattr(mod, key, spy(forbidden[id(value)]))
 
 
+# (N, K, n) on which the path model's echelon form meets the Gram elimination
+ECHELON_GRID = [(2, 1, 4), (2, 2, 0), (2, 2, 1), (2, 2, 4), (2, 2, 5), (3, 2, 0), (3, 2, 1),
+                (3, 2, 4), (3, 2, 5), (3, 1, 5), (4, 1, 4), (4, 1, 5), (2, 3, 5), (2, 4, 5)]
+
+
 class TestOldRoutes:
     """The Gram, Hopf-cabling, T-basis full-twist and Young-idempotent
     routes that the path model replaced, kept as oracles."""
+
+    @pytest.mark.parametrize("N,K,n", ECHELON_GRID)
+    def test_echelon_form_is_the_gram_elimination(self, N, K, n):
+        """rref [M | E] gives gram_rref, rows and pivots, and the z_lambda
+        of the [G_J | B] solve: G = M^T W M with W invertible."""
+        p = Params(N, K)
+        a = purified_algebra(p, n)
+        assert (a.rmap, a.pivots) == trace.gram_rref(p, n)
+        assert a.centre == gram_centre(p, n)
+
+    def test_t_basis_outputs_skip_the_gram_matrix(self, monkeypatch):
+        """The centre, the branching multiplicities and the radical of
+        either form build no Gram matrix and eliminate none."""
+        forbid(monkeypatch, trace.gram_rref, trace.gram_bilinear, trace.gram_hermitian)
+        category.purified_algebra.cache_clear()
+        category.central_idempotents.cache_clear()
+        for p in (Params(2, 2), Params(3, 2), Params(2, 3)):
+            for n in range(1, 5):
+                assert set(central_idempotents(p, n).blocks) == set(gamma_n(p, n))
+                for form in ("bilinear", "hermitian"):
+                    assert trace.gram(p, n, form).rank == purified_dim(p, n).dim
+                for lam in gamma_n(p, n):
+                    for sub in gamma_n(p, n - 1):
+                        assert branching_multiplicity(p, n, lam, sub) in (0, 1)
 
     @pytest.mark.parametrize("N,K,cap", [(2, 2, 4), (3, 1, 4), (3, 2, 4), (4, 1, 5), (2, 3, 5)])
     def test_fusion_matches_the_gram_route(self, N, K, cap):

@@ -188,6 +188,14 @@ def commands() -> list[list[str]]:
             for kind in ("closure", "trace"):
                 cmds.append([kind, "--N", str(N), "--K", str(K), "--strands", str(n),
                              "--braid", word])
+    # central idempotents on 5 strands and Gram matrices with their
+    # kernels on 4, captured from the elimination of the Gram matrix
+    for N, K in ((3, 2), (2, 3)):
+        cmds.append(["blocks", "--N", str(N), "--K", str(K), "--strands", "5", "--full"])
+    for N, K in ((2, 2), (3, 2)):
+        for form in ("bilinear", "hermitian"):
+            cmds.append(["gram", "--N", str(N), "--K", str(K), "--strands", "4", "--form", form,
+                         "--full"])
     return cmds
 
 
