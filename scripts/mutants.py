@@ -84,6 +84,20 @@ MUTANTS = [
            "todo.append((top, _commute_cancel(top, word[j + 1:] + word[:j])))",
            "todo.append((top, word[j + 1:] + word[:j]))",
            [T_REDUCE + "test_destabilised_word_is_cancelled_up_to_commutation"]),
+    # the braid relation that brings a generator to one letter
+    Mutant("a = -b merge takes a's sign in the middle", CLOSURE,
+           "(h if b else -h, g if c else -g, h if a else -h)",
+           "(h if b else -h, g if a else -g, h if a else -h)",
+           [T_REDUCE + "test_braid_relation_brings_a_generator_to_one_letter",
+            T_REDUCE + "test_reduced_equals_unreduced"]),
+    Mutant("a = b != c pair merged", CLOSURE,
+           "            if a == b != c:\n                continue\n", "",
+           [T_REDUCE + "test_braid_relation_brings_a_generator_to_one_letter",
+            "tests/test_seminormal.py::test_route_choice"]),
+    Mutant("one count-0 arc too many asked for", CLOSURE,
+           "hs.count(0) < k - 2", "hs.count(0) < k - 1",
+           [T_REDUCE + "test_braid_relation_brings_a_generator_to_one_letter",
+            T_REDUCE + "test_each_move"]),
     # the modular data and the hermitian form
     Mutant("every vacuum fusion coefficient raised by 1", MODULAR,
            "return tuple(found.get(nu, 0) for nu in labels(p))",

@@ -11,18 +11,30 @@ for |i - j| >= 2, freely and cyclically (the closure is a class
 function): a letter cancels an earlier inverse it reaches past letters
 it commutes with, and a letter that commutes to the front cancels an
 inverse that commutes to the back (``_commute_cancel``).  This runs on
-the word as given and on each word (c) and (d) leave, not on the pieces
-of (b): every letter of one piece commutes with the other.  The moves
-are applied until none changes the word: (b) a word without sigma_i
-closes to the product of the closures on strands 1..i and i+1..n, the
-upper letters shifted down by i, since the Markov trace is
+the word as given and on each word (c), (d) and (e) leave, not on the
+pieces of (b): every letter of one piece commutes with the other.  The
+moves are applied until none changes the word: (b) a word without
+sigma_i closes to the product of the closures on strands 1..i and
+i+1..n, the upper letters shifted down by i, since the Markov trace is
 multiplicative on x (x) y and the phase of ``braid_phase`` is additive
 over letters; (c) if sigma_(n-1)^(+/-1) occurs once, it is rotated to
 the end and dropped with one strand, times curl(+/-1) (Markov
 destabilisation); (d) (c) applies to sigma_1 after the flip
-i -> n - i, conjugation by the half twist.  A one-strand factor closes
-to [N].  Every other factor is traced in the
-seminormal model (``seminormal.closure_trace``): the Markov trace is
+i -> n - i, conjugation by the half twist; (e) with t = n - 1, two
+cyclically consecutive letters sigma_t^a, sigma_t^b with one
+sigma_(t-1)^c between them, the other letters there commuting with
+sigma_t, merge into one by the braid relation, up to conjugation:
+sigma_t^a x sigma_(t-1)^a y sigma_t^a = x sigma_(t-1)^a sigma_t^a
+sigma_(t-1)^a y, and sigma_t^a x sigma_(t-1)^c y sigma_t^-a =
+x sigma_(t-1)^-a sigma_t^c sigma_(t-1)^a y, the braid relation
+conjugated by sigma_t^a (``_one_occurrence``); a pair with a = b != c
+is left alone.  Pairs merge while one qualifies; if sigma_t ends at one
+letter, (c) drops it, else the word is left as it was and sigma_1 is
+merged across sigma_2 the same way, then dropped as in (d).  Each
+merge removes a letter of sigma_t and a kept word loses a strand, so
+the reduction ends; keeping a partly merged word could undo a merge
+from the other end and cycle.  A one-strand factor closes to [N].
+Every other factor is traced in the seminormal model (``seminormal.closure_trace``): the Markov trace is
 the weighted block sum (Wenzl, Invent. Math. 92 (1988)), so the
 closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word).  Its
 work is len(word) sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on
@@ -164,15 +176,77 @@ def _commute_cancel(n: int, word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(e for e in out if e)
 
 
+def _one_occurrence(word: tuple[int, ...], g: int, h: int) -> tuple[int, ...] | None:
+    """A word conjugate to word by braid relations in which generator g
+    occurs once, or None; h = g +/- 1 is g's one neighbour in the word,
+    and every other letter commutes with g.
+
+    Two cyclically consecutive letters sigma_g^a, sigma_g^b whose arc
+    x sigma_h^c y holds one letter of h merge into one letter of g:
+    sigma_g^a x sigma_h^c y sigma_g^b = x sigma_h^b sigma_g^c sigma_h^a y
+    when a = b = c (the braid relation) or a = -b (the braid relation
+    conjugated by sigma_g^a); a = b != c is left alone.  The first pair
+    that qualifies is merged, in the order of the letters, the pair that
+    wraps round last, until g occurs once; the word is kept only then.
+    Each merge removes a letter of g, so this ends.
+
+    A merge spends an arc with one letter of h and adds one to each of
+    the two arcs beside it (to the one other arc when two are left), so
+    h counts never fall.  Of k arcs, k - 1 are spent, each reaching
+    count 1, and the k - 2 merges before the last add 2(k - 2): the arc
+    left over takes at most one per merge, so at least k - 2 arcs start
+    at count 0.  A word without a count-1 arc or with fewer count-0 arcs
+    is refused before any merge.  hs[s] counts the letters of h between
+    letters at[s - 1] and at[s] of g, hs[0] round the end."""
+    while True:
+        at, hs, count = [], [], 0
+        for i, e in enumerate(word):
+            if e == g or e == -g:
+                at.append(i)
+                hs.append(count)
+                count = 0
+            elif e == h or e == -h:
+                count += 1
+        k = len(at)
+        if k == 1:
+            return word
+        hs[0] += count
+        if 1 not in hs or hs.count(0) < k - 2:
+            return None
+        for s in [*range(1, k), 0]:
+            if hs[s] != 1:
+                continue
+            i, j = at[s - 1], at[s]
+            arc = word[i + 1:j] if i < j else word[i + 1:] + word[:j]
+            m = arc.index(h) if h in arc else arc.index(-h)
+            a, b, c = word[i] > 0, word[j] > 0, arc[m] > 0
+            if a == b != c:
+                continue
+            merged = arc[:m] + (h if b else -h, g if c else -g, h if a else -h) + arc[m + 1:]
+            word = word[:i] + merged + word[j + 1:] if i < j else merged + word[j + 1:i]
+            break
+        else:
+            return None
+
+
 def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
     """(factors, loops, curls): the closure of b is [N]^loops
     curl(sign(curls))^|curls| times the product of the factors'
     closures.  The word is reduced by the exact moves (a) cancel up to
     far commutation (``_commute_cancel``), on the word as given and on
-    each destabilised one, (b) split at an absent generator, (c)
-    destabilise a top generator that occurs once and (d) destabilise a
-    bottom one through the flip i -> n - i; a one-strand factor counts
-    as a loop."""
+    each destabilised one, (b) split at every absent generator, a
+    one-strand piece counting as a loop, (c) destabilise a top generator
+    that occurs once, (d) destabilise a bottom one through the flip
+    i -> n - i and (e) bring the top generator t, else the bottom one,
+    to one occurrence and destabilise it as (c) or (d).  (e) merges
+    sigma_t^a x sigma_(t-1)^c y sigma_t^b = x sigma_(t-1)^b sigma_t^c
+    sigma_(t-1)^a y, x and y free of t - 1, when a = b = c (the braid
+    relation) or a = -b (the braid relation conjugated by sigma_t^a)
+    (``_one_occurrence``).  It keeps a word only when t reaches one
+    occurrence, each merge removing one, so every move either drops a
+    strand or leaves a factor, and the reduction ends.  A word that
+    passes (b) holds every generator, so (e) has a neighbour letter to
+    merge across once n > 2; on two strands top and bottom are one."""
     todo = [(b.strands, _commute_cancel(b.strands, b.word))]
     factors: list[BraidWord] = []
     loops = curls = 0
@@ -183,21 +257,35 @@ def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
             continue
         present = set(map(abs, word))
         if len(present) < n - 1:
-            gap = next(i for i in range(1, n) if i not in present)
-            todo.append((gap, tuple(e for e in word if abs(e) < gap)))
-            todo.append((n - gap, tuple(e - gap if e > 0 else e + gap
-                                        for e in word if abs(e) > gap)))
+            low = 0
+            for high in [i for i in range(1, n) if i not in present] + [n]:
+                if high - low == 1:
+                    loops += 1
+                else:
+                    todo.append((high - low, tuple(e - low if e > 0 else e + low
+                                                   for e in word if low < abs(e) < high)))
+                low = high
             continue
         top = n - 1
         if word.count(top) + word.count(-top) != 1:
-            if word.count(1) + word.count(-1) != 1:
+            if word.count(1) + word.count(-1) == 1:
+                word = _flip(n, word)
+            elif n > 2 and (moved := _one_occurrence(word, top, top - 1)):
+                word = moved
+            elif n > 2 and (moved := _one_occurrence(word, 1, 2)):
+                word = _flip(n, moved)
+            else:
                 factors.append(BraidWord(n, word))
                 continue
-            word = tuple(n - e if e > 0 else -n - e for e in word)
         j = word.index(top) if top in word else word.index(-top)
         curls += 1 if word[j] > 0 else -1
         todo.append((top, _commute_cancel(top, word[j + 1:] + word[:j])))
     return factors, loops, curls
+
+
+def _flip(n: int, word: tuple[int, ...]) -> tuple[int, ...]:
+    """The word conjugated by the half twist: sigma_i -> sigma_(n-i)."""
+    return tuple(n - e if e > 0 else -n - e for e in word)
 
 
 def _path_closure(p: Params, b: BraidWord) -> Scalar:

@@ -337,7 +337,7 @@ class TestExitCodes:
 
     def test_trace_past_the_path_model_bound_fails_at_once(self, capsys):
         # no Markov move shortens the word; sum f^2 = 2^19 > 8! at (2,2)
-        word = " ".join(str(i) for _ in range(2) for i in range(1, 20))
+        word = " ".join(str(i) for i in range(1, 20) for _ in range(2))
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "trace", "--N", "2", "--K", "2", "--braid", word)
         assert time.perf_counter() - start < 2.0

@@ -196,6 +196,22 @@ def commands() -> list[list[str]]:
         for form in ("bilinear", "hermitian"):
             cmds.append(["gram", "--N", str(N), "--K", str(K), "--strands", "4", "--form", form,
                          "--full"])
+    # words whose top or bottom generator the braid relation brings to
+    # one occurrence, so that a strand is destabilised, captured while
+    # they were still traced whole; the 9- and 10-strand words are too
+    # large for (4,3) as given
+    braided = [(6, "-1 2 4 3 5 4 -3 4 5 -1 -1 -3 3 -2 3"), (6, "-1 5 -3 -1 -2 4 1 4 -3 2 5 1 -4"),
+               (7, "3 2 6 5 4 3 6 5 5 1 2 1 -3 -2"), (7, "-5 -6 -3 -3 -6 1 -6 -2 -4 -1 -3 3 -5 3 2 5"),
+               (8, "3 -7 4 -6 7 1 3 1 4 1 -6 5 6 -2 1 -6"), (8, "1 -7 6 -4 -2 7 -2 -3 6 1 4 2 5")]
+    wide = [(9, "-1 -4 -6 -3 4 -8 3 1 -7 5 2 -1 -2 -4 -1 -8 -7 -5"),
+            (9, "8 -4 4 -7 3 -2 -1 -2 4 -3 -5 8 -2 -6 8 1"),
+            (10, "-3 7 6 1 -2 -8 -9 -8 7 -1 -4 7 -9 -2 -7 8 -5 -3 -3"),
+            (10, "2 -7 -8 -9 4 6 -3 -4 7 -6 -1 2 4 1 -4 -4 -5 -8 9")]
+    for N, K in ((2, 2), (3, 2), (4, 3)):
+        for n, word in braided + (wide if K == 2 else []):
+            for kind in ("closure", "trace"):
+                cmds.append([kind, "--N", str(N), "--K", str(K), "--strands", str(n),
+                             "--braid", word])
     return cmds
 
 

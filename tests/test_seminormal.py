@@ -463,8 +463,10 @@ def test_route_choice(monkeypatch):
     rng = Random("single route")
     braids = []
     for n in range(2, 9):
-        # a short word that no Markov move changes, then mixed words
-        short = (1, 1) + tuple(range(2, n))
+        # a short word that no Markov move changes (sigma_2 and
+        # sigma_(n-2) take the sign that stops the braid relation from
+        # merging the sigma_1 or the top pair), then mixed words
+        short = (1, 1) + tuple(-i if i in (2, n - 2) else i for i in range(2, n))
         braids.append(BraidWord(n, short + short[-1:]))
         assert trace._reduce(braids[-1]) == ([braids[-1]], 0, 0)
         braids += [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)

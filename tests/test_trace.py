@@ -42,7 +42,7 @@ from hsk.hecke import _gen_step, full_twist_word, random_element
 from hsk.perms import perm_table
 from hsk.linalg import positive_definite, rref
 from hsk import Scalar, closure, trace
-from hsk.closure import _commute_cancel, _path_closure, braid_phase
+from hsk.closure import _commute_cancel, _one_occurrence, _path_closure, braid_phase
 from hsk.scalar import _field
 from hsk.seminormal import block_trace, path_model
 from hsk.trace import (CURL_MATCH_SIGN, _closure_unreduced, _reduce, _trace_vector, gram_bilinear,
@@ -399,8 +399,10 @@ def _far_letters(rng, n, i, length):
 
 def _move_words(rng, n):
     """Words on n strands built so that each move fires: a conjugate, a
-    stabilisation and a sigma_1-only destabilisation of each sign, and a
-    word with a gap."""
+    stabilisation and a sigma_1-only destabilisation of each sign, a
+    word with a gap and, from 3 strands, top pairs that the braid
+    relation merges (two pairs, one across x sigma_(n-2) y, also
+    flipped to the bottom, and one of three letters)."""
     w = _random_word(rng, n - 1, rng.randint(1, 8))
     g = _random_word(rng, n, 2)
     out = [g + w + _inverse(g)]
@@ -413,6 +415,21 @@ def _move_words(rng, n):
     gapped = list(_random_word(rng, i, 4) + _shift(_random_word(rng, n - i, 4), i))
     rng.shuffle(gapped)
     out.append(tuple(gapped))
+    if n > 2:
+        # every generator below the top twice and each with one sign, so
+        # that no cancellation, split or single-letter destabilisation
+        # comes first
+        t = n - 1
+        sign = [rng.choice((1, -1)) for _ in range(n)]
+        rest = [sign[i] * i for i in range(1, t) for _ in range(2)]
+        rng.shuffle(rest)
+        x, y = ([sign[i] * i for i in rng.choices(range(1, t - 1), k=rng.randint(0, 3))] if t > 2 else []
+                for _ in range(2))
+        a, c = rng.choice((1, -1)), sign[t - 1]
+        b = rng.choice((a, -a)) if a == c else -a
+        pair = (a * t, *x, c * (t - 1), *y, b * t, *rest)
+        out += [pair, tuple(n - e if e > 0 else -n - e for e in pair),
+                tuple(a * e for e in (t, t - 1, t, t)) + tuple(rest)]
     return [BraidWord(n, word) for word in out]
 
 
@@ -433,8 +450,11 @@ class TestReduction:
         assert _reduce(BraidWord(3, (1, 1, -2, 1))) == ([BraidWord(2, (1, 1, 1))], 0, -1)
         # sigma_1 once: the flip makes it sigma_2, then as above
         assert _reduce(BraidWord(3, (2, 2, 1, 2))) == ([BraidWord(2, (1, 1, 1))], 0, 1)
+        # sigma_3 sigma_2 sigma_3 becomes sigma_2 sigma_3 sigma_2: sigma_3
+        # then occurs once and is dropped with the fourth strand
+        assert _reduce(BraidWord(4, (1, 1, 2, 3, 2, 3))) == ([BraidWord(3, (2, 1, 1, 2, 2))], 0, 1)
         # no move applies
-        b = BraidWord(4, (1, 1, 2, 3, 2, 3))
+        b = BraidWord(4, (1, 1, 2, 2, 3, 3))
         assert _reduce(b) == ([b], 0, 0)
 
     @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (4, 1)])
@@ -446,20 +466,54 @@ class TestReduction:
             for b in braids + _move_words(rng, n):
                 assert closure_invariant(p, b) == _closure_unreduced(p, b), b
 
+    @pytest.mark.parametrize("N,K", [(2, 2), (3, 2)])
+    def test_braid_relation_brings_a_generator_to_one_letter(self, N, K):
+        p = Params(N, K)
+        cases = [
+            # a = b = c: sigma_4 x sigma_3 y sigma_4 = x sigma_3 sigma_4 sigma_3 y
+            (BraidWord(5, (4, 1, 3, -2, 4, 2, 1, 3)),
+             ([BraidWord(2, (1, 1, 1)), BraidWord(2, (1, 1))], 0, 1)),
+            # a = -b: sigma_3 sigma_2 sigma_3^-1 = sigma_2^-1 sigma_3 sigma_2,
+            # and the middle letter takes c's sign
+            (BraidWord(4, (3, 2, -3, 1, 1, 2)), ([BraidWord(2, (1, 1))], 0, 2)),
+            (BraidWord(4, (3, -2, -3, 1, 1, 2)), ([BraidWord(2, (1, 1))], 0, 0)),
+            # no top pair qualifies; the sigma_1 pair merges across one
+            # sigma_2, and the flip makes it the top generator
+            (BraidWord(4, (3, 3, 2, 1, 2, 1)), ([BraidWord(3, (2, 1, 1, 2, 2))], 0, 1)),
+            # three letters of sigma_4 merge in two steps
+            (BraidWord(5, (4, 3, 4, 4, 1, 1, 2, 2, 3)), ([BraidWord(4, (3, 1, 1, 2, 2, 3, 3, 3))], 0, 1)),
+            (BraidWord(5, (4, 3, -4, -4, 1, 1, 2, 2, -3)),
+             ([BraidWord(4, (1, 1, 2, 2, -3, -3))], 0, 1)),
+        ]
+        # a = b != c is left alone, and so is a word whose merges stop
+        # short of one letter: the first merge of the flipped sigma_1
+        # letters leaves an a = b != c pair, and the word stays whole
+        for word in ((4, (3, -2, 3, 1, 1, 2, 2)), (3, (-1, -2, 1, -2, -1))):
+            b = BraidWord(*word)
+            cases.append((b, ([b], 0, 0)))
+        assert _one_occurrence((4, 3, 4, 4, 1), 4, 3) == (3, 3, 4, 3, 1)
+        assert _one_occurrence((-1, -2, 1, -2, -1), 2, 1) is None
+        for b, reduced in cases:
+            assert _reduce(b) == reduced, b
+            assert closure_invariant(p, b) == _closure_unreduced(p, b), b
+
     def test_far_commuting_pairs(self):
         # the sigma_1 pair stands apart only by sigma_3: it cancels
         assert _commute_cancel(4, (2, 1, 3, -1, 2)) == (2, 3, 2)
+        # (the 3-strand word it leaves, (1, -2, 1, 1, 2), then merges its
+        # sigma_2 pair across one sigma_1 and loses a strand)
         assert _reduce(BraidWord(5, (2, 2, 1, 3, -1, 4, 2, -3))) == (
-            [BraidWord(3, (1, -2, 1, 1, 2))], 1, 1)
-        # sigma_2 stands between the sigma_1 pair: it survives
+            [BraidWord(2, (1, 1))], 1, 2)
+        # sigma_2 stands between the sigma_1 pair: it survives, and only
+        # the braid relation on the sigma_2 pair reduces the word
         blocked = BraidWord(3, (1, 2, -1, 2))
         assert _commute_cancel(3, blocked.word) == blocked.word
-        assert _reduce(blocked) == ([blocked], 0, 0)
+        assert _reduce(blocked) == ([], 1, 2)
         # sigma_1 commutes to the front past sigma_3 and its inverse to the
         # back past sigma_4: the word is conjugate to the rest
         cyclic = BraidWord(6, (3, 1, 2, 2, -1, 4, 5, 4, 5))
         assert _commute_cancel(6, cyclic.word) == (3, 2, 2, 4, 5, 4, 5)
-        assert _reduce(cyclic) == ([BraidWord(5, (2, 1, 1, 3, 4, 3, 4))], 1, 0)
+        assert _reduce(cyclic) == ([BraidWord(3, (2, 1, 1, 2, 2))], 1, 2)
 
     @pytest.mark.parametrize("N,K", [(2, 2), (3, 2)])
     def test_destabilised_word_is_cancelled_up_to_commutation(self, N, K):
@@ -472,10 +526,11 @@ class TestReduction:
         assert closure_invariant(p, b) == _closure_unreduced(p, b)
 
     def test_cancelled_top_pair_shrinks_the_model(self, monkeypatch):
-        # sigma_4 and its inverse meet across sigma_1 sigma_2; without
-        # them the fifth strand splits off and the rest closes on four
+        # sigma_4 and its inverse meet across sigma_2; without them the
+        # fifth strand splits off and the rest, (1, 1, 2, 2, 3, 3), closes
+        # on four, while no other move applies to the word as given
         p = Params(3, 2)
-        b = BraidWord(5, (1, 2, 3, 4, 1, 2, -4, 3, 2, 1))
+        b = BraidWord(5, (1, 1, 2, 4, 2, -4, 3, 3))
         asked = []
         real = closure.path_model
         monkeypatch.setattr(closure, "path_model", lambda p, n: asked.append(n) or real(p, n))
@@ -510,7 +565,7 @@ class TestReduction:
         # an 8-strand word that no move changes: the path model traces
         # it whole, and only the oracle expands it over the T_w
         p = Params(3, 2)
-        short = BraidWord(8, (1, 1, 2, 3, -4, 5, 6, 7, 7))
+        short = BraidWord(8, (1, 1, -2, 3, -4, 5, -6, 7, 7))
         assert _reduce(short) == ([short], 0, 0)
 
         def refuse(*args):
