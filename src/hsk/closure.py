@@ -177,26 +177,18 @@ def _commute_cancel(n: int, word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _one_occurrence(word: tuple[int, ...], g: int, h: int) -> tuple[int, ...] | None:
-    """A word conjugate to word by braid relations in which generator g
-    occurs once, or None; h = g +/- 1 is g's one neighbour in the word,
-    and every other letter commutes with g.
+    """The word with generator g brought to one letter by the merges of
+    move (e) (``_reduce``), or None; h = g +/- 1 is g's one neighbour in
+    the word, and every other letter commutes with g.  The first pair
+    that qualifies merges, in the order of the letters and the pair that
+    wraps round last, until g occurs once.
 
-    Two cyclically consecutive letters sigma_g^a, sigma_g^b whose arc
-    x sigma_h^c y holds one letter of h merge into one letter of g:
-    sigma_g^a x sigma_h^c y sigma_g^b = x sigma_h^b sigma_g^c sigma_h^a y
-    when a = b = c (the braid relation) or a = -b (the braid relation
-    conjugated by sigma_g^a); a = b != c is left alone.  The first pair
-    that qualifies is merged, in the order of the letters, the pair that
-    wraps round last, until g occurs once; the word is kept only then.
-    Each merge removes a letter of g, so this ends.
-
-    A merge spends an arc with one letter of h and adds one to each of
-    the two arcs beside it (to the one other arc when two are left), so
-    h counts never fall.  Of k arcs, k - 1 are spent, each reaching
-    count 1, and the k - 2 merges before the last add 2(k - 2): the arc
-    left over takes at most one per merge, so at least k - 2 arcs start
-    at count 0.  A word without a count-1 arc or with fewer count-0 arcs
-    is refused before any merge.  hs[s] counts the letters of h between
+    A merge spends an arc holding one letter of h and adds one to each
+    arc beside it, so counts never fall.  Of k arcs, the k - 1 spent each
+    reach count 1, and the k - 2 merges before the last add 2(k - 2), at
+    most one per merge to the arc left over: at least k - 2 arcs start
+    at count 0.  A word short of that, or without a count-1 arc, is
+    refused before any merge.  hs[s] counts the letters of h between
     letters at[s - 1] and at[s] of g, hs[0] round the end."""
     while True:
         at, hs, count = [], [], 0
@@ -240,7 +232,7 @@ def _reduce(b: BraidWord) -> tuple[list[BraidWord], int, int]:
     i -> n - i and (e) bring the top generator t, else the bottom one,
     to one occurrence and destabilise it as (c) or (d).  (e) merges
     sigma_t^a x sigma_(t-1)^c y sigma_t^b = x sigma_(t-1)^b sigma_t^c
-    sigma_(t-1)^a y, x and y free of t - 1, when a = b = c (the braid
+    sigma_(t-1)^a y, x and y below t - 1, when a = b = c (the braid
     relation) or a = -b (the braid relation conjugated by sigma_t^a)
     (``_one_occurrence``).  It keeps a word only when t reaches one
     occurrence, each merge removing one, so every move either drops a

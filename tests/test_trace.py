@@ -400,9 +400,9 @@ def _far_letters(rng, n, i, length):
 def _move_words(rng, n):
     """Words on n strands built so that each move fires: a conjugate, a
     stabilisation and a sigma_1-only destabilisation of each sign, a
-    word with a gap and, from 3 strands, top pairs that the braid
-    relation merges (two pairs, one across x sigma_(n-2) y, also
-    flipped to the bottom, and one of three letters)."""
+    word with a gap and, from 3 strands, words whose top letters the
+    braid relation merges: a pair across x sigma_(n-2) y, its flip to
+    the bottom, and three letters."""
     w = _random_word(rng, n - 1, rng.randint(1, 8))
     g = _random_word(rng, n, 2)
     out = [g + w + _inverse(g)]
@@ -486,8 +486,8 @@ class TestReduction:
              ([BraidWord(4, (1, 1, 2, 2, -3, -3))], 0, 1)),
         ]
         # a = b != c is left alone, and so is a word whose merges stop
-        # short of one letter: the first merge of the flipped sigma_1
-        # letters leaves an a = b != c pair, and the word stays whole
+        # short of one letter: the first merge of its sigma_1 letters
+        # leaves an a = b != c pair, and the word stays whole
         for word in ((4, (3, -2, 3, 1, 1, 2, 2)), (3, (-1, -2, 1, -2, -1))):
             b = BraidWord(*word)
             cases.append((b, ([b], 0, 0)))
