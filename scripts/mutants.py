@@ -1,4 +1,4 @@
-"""Run the standing mutation checks of the path model.
+"""Run the standing mutation checks of hsk.
 
 Each mutant is one exact text replacement in one file, with the tests
 expected to fail under it.  The tree (src, tests, hskbench and
@@ -37,6 +37,11 @@ CLOSURE = "src/hsk/closure.py"
 MODULAR = "src/hsk/modular.py"
 TRACE = "src/hsk/trace.py"
 CATEGORY = "src/hsk/category.py"
+SCALAR = "src/hsk/scalar.py"
+DIAGRAMS = "src/hsk/diagrams.py"
+HECKE = "src/hsk/hecke.py"
+LINALG = "src/hsk/linalg.py"
+CACHE = "src/hsk/cache.py"
 T_SEMI = "tests/test_seminormal.py::"
 T_REDUCE = "tests/test_trace.py::TestReduction::"
 T_CAT = "tests/test_category.py::"
@@ -138,6 +143,24 @@ MUTANTS = [
            "itemgetter(*((place[t] + 1) % len(place) * phi + k for t",
            [T_SEMI + "test_one_product_over_the_model_is_the_block_products",
             T_SEMI + "test_path_route_matches_t_route_on_mixed_words"]),
+    # the scalar field, the labels, the T basis, elimination and the disk cache
+    Mutant("conjugation as the identity", SCALAR,
+           "monomial_map(self.num, -1), self.den)", "monomial_map(self.num, 1), self.den)",
+           ["tests/test_scalar.py::TestConjugation::test_matches_complex_conjugation"]),
+    Mutant("Gamma's level bound one column short", DIAGRAMS,
+           "return d.nrows < p.N and d.row(0) <= p.K\n", "return d.nrows < p.N and d.row(0) < p.K\n",
+           ["tests/test_diagrams.py::TestLabels::test_stats_flags",
+            "tests/test_diagrams.py::TestPathCount::test_su2_level2_values"]),
+    Mutant("(q - 1) T_w with the wrong sign", HECKE,
+           "qs1 = qs - 1\n", "qs1 = 1 - qs\n",
+           ["tests/test_hecke.py::TestQuadraticRelation::test_t_squared"]),
+    Mutant("determinant ignoring a row swap", LINALG,
+           "det = (-det if swapped else det) * d", "det = det * d",
+           ["tests/test_linalg.py::test_determinant_leaves_input_unchanged",
+            "tests/test_linalg.py::test_laplace_matches_elimination"]),
+    Mutant("fingerprint skipping seminormal.py", CACHE,
+           'if name.endswith(".py"):', 'if name.endswith(".py") and name != "seminormal.py":',
+           ["tests/test_cli.py::TestCache::test_fingerprint_reads_every_source_file"]),
 ]
 
 

@@ -13,7 +13,7 @@ blocks, all exactly.
 
 from importlib import import_module
 
-from .scalar import Params, Scalar, conjugate, embed, invert, qfact, qint
+from .scalar import Params, Scalar, qfact, qint
 from .diagrams import (YoungDiagram, branch, dagger, diagram_stats, gamma_n, labels,
                        pad, path_count, weight)
 from .seminormal import TRACE_LIMIT
@@ -35,7 +35,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Params", "Scalar", "qint", "qfact", "conjugate", "invert", "embed",
+    "Params", "Scalar", "qint", "qfact",
     "YoungDiagram", "labels", "dagger", "gamma_n", "branch", "path_count", "pad", "weight",
     "diagram_stats",
     "BraidWord", "HeckeElement", "YoungIdempotent", "sigma_element", "from_braid",

@@ -23,7 +23,7 @@ the embedded minimal idempotent e of a block of A_{n-1}.
 
 The modular data, block summaries and the rank of the trace form
 (``purified_dim``) never build A_n: they live in ``modular``, which
-reads them off the path model, and this module re-exports their names.
+reads them off the path model.
 """
 from __future__ import annotations
 
@@ -33,32 +33,20 @@ from functools import lru_cache
 from .diagrams import YoungDiagram, gamma_n
 from .hecke import HeckeElement, jones_wenzl, tensor_embed, young_idempotent
 from .linalg import rref
-from .modular import (GRAM_LIMIT, FusionTable, PurifiedDim, SMatrix,  # noqa: F401
-                      _fusion_row, block_summary, fusion, fusion_matrix, fusion_table, mf_dim,
-                      purified_dim, qdim, s_matrix, twist)
+from .modular import GRAM_LIMIT, block_summary
+# hskbench/tracer.py looks these three up as hsk.category.<name>; nothing here uses them.
+from .modular import fusion, mf_dim, s_matrix  # noqa: F401
 from .perms import perm_table
 from .scalar import Params, Scalar
 from .seminormal import block_matrix, block_trace, path_model
 
 __all__ = [
     "PurifiedAlgebra",
-    "PurifiedDim",
     "BlockData",
-    "FusionTable",
-    "SMatrix",
     "purified_algebra",
-    "purified_dim",
     "minimal_idempotent",
-    "block_summary",
     "central_idempotents",
     "branching_multiplicity",
-    "fusion",
-    "fusion_table",
-    "fusion_matrix",
-    "qdim",
-    "twist",
-    "s_matrix",
-    "mf_dim",
 ]
 
 

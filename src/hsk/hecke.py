@@ -43,13 +43,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .closure import BraidWord, block_transposition_word, braid_phase, full_twist_word  # noqa: F401
+from .closure import BraidWord, braid_phase
 from .diagrams import YoungDiagram
 from .perms import PermTable, perm_table
 from .scalar import Params, Scalar, qfact, qint
 
 __all__ = [
-    "BraidWord",
     "HeckeElement",
     "YoungIdempotent",
     "from_braid",
@@ -58,8 +57,6 @@ __all__ = [
     "jones_wenzl",
     "young_idempotent",
     "tensor_embed",
-    "full_twist_word",
-    "block_transposition_word",
     "random_element",
 ]
 

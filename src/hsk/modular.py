@@ -3,7 +3,7 @@ the quotient of H_n (``seminormal``): quantum dimensions, twists,
 fusion rules, S~, modular-functor dimensions, block dimensions and the
 rank of the trace form.  Nothing here builds a permutation table, a
 T-basis element, a Gram matrix or a central idempotent; that route
-(``category``, ``trace``) is their oracle and re-exports these names.
+(``category``, ``trace``) is their oracle.
 
 The path model's bases are Bratteli paths, not the n! permutations.
 N_{lam mu}^nu is the rank in the block nu of a product of two commuting

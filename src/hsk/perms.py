@@ -15,7 +15,7 @@ from math import factorial
 
 from .seminormal import TRACE_LIMIT
 
-__all__ = ["TRACE_LIMIT", "PermTable", "perm_table"]
+__all__ = ["PermTable", "perm_table"]
 
 
 @dataclass(frozen=True)

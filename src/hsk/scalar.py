@@ -39,9 +39,6 @@ __all__ = [
     "Scalar",
     "qint",
     "qfact",
-    "conjugate",
-    "invert",
-    "embed",
 ]
 
 
@@ -466,15 +463,3 @@ def qfact(p: Params, n: int) -> Scalar:
     for j in range(1, n + 1):
         acc = acc * qint(p, j)
     return acc
-
-
-def conjugate(x: Scalar) -> Scalar:
-    return x.conjugate()
-
-
-def invert(x: Scalar) -> Scalar:
-    return x.inverse()
-
-
-def embed(x: Scalar) -> complex:
-    return x.embed()

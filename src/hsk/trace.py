@@ -45,9 +45,8 @@ whose oracle in verify and the tests is ``gram_rref``, the elimination
 of the n! x n! bilinear Gram matrix.
 
 The closure route (``closure``) and the modular data (``modular``)
-live in their own modules and import nothing from here; this module
-re-exports their names.  ``from_braid`` and ``markov_trace`` are their
-oracles: ``_closure_unreduced``, [N]^n Tr(from_braid(b)) on the word as
+live in their own modules and import nothing from here.
+``from_braid`` and ``markov_trace`` are their oracles: ``_closure_unreduced``, [N]^n Tr(from_braid(b)) on the word as
 given, checks the Markov-move reduction and the path model.
 """
 from __future__ import annotations
@@ -56,19 +55,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .category import purified_algebra
-from .closure import (CURL_MATCH_SIGN, BraidWord, _path_closure, _reduce,  # noqa: F401
-                      closure_invariant, curl_scalar, loop_power)
+from .closure import BraidWord, loop_power
 from .hecke import HeckeElement, from_braid
 from .linalg import kernel_from_rref, rref
 from .modular import GRAM_LIMIT
 from .perms import perm_table
 from .scalar import Params, Scalar, qint
-from .seminormal import TRACE_LIMIT
 
 __all__ = [
-    "GRAM_LIMIT",
-    "TRACE_LIMIT",
-    "CURL_MATCH_SIGN",
     "GramData",
     "eta",
     "trace_parameter",
@@ -78,8 +72,6 @@ __all__ = [
     "gram_bilinear",
     "gram_hermitian",
     "gram_rref",
-    "closure_invariant",
-    "curl_scalar",
 ]
 
 

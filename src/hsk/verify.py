@@ -34,6 +34,12 @@ from fractions import Fraction
 from math import factorial
 from random import Random
 
+from .closure import (
+    BraidWord,
+    closure_invariant,
+    curl_scalar,
+    loop_power,
+)
 from .diagrams import (
     YoungDiagram,
     branch,
@@ -45,7 +51,6 @@ from .diagrams import (
     weight,
 )
 from .hecke import (
-    BraidWord,
     HeckeElement,
     e_idempotent,
     from_braid,
@@ -57,30 +62,29 @@ from .hecke import (
     young_idempotent,
 )
 from .linalg import positive_definite
-from .perms import perm_table
-from .scalar import Params, Scalar, qint
-from .seminormal import check_size
-from .trace import (
+from .modular import (
     GRAM_LIMIT,
-    _closure_unreduced,
-    closure_invariant,
-    curl_scalar,
-    eta,
-    gram,
-    gram_rref,
-    loop_power,
-    markov_trace,
-    trace_parameter,
-)
-from .category import (
-    branching_multiplicity,
-    central_idempotents,
     fusion,
     fusion_table,
     mf_dim,
     qdim,
     s_matrix,
     twist,
+)
+from .perms import perm_table
+from .scalar import Params, Scalar, qint
+from .seminormal import check_size
+from .trace import (
+    _closure_unreduced,
+    eta,
+    gram,
+    gram_rref,
+    markov_trace,
+    trace_parameter,
+)
+from .category import (
+    branching_multiplicity,
+    central_idempotents,
 )
 
 # Gram matrices at six strands (720 x 720 exact entries) are beyond a

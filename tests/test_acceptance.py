@@ -36,7 +36,8 @@ from hsk import (
     gram,
     mf_dim,
 )
-from hsk.trace import CURL_MATCH_SIGN, gram_bilinear
+from hsk.closure import CURL_MATCH_SIGN
+from hsk.trace import gram_bilinear
 from hsk.verify import CHECKS, CheckFailure, CheckSkip
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]

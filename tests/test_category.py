@@ -41,13 +41,13 @@ from hsk import (
     twist,
     young_idempotent,
 )
-from hsk import category, hecke, linalg, trace
-from hsk.hecke import (BraidWord, _gen_step, block_transposition_word, from_braid,
-                       full_twist_word)
+from hsk import category, hecke, linalg, modular, trace
+from hsk.closure import CURL_MATCH_SIGN, BraidWord, block_transposition_word, full_twist_word
+from hsk.hecke import _gen_step, from_braid
 from hsk.linalg import rref
 from hsk.perms import perm_table
 from hsk.seminormal import block_trace, path_model
-from hsk.trace import CURL_MATCH_SIGN, markov_trace
+from hsk.trace import markov_trace
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 EMPTY = YoungDiagram.of()
@@ -553,8 +553,8 @@ class TestOldRoutes:
         no Young idempotent and no Markov trace."""
         forbid(monkeypatch, category.purified_algebra, category.central_idempotents,
                linalg.rref, hecke.from_braid, hecke.young_idempotent, trace.markov_trace)
-        category._fusion_row.cache_clear()
-        category.s_matrix.cache_clear()
+        modular._fusion_row.cache_clear()
+        modular.s_matrix.cache_clear()
         for p in (Params(2, 2), Params(4, 1), Params(2, 3)):
             labs = labels(p)
             for d in labs:
@@ -583,7 +583,7 @@ class TestOldRoutes:
             cap = 6 if p != Params(3, 2) else 4
 
             def modular_data():
-                category._fusion_row.cache_clear()
+                modular._fusion_row.cache_clear()
                 labs = labels(p)
                 for d in labs:
                     twist(p, d)
@@ -751,7 +751,7 @@ class TestModularFunctor:
 
     def test_torus_with_six_strand_handle_is_bounded(self):
         # the handle operator needs every fusion matrix, (3) x (3) included
-        category._fusion_row.cache_clear()
+        modular._fusion_row.cache_clear()
         start = time.perf_counter()
         assert mf_dim(Params(2, 3), 1, ()) == 4
         assert time.perf_counter() - start < 10.0

@@ -5,10 +5,12 @@ strand limits, bad parameters), 2 on usage errors (malformed braid
 words, missing arguments, out-of-range verify bounds)."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import time
@@ -717,6 +719,26 @@ class TestCache:
         assert run_json(capsys, *argv) == want
         assert not target.exists()  # the write pruned the other code's entry
         assert len(list(cache.glob("*.json"))) == 1
+
+    def test_fingerprint_reads_every_source_file(self, tmp_path):
+        """One byte appended to any .py file of the package changes the
+        fingerprint, on a copy of the package with its own cache module."""
+        pkg = tmp_path / "hsk"
+        shutil.copytree(pathlib.Path(hsk.cache.__file__).parent, pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        spec = importlib.util.spec_from_file_location("hsk_cache_copy", pkg / "cache.py")
+        cache = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cache)  # the module imports only the standard library
+        sources = sorted(pkg.glob("*.py"))
+        assert len(sources) > 1
+        before = cache._code_fingerprint()
+        for path in sources:
+            with path.open("ab") as fh:
+                fh.write(b" ")
+            cache._code_fingerprint.cache_clear()
+            after = cache._code_fingerprint()
+            assert after != before, path.name
+            before = after
 
     def test_pruning_spares_other_files(self, capsys, tmp_path):
         cache = tmp_path / "c"

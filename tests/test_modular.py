@@ -9,16 +9,17 @@ diagonal of twists and p_+- = sum theta_lam^(+-1) d_lam^2:
 and the Verlinde formula recovers every fusion coefficient exactly
 from S~.  Relative to these twists S~ is the complex conjugate of the
 s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds only where C = 1.
-Dimensions and twists are also compared with the closed forms of the
-benchmark's oracles, which import no hsk: S~ with D times the complex
-conjugate of the Kac-Peterson S, and modular-functor dimensions with
-the Verlinde formula.  None of the checks uses the balancing identity
+S~ is compared exactly with the Kac-Peterson sum over S_N, built here
+from zeta powers alone.  Dimensions and twists are also compared with
+the closed forms of the benchmark's oracles, which import no hsk, and
+modular-functor dimensions with the Verlinde formula.  None of the checks uses the balancing identity
 from which S~ is computed."""
 
 import cmath
 import math
 import pathlib
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -108,16 +109,36 @@ def test_verlinde_recovers_fusion(p):
                 assert got == p.scalar(fusion(p, lam, mu, nu)), (lam.rows, mu.rows, nu.rows)
 
 
+def _kac_peterson(p, labs):
+    """S~ in Q(zeta_m) from the Weyl-group sum of Kac and Peterson.  With
+    x = lam + rho, y = mu + rho and rho = (N-1, ..., 0),
+
+        raw(lam, mu) = sum_{w in S_N} sign(w) zeta^(-2N sum_i x_w(i) y_i + 2|x||y|),
+
+    the exponent an integer, and S~_{lam mu} = conj(raw(lam, mu) / raw(0, 0))."""
+    n = p.N
+    signed = [(w, sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n)) % 2)
+              for w in permutations(range(n))]
+
+    def raw(x, y):
+        acc = p.zero
+        for w, odd in signed:
+            term = p.zeta_pow(-2 * n * sum(x[w[i]] * y[i] for i in range(n)) + 2 * sum(x) * sum(y))
+            acc = acc - term if odd else acc + term
+        return acc
+
+    shifted = [[lam.row(i) + n - 1 - i for i in range(n)] for lam in labs]
+    unit = raw(range(n - 1, -1, -1), range(n - 1, -1, -1)).inverse()
+    return [[(raw(x, y) * unit).conjugate() for y in shifted] for x in shifted]
+
+
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_s_matches_kac_peterson(p):
-    """S~ = D conj(S) entrywise, S the unitary Kac-Peterson matrix of the
-    oracles over the same label order (a sum over S_N, so N stays small)."""
-    s, labs, _, _, dim2 = _data(p)
+    """S~ equals the Kac-Peterson matrix exactly, entry by entry, over
+    the oracles' label order (a sum over S_N, so N stays small)."""
+    s, labs, _, _, _ = _data(p)
     assert [lam.rows for lam in labs] == list(oracles.labels(p.N, p.K))
-    D = math.sqrt(dim2.embed().real)
-    for row, want in zip(s.entries, oracles.kac_peterson(p.N, p.K)):
-        for x, y in zip(row, want):
-            assert abs(x.embed() - D * y.conjugate()) < 1e-9
+    assert [list(row) for row in s.entries] == _kac_peterson(p, labs)
 
 
 @pytest.mark.parametrize("genus", [1, 2])

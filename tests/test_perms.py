@@ -6,8 +6,8 @@ from itertools import permutations
 import pytest
 
 from hsk import TRACE_LIMIT as EXPORTED_LIMIT
-from hsk import trace
-from hsk.perms import TRACE_LIMIT, perm_table
+from hsk.perms import perm_table
+from hsk.seminormal import TRACE_LIMIT
 
 
 def _inversions(w):
@@ -52,7 +52,7 @@ def test_words_are_reduced_words(n):
 
 
 def test_strand_limit():
-    assert TRACE_LIMIT == trace.TRACE_LIMIT == EXPORTED_LIMIT == 8
+    assert TRACE_LIMIT == EXPORTED_LIMIT == 8
     assert perm_table(TRACE_LIMIT).size == 40320
     with pytest.raises(ValueError, match="limited to 8 strands"):
         perm_table(TRACE_LIMIT + 1)

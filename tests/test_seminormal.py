@@ -18,9 +18,8 @@ import pytest
 
 from hsk import (BraidWord, Params, dagger, from_braid, fusion, gamma_n, labels, loop_power,
                  markov_trace, mf_dim, path_count, qint, s_matrix, twist)
-from hsk import modular, trace
-from hsk.closure import braid_phase
-from hsk.hecke import full_twist_word
+from hsk import closure, modular, trace
+from hsk.closure import braid_phase, full_twist_word
 from hsk.modular import qdim
 from hsk.scalar import Scalar
 from hsk import seminormal
@@ -163,7 +162,7 @@ def test_one_product_over_the_model_is_the_block_products(p):
                  for programs, f in zip(model.ops, sizes)], (n, word)
             b = BraidWord(n, word)
             phase = braid_phase(p, b)
-            assert trace._path_closure(p, b) == sum(
+            assert closure._path_closure(p, b) == sum(
                 (block.weight * p.lift(block_trace(model, j, word), phase)
                  for j, block in enumerate(model.blocks)), p.zero), (n, word)
             uneven += len({_bound(programs, word) for programs in model.ops}) > 1
@@ -382,10 +381,10 @@ def test_modular_data_build_no_weight_matrices(p, monkeypatch):
     mf_dim(p, 1, (labs[1], dagger(p, labs[1])))
     assert models and all(model.weights == [] for model in models)
     b = BraidWord(3, (1, -2, 1))
-    trace._path_closure(p, b)
+    closure._path_closure(p, b)
     built = path_model(p, 3).weights
     assert len(built) == 1
-    trace._path_closure(p, b)
+    closure._path_closure(p, b)
     assert path_model(p, 3).weights is built and len(built) == 1
 
 
@@ -443,7 +442,7 @@ def test_path_route_matches_t_route_on_mixed_words(p):
             length = 0 if n == 1 else rng.randint(0, 12)
             word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
             b = BraidWord(n, word)
-            assert trace._path_closure(p, b) == _t_route(p, b), (n, word)
+            assert closure._path_closure(p, b) == _t_route(p, b), (n, word)
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
@@ -452,7 +451,7 @@ def test_path_route_matches_t_route_on_full_twists(p):
         ft = full_twist_word(n).word
         for word in (ft, tuple(-e for e in reversed(ft))):
             b = BraidWord(n, word)
-            assert trace._path_closure(p, b) == _t_route(p, b), (n, word[0])
+            assert closure._path_closure(p, b) == _t_route(p, b), (n, word[0])
 
 
 def test_route_choice(monkeypatch):
@@ -468,7 +467,7 @@ def test_route_choice(monkeypatch):
         # merging the sigma_1 or the top pair), then mixed words
         short = (1, 1) + tuple(-i if i in (2, n - 2) else i for i in range(2, n))
         braids.append(BraidWord(n, short + short[-1:]))
-        assert trace._reduce(braids[-1]) == ([braids[-1]], 0, 0)
+        assert closure._reduce(braids[-1]) == ([braids[-1]], 0, 0)
         braids += [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
                                       for _ in range(rng.randint(6, 12)))) for _ in range(2)]
         if n < 8:  # the T expansion of an 8-strand full twist takes seconds
@@ -486,7 +485,7 @@ def test_route_choice(monkeypatch):
 
     monkeypatch.setattr(trace, "from_braid", spy("from_braid"))
     monkeypatch.setattr(trace, "_trace_vector", spy("_trace_vector"))
-    got = [trace.closure_invariant(p, b) for b in braids]
+    got = [closure.closure_invariant(p, b) for b in braids]
     monkeypatch.undo()
     assert calls == []
     for b, val in zip(braids, got):
@@ -513,7 +512,7 @@ def test_braid_word_value_type():
 def test_path_routed_closure_builds_no_permutation_table():
     code = (
         "from hsk import Params, BraidWord, closure_invariant\n"
-        "from hsk.hecke import full_twist_word\n"
+        "from hsk.closure import full_twist_word\n"
         "from hsk.perms import perm_table\n"
         "ft = full_twist_word(8).word\n"
         "closure_invariant(Params(3, 2), BraidWord(8, tuple(-e for e in reversed(ft))))\n"

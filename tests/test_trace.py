@@ -38,15 +38,15 @@ from hsk import (
     tensor_embed,
     trace_parameter,
 )
-from hsk.hecke import _gen_step, full_twist_word, random_element
+from hsk.hecke import _gen_step, random_element
 from hsk.perms import perm_table
 from hsk.linalg import positive_definite, rref
 from hsk import Scalar, closure, trace
-from hsk.closure import _commute_cancel, _one_occurrence, _path_closure, braid_phase
+from hsk.closure import (CURL_MATCH_SIGN, _commute_cancel, _one_occurrence, _path_closure, _reduce,
+                         braid_phase, full_twist_word)
 from hsk.scalar import _field
 from hsk.seminormal import block_trace, path_model
-from hsk.trace import (CURL_MATCH_SIGN, _closure_unreduced, _reduce, _trace_vector, gram_bilinear,
-                       gram_hermitian, gram_rref)
+from hsk.trace import _closure_unreduced, _trace_vector, gram_bilinear, gram_hermitian, gram_rref
 
 PARAMS = [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(4, 1)]
 param_idx = st.integers(0, len(PARAMS) - 1)
