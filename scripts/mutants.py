@@ -148,7 +148,7 @@ MUTANTS = [
            "monomial_map(self.num, -1), self.den)", "monomial_map(self.num, 1), self.den)",
            ["tests/test_scalar.py::TestConjugation::test_matches_complex_conjugation"]),
     Mutant("Gamma's level bound one column short", DIAGRAMS,
-           "return d.nrows < p.N and d.row(0) <= p.K\n", "return d.nrows < p.N and d.row(0) < p.K\n",
+           "d.nrows < p.N and d.row(0) <= p.K\n", "d.nrows < p.N and d.row(0) < p.K\n",
            ["tests/test_diagrams.py::TestLabels::test_stats_flags",
             "tests/test_diagrams.py::TestPathCount::test_su2_level2_values"]),
     Mutant("(q - 1) T_w with the wrong sign", HECKE,

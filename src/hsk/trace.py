@@ -45,9 +45,10 @@ whose oracle in verify and the tests is ``gram_rref``, the elimination
 of the n! x n! bilinear Gram matrix.
 
 The closure route (``closure``) and the modular data (``modular``)
-live in their own modules and import nothing from here.
-``from_braid`` and ``markov_trace`` are their oracles: ``_closure_unreduced``, [N]^n Tr(from_braid(b)) on the word as
-given, checks the Markov-move reduction and the path model.
+live in their own modules and import nothing from here.  ``from_braid``
+and ``markov_trace`` are their oracles: ``_closure_unreduced``,
+[N]^n Tr(from_braid(b)) on the word as given, checks the Markov-move
+reduction and the path model.
 """
 from __future__ import annotations
 

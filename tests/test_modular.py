@@ -12,8 +12,8 @@ s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds only where C = 1.
 S~ is compared exactly with the Kac-Peterson sum over S_N, built here
 from zeta powers alone.  Dimensions and twists are also compared with
 the closed forms of the benchmark's oracles, which import no hsk, and
-modular-functor dimensions with the Verlinde formula.  None of the checks uses the balancing identity
-from which S~ is computed."""
+modular-functor dimensions with the Verlinde formula.  None of the
+checks uses the balancing identity from which S~ is computed."""
 
 import cmath
 import math
@@ -127,8 +127,9 @@ def _kac_peterson(p, labs):
             acc = acc - term if odd else acc + term
         return acc
 
-    shifted = [[lam.row(i) + n - 1 - i for i in range(n)] for lam in labs]
-    unit = raw(range(n - 1, -1, -1), range(n - 1, -1, -1)).inverse()
+    rho = range(n - 1, -1, -1)
+    shifted = [[lam.row(i) + rho[i] for i in range(n)] for lam in labs]
+    unit = raw(rho, rho).inverse()
     return [[(raw(x, y) * unit).conjugate() for y in shifted] for x in shifted]
 
 
