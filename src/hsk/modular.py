@@ -6,10 +6,19 @@ T-basis element, a Gram matrix or a central idempotent; that route
 (``category``, ``trace``) is their oracle.
 
 The path model's bases are Bratteli paths, not the n! permutations.
-N_{lam mu}^nu is the rank in the block nu of a product of two commuting
-path projections (``_fusion_row``); the twist theta_d is the central
-full twist's block trace over the path count; S~ follows from the
-balancing identity
+Fusion is read off the N-1 fundamental labels (1^k), 0 < k < N.  A
+fundamental row N_{(1^k) mu}^nu is the rank in the block nu of a
+product of two commuting path projections (``_fusion_row``), traced on
+the shorter of k+|mu| and N-k+|mu^dagger| strands, since
+N_{(1^k) mu}^nu = N_{(1^(N-k)) mu^dagger}^{nu^dagger}.  The fusion ring is a
+quotient of the representation ring of SU(N) that sends the Schur
+function of a label to the label (Goodman-Wenzl, Adv. Math. 82 (1990);
+Gepner, Commun. Math. Phys. 141 (1991)), so the dual Jacobi-Trudi
+identity gives every other fusion matrix,
+N_lam = det[E_{lam^t_i - i + j}], E_k = N_{(1^k)}, E_0 = E_N = 1 and E_k = 0
+outside [0, N] (``_row``).  The twist theta_d is the central full
+twist's block trace over the path count; S~ follows from the balancing
+identity
 S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu.
 The quantum dimension of a label is its block weight, the q-Weyl
 product, which needs no model; the other data are bounded only by the
@@ -26,7 +35,7 @@ the Gram elimination.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -76,13 +85,14 @@ def block_summary(p: Params, n: int) -> dict:
 
 
 def fusion(p: Params, lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> int:
-    """N_{lam mu}^nu, read off the cached fusion row of (lam, mu)."""
+    """N_{lam mu}^nu, read off row mu of the fusion matrix of lam
+    (``_row``)."""
     for d in (lam, mu):
         if d not in labels(p):
             raise ValueError(f"{d.rows} is not a label of the category")
     if nu not in gamma_n(p, lam.size + mu.size):  # gamma_n lists only labels
         return 0
-    return _fusion_row(p, lam, mu)[labels(p).index(nu)]
+    return _row(p, lam, mu)[labels(p).index(nu)]
 
 
 class FusionTable(namedtuple("FusionTable", "p entries")):
@@ -124,7 +134,6 @@ def fusion_table(p: Params, max_strands: int | None = None) -> FusionTable:
     return FusionTable(p, entries)
 
 
-@lru_cache(maxsize=None)
 def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
     """N_{lam mu}^{L_j} over the label list, one trace per block nu of
     the (a+b)-strand path model, a = |lam| and b = |mu|:
@@ -136,7 +145,9 @@ def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ..
     path t to lam, P_s onto those that begin with a fixed path s to mu;
     conjugated by beta, P_s projects onto mu on the last b strands, so
     the product is a minimal idempotent of lam (x) mu, whose rank in
-    the block nu is the multiplicity of V_nu (``seminormal.fusion_trace``)."""
+    the block nu is the multiplicity of V_nu (``seminormal.fusion_trace``).
+    Production reads it for fundamental rows only; for any other lam
+    it is the test oracle of ``_row``."""
     a, b = lam.size, mu.size
     model = path_model(p, a + b)
     # the row reading of a label, row i filled left to right, is its first path
@@ -155,10 +166,79 @@ def _fusion_row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ..
     return tuple(found.get(nu, 0) for nu in labels(p))
 
 
+def _fundamental_row(p: Params, k: int, mu: YoungDiagram) -> tuple[int, ...]:
+    """E_k[mu] = N_{(1^k) mu} over the label list, 0 < k < N, traced on
+    the shorter side: N_{(1^k) mu}^nu = N_{(1^(N-k)) mu^dagger}^{nu^dagger},
+    conjugation being a ring automorphism that sends (1^k) to
+    (1^(N-k))."""
+    dual = dagger(p, mu)
+    if p.N - k + dual.size < k + mu.size:
+        labs = labels(p)
+        row = _fusion_row(p, YoungDiagram((1,) * (p.N - k)), dual)
+        return tuple(row[labs.index(dagger(p, nu))] for nu in labs)
+    return _fusion_row(p, YoungDiagram((1,) * k), mu)
+
+
+def _leibniz(heights: tuple[int, ...], N: int) -> Counter:
+    """The nonzero terms of det[E_{h_i - i + j}] over the permutations
+    of its len(heights) columns, each keyed by the sorted indices k of
+    its factors with 0 < k < N (E_0 = E_N = 1), with its summed sign:
+    the E_k commute, so terms with equal factors combine."""
+    terms = Counter()
+
+    def expand(i, free, sign, ks):
+        if i == len(heights):
+            terms[tuple(sorted(k for k in ks if 0 < k < N))] += sign
+            return
+        # taking the column at position pos of the free ones adds pos inversions
+        for pos, c in enumerate(free):
+            k = heights[i] - i + c
+            if 0 <= k <= N:
+                expand(i + 1, free[:pos] + free[pos + 1:], -sign if pos % 2 else sign, ks + (k,))
+
+    expand(0, tuple(range(len(heights))), 1, ())
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
+    """Row mu of the fusion matrix of lam, N_{lam mu}^{L_j} over the
+    label list: for a fundamental lam = (1^k) its traced row, else row
+    mu of the dual Jacobi-Trudi determinant det[E_{lam^t_i - i + j}],
+    computed lazily as the row vector e_mu carried through the factors
+    of each Leibniz term.  Each term's indices are nonnegative and sum
+    to |lam|, so every fundamental row it reads, E_k[nu] with
+    |nu| <= |mu| + the indices before k, fits in |lam|+|mu| strands, the
+    size checked here."""
+    check_size(p, lam.size + mu.size)
+    if lam.rows and lam.rows[0] == 1:
+        return _fundamental_row(p, lam.size, mu)
+    labs = labels(p)
+    products = {(): tuple(int(nu == mu) for nu in labs)}
+
+    def product(ks):
+        if ks not in products:
+            k = ks[-1]
+            out = [0] * len(labs)
+            for nu, c in zip(labs, product(ks[:-1])):
+                if c:
+                    out = [o + c * e for o, e in zip(out, _row(p, YoungDiagram((1,) * k), nu))]
+            products[ks] = tuple(out)
+        return products[ks]
+
+    row = [0] * len(labs)
+    for ks, sign in _leibniz(lam.transpose().rows, p.N).items():
+        if sign:
+            row = [r + sign * x for r, x in zip(row, product(ks))]
+    if any(r < 0 for r in row):
+        raise RuntimeError("fusion coefficient is not a nonnegative integer")
+    return tuple(row)
+
+
 def fusion_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
     """Matrix of fusion with lam over the label list: entry [i][j] =
-    N_{lam, L_i}^{L_j}."""
-    return tuple(_fusion_row(p, lam, mu) for mu in labels(p))
+    N_{lam, L_i}^{L_j}, one determinant row (``_row``) per L_i."""
+    return tuple(_row(p, lam, mu) for mu in labels(p))
 
 
 def qdim(p: Params, d: YoungDiagram) -> Scalar:
@@ -227,7 +307,7 @@ def s_matrix(p: Params) -> SMatrix:
     for i, lam in enumerate(labs):
         for j in range(i, len(labs)):
             acc = p.zero
-            for th, d, m in zip(theta, dims, _fusion_row(p, lam, labs[j])):
+            for th, d, m in zip(theta, dims, _row(p, lam, labs[j])):
                 if m:
                     acc = acc + th * d * m
             rows[i][j] = rows[j][i] = acc * (theta[i] * theta[j]).conjugate()
@@ -258,7 +338,7 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
         out = [0] * size
         for mu, c in zip(labs, vec):
             if c:
-                out = [o + c * f for o, f in zip(out, _fusion_row(p, d, mu))]
+                out = [o + c * f for o, f in zip(out, _row(p, d, mu))]
         vec = out
     if genus:
         handle = [[0] * size for _ in range(size)]

@@ -23,7 +23,9 @@ max_n is: the 720 x 720 exact Gram matrix at six strands is outside
 desk-scale budgets.  Fusion and modular-functor dimensions run in the
 seminormal path model and build no Gram matrix; they keep the same
 five-strand budget, except the torus, which like S~ needs the largest
-label pair and is bounded only by that pair's path model.
+label pair and is bounded only by that pair's path model.  S~ is also
+compared entry by entry with the exact Kac-Peterson sum over S_N for
+N <= 5 (``KAC_PETERSON_LIMIT``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from random import Random
 
@@ -90,6 +93,8 @@ from .category import (
 # Gram matrices at six strands (720 x 720 exact entries) are beyond a
 # desk-scale run; form-based checks stop here even when max_n = 6.
 FORM_CHECK_LIMIT = 5
+# Largest N whose S~ is compared with the Kac-Peterson sum, N! terms an entry.
+KAC_PETERSON_LIMIT = 5
 
 
 class CheckFailure(Exception):
@@ -667,6 +672,31 @@ def _check_qdim_twist(p: Params, max_n: int, rng: Random) -> str:
     return f"qdim and twist invariant under dagger on {seen} labels of size <= {cap}"
 
 
+def _kac_peterson(p: Params, labs) -> list[list[Scalar]]:
+    """S~ in Q(zeta_m) from the Weyl-group sum of Kac and Peterson.  With
+    x = lam + rho, y = mu + rho and rho = (N-1, ..., 0),
+
+        raw(lam, mu) = sum_{w in S_N} sign(w) zeta^(-2N sum_i x_w(i) y_i + 2|x||y|),
+
+    the exponent an integer, and S~_{lam mu} = conj(raw(lam, mu) / raw(0, 0)).
+    It shares nothing with the fusion rules or the twists."""
+    n = p.N
+    signed = [(w, sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n)) % 2)
+              for w in permutations(range(n))]
+
+    def raw(x, y):
+        acc = p.zero
+        for w, odd in signed:
+            term = p.zeta_pow(-2 * n * sum(x[w[i]] * y[i] for i in range(n)) + 2 * sum(x) * sum(y))
+            acc = acc - term if odd else acc + term
+        return acc
+
+    rho = range(n - 1, -1, -1)
+    shifted = [[lam.row(i) + rho[i] for i in range(n)] for lam in labs]
+    unit = raw(rho, rho).inverse()
+    return [[(raw(x, y) * unit).conjugate() for y in shifted] for x in shifted]
+
+
 def _check_smatrix(p: Params, max_n: int, rng: Random) -> str:
     try:
         check_size(p, 2 * max(d.size for d in labels(p)))
@@ -687,7 +717,14 @@ def _check_smatrix(p: Params, max_n: int, rng: Random) -> str:
                 s.entries[i][jj] == s.entries[i][j].conjugate(),
                 "charge conjugation fails on S~",
             )
-    return f"{k} x {k} S~ symmetric, first row = qdim, det != 0, conjugation exact"
+    details = f"{k} x {k} S~ symmetric, first row = qdim, det != 0, conjugation exact"
+    if p.N > KAC_PETERSON_LIMIT:
+        return details + f"; Kac-Peterson sum skipped (N > {KAC_PETERSON_LIMIT})"
+    kp = _kac_peterson(p, s.labels)
+    for i, lam in enumerate(s.labels):
+        for j, mu in enumerate(s.labels):
+            _assert(s.entries[i][j] == kp[i][j], f"S~ != Kac-Peterson sum at {lam.rows},{mu.rows}")
+    return details + ", = Kac-Peterson sum"
 
 
 def _check_mf_dim(p: Params, max_n: int, rng: Random) -> str:

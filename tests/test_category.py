@@ -10,6 +10,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -553,7 +554,7 @@ class TestOldRoutes:
         no Young idempotent and no Markov trace."""
         forbid(monkeypatch, category.purified_algebra, category.central_idempotents,
                linalg.rref, hecke.from_braid, hecke.young_idempotent, trace.markov_trace)
-        modular._fusion_row.cache_clear()
+        modular._row.cache_clear()
         modular.s_matrix.cache_clear()
         for p in (Params(2, 2), Params(4, 1), Params(2, 3)):
             labs = labels(p)
@@ -583,7 +584,7 @@ class TestOldRoutes:
             cap = 6 if p != Params(3, 2) else 4
 
             def modular_data():
-                modular._fusion_row.cache_clear()
+                modular._row.cache_clear()
                 labs = labels(p)
                 for d in labs:
                     twist(p, d)
@@ -714,6 +715,14 @@ class TestSMatrix:
             s_matrix(Params(3, 3))
 
 
+@lru_cache(maxsize=None)
+def _pair_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
+    """The fusion matrix of lam from pair-route rows, one trace on the
+    (|lam|+|mu|)-strand path model per row mu: the oracle of the
+    determinant rows that mf_dim folds."""
+    return tuple(modular._fusion_row(p, lam, mu) for mu in labels(p))
+
+
 class TestModularFunctor:
     def test_sphere(self):
         for p in PARAMS[:3]:
@@ -751,7 +760,7 @@ class TestModularFunctor:
 
     def test_torus_with_six_strand_handle_is_bounded(self):
         # the handle operator needs every fusion matrix, (3) x (3) included
-        modular._fusion_row.cache_clear()
+        modular._row.cache_clear()
         start = time.perf_counter()
         assert mf_dim(Params(2, 3), 1, ()) == 4
         assert time.perf_counter() - start < 10.0
@@ -761,12 +770,14 @@ class TestModularFunctor:
 
     @pytest.mark.parametrize("N,K", [(2, 1), (3, 1)])
     def test_repeated_squaring_matches_handle_by_handle(self, N, K):
+        # the handle and the fold from pair-route rows, which share no
+        # determinant with mf_dim
         p = Params(N, K)
         labs = labels(p)
         size = len(labs)
         handle = [[0] * size for _ in range(size)]
         for mu in labs:
-            m1, m2 = fusion_matrix(p, mu), fusion_matrix(p, dagger(p, mu))
+            m1, m2 = _pair_matrix(p, mu), _pair_matrix(p, dagger(p, mu))
             for i in range(size):
                 for j in range(size):
                     handle[i][j] += sum(m1[i][k] * m2[k][j] for k in range(size))
@@ -774,7 +785,7 @@ class TestModularFunctor:
             vec = [0] * size
             vec[0] = 1
             for d in marked:
-                mat = fusion_matrix(p, d)
+                mat = _pair_matrix(p, d)
                 vec = [sum(mat[i][j] * vec[i] for i in range(size)) for j in range(size)]
             for genus in range(9):
                 assert mf_dim(p, genus, marked) == vec[0], (genus, marked)
@@ -782,10 +793,9 @@ class TestModularFunctor:
 
     @pytest.mark.parametrize("N,K", [(2, 1), (2, 2), (3, 1), (4, 1)])
     def test_reached_rows_match_full_matrix_fold(self, N, K):
-        # the fold through whole fusion matrices as the oracle; at (4,1)
-        # the matrix of (1,1,1) needs a 6-strand Gram elimination (about
-        # 13 s cold), so marked labels are kept within 5 strands of any
-        # partner, the budget rule of the verify battery
+        # the fold through whole matrices of pair-route rows as the
+        # oracle; marked labels are kept within 5 strands of any partner,
+        # the budget rule of the verify battery
         p = Params(N, K)
         labs = labels(p)
         max_lab = max(d.size for d in labs)
@@ -794,7 +804,7 @@ class TestModularFunctor:
             for marked in product(ok, repeat=k):
                 vec = [1] + [0] * (len(labs) - 1)
                 for d in marked:
-                    mat = fusion_matrix(p, d)
+                    mat = _pair_matrix(p, d)
                     vec = [sum(mat[i][j] * vec[i] for i in range(len(labs)))
                            for j in range(len(labs))]
                 assert mf_dim(p, 0, marked) == vec[0], marked

@@ -9,8 +9,8 @@ diagonal of twists and p_+- = sum theta_lam^(+-1) d_lam^2:
 and the Verlinde formula recovers every fusion coefficient exactly
 from S~.  Relative to these twists S~ is the complex conjugate of the
 s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds only where C = 1.
-S~ is compared exactly with the Kac-Peterson sum over S_N, built here
-from zeta powers alone.  Dimensions and twists are also compared with
+S~ is compared exactly with the Kac-Peterson sum over S_N, built by
+verify from zeta powers alone.  Dimensions and twists are also compared with
 the closed forms of the benchmark's oracles, which import no hsk, and
 modular-functor dimensions with the Verlinde formula.  None of the
 checks uses the balancing identity from which S~ is computed."""
@@ -19,15 +19,15 @@ import cmath
 import math
 import pathlib
 import sys
-from itertools import permutations
-
 import pytest
 
 from hsk import Params, dagger, fusion, gamma_n, labels, mf_dim, path_count, qdim, qint, s_matrix, twist
 from hsk.closure import block_transposition_word
+from hsk import modular
 from hsk.modular import _fusion_row
 from hsk.scalar import Scalar
 from hsk.seminormal import block_matrix, path_model
+from hsk.verify import _kac_peterson
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from hskbench import oracles  # noqa: E402
@@ -109,30 +109,6 @@ def test_verlinde_recovers_fusion(p):
                 assert got == p.scalar(fusion(p, lam, mu, nu)), (lam.rows, mu.rows, nu.rows)
 
 
-def _kac_peterson(p, labs):
-    """S~ in Q(zeta_m) from the Weyl-group sum of Kac and Peterson.  With
-    x = lam + rho, y = mu + rho and rho = (N-1, ..., 0),
-
-        raw(lam, mu) = sum_{w in S_N} sign(w) zeta^(-2N sum_i x_w(i) y_i + 2|x||y|),
-
-    the exponent an integer, and S~_{lam mu} = conj(raw(lam, mu) / raw(0, 0))."""
-    n = p.N
-    signed = [(w, sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n)) % 2)
-              for w in permutations(range(n))]
-
-    def raw(x, y):
-        acc = p.zero
-        for w, odd in signed:
-            term = p.zeta_pow(-2 * n * sum(x[w[i]] * y[i] for i in range(n)) + 2 * sum(x) * sum(y))
-            acc = acc - term if odd else acc + term
-        return acc
-
-    rho = range(n - 1, -1, -1)
-    shifted = [[lam.row(i) + rho[i] for i in range(n)] for lam in labs]
-    unit = raw(rho, rho).inverse()
-    return [[(raw(x, y) * unit).conjugate() for y in shifted] for x in shifted]
-
-
 @pytest.mark.parametrize("p", THEORIES, ids=ids)
 def test_s_matches_kac_peterson(p):
     """S~ equals the Kac-Peterson matrix exactly, entry by entry, over
@@ -144,7 +120,9 @@ def test_s_matches_kac_peterson(p):
 
 @pytest.mark.parametrize("genus", [1, 2])
 def test_handles_match_verlinde(genus):
-    """Genus 1 and 2 at (3,2), where every handle needs 8-strand fusion rows."""
+    """Genus 1 and 2 at (3,2), where every handle reads every fusion
+    matrix, once all 8-strand pair rows, now determinants of fundamental
+    rows on at most 4 strands."""
     p = Params(3, 2)
     assert mf_dim(p, genus, ()) == oracles.verlinde_mf_dim(p.N, p.K, genus, ())
 
@@ -218,9 +196,60 @@ def test_fusion_trace_that_is_not_a_nonnegative_integer_is_refused(monkeypatch):
     def negated(model, b, word, rows_t, rows_s):
         return -real(model, b, word, rows_t, rows_s)
 
-    _fusion_row.cache_clear()
     monkeypatch.setattr(modular, "fusion_trace", negated)
     box = labels(p)[1]
     with pytest.raises(RuntimeError, match="nonnegative integer"):
         _fusion_row(p, box, box)
-    _fusion_row.cache_clear()
+
+
+# the pair route's reach: every theory whose label pairs it can trace
+# within 7 strands, in under a second together
+REACH = THEORIES + [Params(2, 5), Params(4, 2), Params(3, 3)]
+
+
+@pytest.mark.parametrize("p", REACH, ids=lambda p: f"{p.N},{p.K}")
+def test_determinant_rows_equal_pair_rows(p):
+    """Row mu of det[E_{lam^t_i - i + j}] from the fundamental rows, each
+    traced on its shorter side, equals the pair route's trace of
+    lam (x) mu on every label pair with |lam| + |mu| <= 7."""
+    modular._row.cache_clear()
+    pairs = [(lam, mu) for lam in labels(p) for mu in labels(p) if lam.size + mu.size <= 7]
+    for lam, mu in pairs:
+        assert modular._row(p, lam, mu) == _fusion_row(p, lam, mu), (lam.rows, mu.rows)
+    modular._row.cache_clear()
+
+
+@pytest.mark.parametrize("p", [Params(3, 2), Params(4, 2), Params(3, 3), Params(2, 5)],
+                         ids=lambda p: f"{p.N},{p.K}")
+def test_fusion_builds_no_model_beyond_its_pair(p, monkeypatch):
+    """Each Leibniz term's indices sum to |lam|, so fusion(lam, mu, nu),
+    from cold rows, builds no path model on more than |lam| + |mu|
+    strands."""
+    built, traced = [], 0
+    real = modular.path_model
+    monkeypatch.setattr(modular, "path_model", lambda p, n: built.append(n) or real(p, n))
+    for lam in labels(p):
+        for mu in labels(p):
+            if lam.size + mu.size > 8:
+                continue
+            nu = gamma_n(p, lam.size + mu.size)[-1]
+            modular._row.cache_clear()
+            built.clear()
+            fusion(p, lam, mu, nu)
+            assert max(built, default=0) <= lam.size + mu.size, (lam.rows, mu.rows, built)
+            traced += len(built)
+    assert traced  # the spy saw the fundamental rows traced
+    modular._row.cache_clear()
+
+
+def test_negative_determinant_entry_is_refused(monkeypatch):
+    """Every determinant entry is checked: with E_1 read as zero at (2,2),
+    N_(2) = E_1^2 - E_2 E_0 = -1 on the diagonal."""
+    p = Params(2, 2)
+    modular._row.cache_clear()
+    monkeypatch.setattr(modular, "_fundamental_row", lambda p, k, mu: (0,) * len(labels(p)))
+    two, empty = labels(p)[2], labels(p)[0]
+    assert two.rows == (2,)
+    with pytest.raises(RuntimeError, match="nonnegative integer"):
+        fusion(p, two, empty, two)
+    modular._row.cache_clear()

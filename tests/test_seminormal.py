@@ -368,7 +368,7 @@ def test_entries_fill_per_content_difference_on_demand(p):
 def test_modular_data_build_no_weight_matrices(p, monkeypatch):
     """Twists, fusion rows, S~ and mf_dim leave every path model they
     read without weight matrices; a closure builds them, once."""
-    for cached in (seminormal._theory, path_model, modular.s_matrix, modular._fusion_row):
+    for cached in (seminormal._theory, path_model, modular.s_matrix, modular._row):
         cached.cache_clear()
     models = []
     real = modular.path_model
