@@ -45,6 +45,7 @@ CACHE = "src/hsk/cache.py"
 T_SEMI = "tests/test_seminormal.py::"
 T_REDUCE = "tests/test_trace.py::TestReduction::"
 T_CAT = "tests/test_category.py::"
+T_MOD = "tests/test_modular.py::"
 
 MUTANTS = [
     # the theory table's closed forms and entries built on demand
@@ -108,6 +109,17 @@ MUTANTS = [
            "return tuple(found.get(nu, 0) for nu in labels(p))",
            "return tuple(found.get(nu, 0) + (not a or not b) for nu in labels(p))",
            ["tests/test_category.py::TestFusion::test_unit"]),
+    # fusion rows from the fundamental rows by the dual Jacobi-Trudi determinant
+    Mutant("odd permutations counted with sign +1", MODULAR,
+           "-sign if pos % 2 else sign", "sign",
+           [T_MOD + "test_determinant_rows_equal_pair_rows"]),
+    Mutant("dagger-side row read at mu, not mu dagger", MODULAR,
+           "row = _fusion_row(p, YoungDiagram((1,) * (p.N - k)), dual)",
+           "row = _fusion_row(p, YoungDiagram((1,) * (p.N - k)), mu)",
+           [T_MOD + "test_determinant_rows_equal_pair_rows"]),
+    Mutant("negative determinant entry let through", MODULAR,
+           "if any(r < 0 for r in row):", "if False:",
+           [T_MOD + "test_negative_determinant_entry_is_refused"]),
     Mutant("gram_hermitian returning -K", TRACE,
            "return tuple(zip(*_gram_rows(p, n, -1)))",
            "return tuple(tuple(-x for x in row) for row in zip(*_gram_rows(p, n, -1)))",

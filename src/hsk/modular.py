@@ -211,7 +211,7 @@ def _row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
     |nu| <= |mu| + the indices before k, fits in |lam|+|mu| strands, the
     size checked here."""
     check_size(p, lam.size + mu.size)
-    if lam.rows and lam.rows[0] == 1:
+    if lam.row(0) == 1:
         return _fundamental_row(p, lam.size, mu)
     labs = labels(p)
     products = {(): tuple(int(nu == mu) for nu in labs)}
@@ -320,7 +320,8 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
     decomposition: fold the fusion matrices of the labels into the
     vacuum vector, apply the handle operator sum_mu N_mu N_{mu-dagger}
     per handle, and read off the vacuum coefficient.  A fold computes
-    only the fusion rows its vector reaches; a handle needs every label
+    only the fusion rows its vector reaches, each from fundamental rows
+    on at most |d|+|mu| strands (``_row``); a handle needs every label
     pair, so the largest meets the path model's size check first."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
