@@ -114,8 +114,8 @@ MUTANTS = [
            "-sign if pos % 2 else sign", "sign",
            [T_MOD + "test_determinant_rows_equal_pair_rows"]),
     Mutant("dagger-side row read at mu, not mu dagger", MODULAR,
-           "row = _fusion_row(p, YoungDiagram((1,) * (p.N - k)), dual)",
-           "row = _fusion_row(p, YoungDiagram((1,) * (p.N - k)), mu)",
+           "row = _row(p, YoungDiagram((1,) * (p.N - k)), dual)",
+           "row = _row(p, YoungDiagram((1,) * (p.N - k)), mu)",
            [T_MOD + "test_determinant_rows_equal_pair_rows"]),
     Mutant("negative determinant entry let through", MODULAR,
            "if any(r < 0 for r in row):", "if False:",

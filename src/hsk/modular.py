@@ -170,11 +170,12 @@ def _fundamental_row(p: Params, k: int, mu: YoungDiagram) -> tuple[int, ...]:
     """E_k[mu] = N_{(1^k) mu} over the label list, 0 < k < N, traced on
     the shorter side: N_{(1^k) mu}^nu = N_{(1^(N-k)) mu^dagger}^{nu^dagger},
     conjugation being a ring automorphism that sends (1^k) to
-    (1^(N-k))."""
+    (1^(N-k)).  The dagger side is read through the cache, where
+    E_(N-k)[mu^dagger], traced directly, may already be."""
     dual = dagger(p, mu)
     if p.N - k + dual.size < k + mu.size:
         labs = labels(p)
-        row = _fusion_row(p, YoungDiagram((1,) * (p.N - k)), dual)
+        row = _row(p, YoungDiagram((1,) * (p.N - k)), dual)
         return tuple(row[labs.index(dagger(p, nu))] for nu in labs)
     return _fusion_row(p, YoungDiagram((1,) * k), mu)
 
