@@ -9,21 +9,22 @@ diagonal of twists and p_+- = sum theta_lam^(+-1) d_lam^2:
 and the Verlinde formula recovers every fusion coefficient exactly
 from S~.  Relative to these twists S~ is the complex conjugate of the
 s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds only where C = 1.
-S~ is compared exactly with the Kac-Peterson sum over S_N, built by
-verify from zeta powers alone.  Dimensions and twists are also compared with
-the closed forms of the benchmark's oracles, which import no hsk, and
-modular-functor dimensions with the Verlinde formula.  None of the
+S~ is compared exactly with the Kac-Peterson sum over S_N, which
+verify builds from zeta powers alone.  Dimensions and twists are also
+compared with the closed forms of the benchmark's oracles, which import
+no hsk, and modular-functor dimensions with the Verlinde formula.  None of the
 checks uses the balancing identity from which S~ is computed."""
 
 import cmath
 import math
 import pathlib
 import sys
+
 import pytest
 
 from hsk import Params, dagger, fusion, gamma_n, labels, mf_dim, path_count, qdim, qint, s_matrix, twist
-from hsk.closure import block_transposition_word
 from hsk import modular
+from hsk.closure import block_transposition_word
 from hsk.modular import _fusion_row
 from hsk.scalar import Scalar
 from hsk.seminormal import block_matrix, path_model
@@ -121,8 +122,8 @@ def test_s_matches_kac_peterson(p):
 @pytest.mark.parametrize("genus", [1, 2])
 def test_handles_match_verlinde(genus):
     """Genus 1 and 2 at (3,2), where every handle reads every fusion
-    matrix, once all 8-strand pair rows, now determinants of fundamental
-    rows on at most 4 strands."""
+    matrix, label pairs up to 8 strands, from fundamental rows on at
+    most 4 strands."""
     p = Params(3, 2)
     assert mf_dim(p, genus, ()) == oracles.verlinde_mf_dim(p.N, p.K, genus, ())
 
