@@ -109,15 +109,18 @@ MUTANTS = [
            "return tuple(found.get(nu, 0) for nu in labels(p))",
            "return tuple(found.get(nu, 0) + (not a or not b) for nu in labels(p))",
            ["tests/test_category.py::TestFusion::test_unit"]),
-    # fusion rows from the fundamental rows by the dual Jacobi-Trudi determinant
-    Mutant("odd permutations counted with sign +1", MODULAR,
-           "-sign if pos % 2 else sign", "sign",
+    # fusion rows from the fundamental rows by Pieri's first-column step
+    Mutant("lam's own strip also subtracted", MODULAR,
+           "        if nu != lam:\n", "        if True:\n",
+           [T_MOD + "test_determinant_rows_equal_pair_rows"]),
+    Mutant("E_c fold over one column too few", MODULAR,
+           "row = _fold(p, YoungDiagram((1,) * c), ", "row = _fold(p, YoungDiagram((1,) * (c - 1)), ",
            [T_MOD + "test_determinant_rows_equal_pair_rows"]),
     Mutant("dagger-side row read at mu, not mu dagger", MODULAR,
            "row = _row(p, YoungDiagram((1,) * (p.N - k)), dual)",
            "row = _row(p, YoungDiagram((1,) * (p.N - k)), mu)",
            [T_MOD + "test_determinant_rows_equal_pair_rows"]),
-    Mutant("negative determinant entry let through", MODULAR,
+    Mutant("negative Pieri entry let through", MODULAR,
            "if any(r < 0 for r in row):", "if False:",
            [T_MOD + "test_negative_determinant_entry_is_refused"]),
     Mutant("gram_hermitian returning -K", TRACE,

@@ -13,11 +13,10 @@ the shorter of k+|mu| and N-k+|mu^dagger| strands, since
 N_{(1^k) mu}^nu = N_{(1^(N-k)) mu^dagger}^{nu^dagger}.  The fusion ring is a
 quotient of the representation ring of SU(N) that sends the Schur
 function of a label to the label (Goodman-Wenzl, Adv. Math. 82 (1990);
-Gepner, Commun. Math. Phys. 141 (1991)), so the dual Jacobi-Trudi
-identity gives every other fusion matrix,
-N_lam = det[E_{lam^t_i - i + j}], E_k = N_{(1^k)}, E_0 = E_N = 1 and E_k = 0
-outside [0, N] (``_row``).  The twist theta_d is the central full
-twist's block trace over the path count; S~ follows from the balancing
+Gepner, Commun. Math. Phys. 141 (1991)), so Pieri's rule, taken one
+first column at a time, gives every other fusion matrix from
+E_k = N_{(1^k)} (``_row``).  The twist theta_d is the central full
+twist's diagonal entry in the block d; S~ follows from the balancing
 identity
 S~_{lam mu} = theta_lam^-1 theta_mu^-1 sum_nu N_{lam mu}^nu theta_nu d_nu.
 The quantum dimension of a label is its block weight, the q-Weyl
@@ -35,8 +34,9 @@ the Gram elimination.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .closure import (CURL_MATCH_SIGN, BraidWord, block_transposition_word, braid_phase,
@@ -44,7 +44,7 @@ from .closure import (CURL_MATCH_SIGN, BraidWord, block_transposition_word, brai
 from .diagrams import YoungDiagram, dagger, gamma_n, labels, path_counts
 from .linalg import determinant
 from .scalar import Params, Scalar
-from .seminormal import (block_trace, check_size, dimension, fusion_trace, path_model,
+from .seminormal import (block_matrix, check_size, dimension, fusion_trace, path_model,
                          q_weyl_dimension)
 
 __all__ = [
@@ -180,57 +180,52 @@ def _fundamental_row(p: Params, k: int, mu: YoungDiagram) -> tuple[int, ...]:
     return _fusion_row(p, YoungDiagram((1,) * k), mu)
 
 
-def _leibniz(heights: tuple[int, ...], N: int) -> Counter:
-    """The nonzero terms of det[E_{h_i - i + j}] over the permutations
-    of its len(heights) columns, each keyed by the sorted indices k of
-    its factors with 0 < k < N (E_0 = E_N = 1), with its summed sign:
-    the E_k commute, so terms with equal factors combine."""
-    terms = Counter()
-
-    def expand(i, free, sign, ks):
-        if i == len(heights):
-            terms[tuple(sorted(k for k in ks if 0 < k < N))] += sign
-            return
-        # taking the column at position pos of the free ones adds pos inversions
-        for pos, c in enumerate(free):
-            k = heights[i] - i + c
-            if 0 <= k <= N:
-                expand(i + 1, free[:pos] + free[pos + 1:], -sign if pos % 2 else sign, ks + (k,))
-
-    expand(0, tuple(range(len(heights))), 1, ())
-    return terms
+def _fold(p: Params, lam: YoungDiagram, vec: list[int] | tuple[int, ...]) -> list[int]:
+    """vec N_lam over the label list: the rows of the fusion matrix of
+    lam at the labels vec reaches (``_row``), each times its coefficient,
+    summed."""
+    out = [0] * len(vec)
+    for mu, c in zip(labels(p), vec):
+        if c:
+            out = [o + c * x for o, x in zip(out, _row(p, lam, mu))]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
     """Row mu of the fusion matrix of lam, N_{lam mu}^{L_j} over the
-    label list: for a fundamental lam = (1^k) its traced row, else row
-    mu of the dual Jacobi-Trudi determinant det[E_{lam^t_i - i + j}],
-    computed lazily as the row vector e_mu carried through the factors
-    of each Leibniz term.  Each term's indices are nonnegative and sum
-    to |lam|, so every fundamental row it reads, E_k[nu] with
-    |nu| <= |mu| + the indices before k, fits in |lam|+|mu| strands, the
-    size checked here."""
+    label list: e_mu for lam = ∅, the traced row for a fundamental
+    lam = (1^c), else one step of Pieri's rule.  Let lam have c rows and
+    lam^- be lam without its first column.  Then e_c s_{lam^-} = sum s_nu
+    over the vertical c-strips nu/lam^-, one of which is lam, so
+
+        row mu of N_lam = (row mu of N_{lam^-}) E_c - sum_{nu != lam} row mu of N_nu,
+
+    a strip on N rows read with its full columns removed (E_N = 1) and
+    a longer one dropped (e_c vanishes past N rows).  Every strip has
+    nu_1 <= lam_1 <= K, so it is a label once reduced, and a strip other
+    than lam has more rows than lam, so the recursion ends.  E_c is read
+    at labels rho with c + |rho| <= |lam| + |mu| and every N_nu has
+    |nu| <= |lam|, so no row read needs more than the |lam| + |mu|
+    strands checked here."""
     check_size(p, lam.size + mu.size)
+    if not lam.rows:
+        return tuple(int(nu == mu) for nu in labels(p))
+    c = lam.nrows
     if lam.row(0) == 1:
-        return _fundamental_row(p, lam.size, mu)
-    labs = labels(p)
-    products = {(): tuple(int(nu == mu) for nu in labs)}
-
-    def product(ks):
-        if ks not in products:
-            k = ks[-1]
-            out = [0] * len(labs)
-            for nu, c in zip(labs, product(ks[:-1])):
-                if c:
-                    out = [o + c * e for o, e in zip(out, _row(p, YoungDiagram((1,) * k), nu))]
-            products[ks] = tuple(out)
-        return products[ks]
-
-    row = [0] * len(labs)
-    for ks, sign in _leibniz(lam.transpose().rows, p.N).items():
-        if sign:
-            row = [r + sign * x for r, x in zip(row, product(ks))]
+        return _fundamental_row(p, c, mu)
+    rest = [r - 1 for r in lam.rows if r > 1]
+    row = _fold(p, YoungDiagram((1,) * c), _row(p, YoungDiagram(tuple(rest)), mu))
+    # the strips within N rows: one box in each of c rows of lam^-, padded
+    rest = (rest + [0] * c)[:p.N]
+    for added in combinations(range(len(rest)), c):
+        strip = [r + (i in added) for i, r in enumerate(rest)]
+        if any(a < b for a, b in zip(strip, strip[1:])):
+            continue
+        full = strip[-1] if len(strip) == p.N else 0
+        nu = YoungDiagram.of(*(r - full for r in strip))
+        if nu != lam:
+            row = [r - x for r, x in zip(row, _row(p, nu, mu))]
     if any(r < 0 for r in row):
         raise RuntimeError("fusion coefficient is not a nonnegative integer")
     return tuple(row)
@@ -238,7 +233,7 @@ def _row(p: Params, lam: YoungDiagram, mu: YoungDiagram) -> tuple[int, ...]:
 
 def fusion_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
     """Matrix of fusion with lam over the label list: entry [i][j] =
-    N_{lam, L_i}^{L_j}, one determinant row (``_row``) per L_i."""
+    N_{lam, L_i}^{L_j}, one row (``_row``) per L_i."""
     return tuple(_row(p, lam, mu) for mu in labels(p))
 
 
@@ -252,10 +247,11 @@ def qdim(p: Params, d: YoungDiagram) -> Scalar:
 
 def twist(p: Params, d: YoungDiagram) -> Scalar:
     """Ribbon twist theta_d: the full twist, taken with the library's
-    framing sign, is central and acts on the block d of the |d|-strand
-    path model by its block trace over f_d; with the braid phase and
-    one curl scalar zeta^(s(1-N^2)) per strand, both lifted as one power
-    of zeta, theta of the single box is exactly the curl scalar."""
+    framing sign, is central, so it acts on the block d of the |d|-strand
+    path model as a scalar, read as the diagonal entry of one column;
+    with the braid phase and one curl scalar zeta^(s(1-N^2)) per strand,
+    both lifted as one power of zeta, theta of the single box is exactly
+    the curl scalar."""
     if d not in labels(p):
         raise ValueError(f"{d.rows} is not a label of the category")
     n = d.size
@@ -266,8 +262,7 @@ def twist(p: Params, d: YoungDiagram) -> Scalar:
     # every letter gives its inverse
     word = tuple(CURL_MATCH_SIGN * i for i in full_twist_word(n).word)
     j = gamma_n(p, n).index(d)
-    c = block_trace(model, j, word)
-    c = Scalar._make(c.field, list(c.num), c.den * len(model.blocks[j].paths))
+    c = block_matrix(model, j, word, [0])[0][0]
     return p.lift(c, braid_phase(p, BraidWord(n, word)) + n * CURL_MATCH_SIGN * (1 - p.N * p.N))
 
 
@@ -320,10 +315,12 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
     marked points colored by `marked`, via a caterpillar pair-of-pants
     decomposition: fold the fusion matrices of the labels into the
     vacuum vector, apply the handle operator sum_mu N_mu N_{mu-dagger}
-    per handle, and read off the vacuum coefficient.  A fold computes
-    only the fusion rows its vector reaches, each from fundamental rows
-    on at most |d|+|mu| strands (``_row``); a handle needs every label
-    pair, so the largest meets the path model's size check first."""
+    per handle, and read off the vacuum coefficient.  A fold (``_fold``)
+    computes only the fusion rows its vector reaches, row mu of N_d on
+    at most |d|+|mu| strands (``_row``).  Row nu of the handle operator
+    folds row nu of each N_mu into N_{mu-dagger}; it needs every label
+    pair, so the largest meets the path model's size check first, and
+    handles are applied by repeated squaring."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     labs = labels(p)
@@ -337,24 +334,23 @@ def mf_dim(p: Params, genus: int, marked: tuple[YoungDiagram, ...] | list[YoungD
     vec = [0] * size
     vec[index[YoungDiagram.of()]] = 1
     for d in marked:
-        out = [0] * size
-        for mu, c in zip(labs, vec):
-            if c:
-                out = [o + c * f for o, f in zip(out, _row(p, d, mu))]
-        vec = out
+        vec = _fold(p, d, vec)
     if genus:
-        handle = [[0] * size for _ in range(size)]
-        for mu in labs:
-            m1 = fusion_matrix(p, mu)
-            m2 = fusion_matrix(p, dagger(p, mu))
-            for i in range(size):
-                for j in range(size):
-                    handle[i][j] += sum(m1[i][k] * m2[k][j] for k in range(size))
+        # row nu of the handle operator: sum_mu (row nu of N_mu) N_{mu dagger}
+        handle = []
+        for nu in labs:
+            row = [0] * size
+            for mu in labs:
+                row = [r + x for r, x in zip(row, _fold(p, dagger(p, mu), _row(p, mu, nu)))]
+            handle.append(row)
+
+        def times(v, rows):
+            return [sum(c * r[j] for c, r in zip(v, rows) if c) for j in range(size)]
+
         while genus:
             if genus & 1:
-                vec = [sum(handle[i][j] * vec[i] for i in range(size)) for j in range(size)]
+                vec = times(vec, handle)
             genus >>= 1
             if genus:
-                handle = [[sum(handle[i][k] * handle[k][j] for k in range(size))
-                           for j in range(size)] for i in range(size)]
+                handle = [times(row, handle) for row in handle]
     return vec[index[YoungDiagram.of()]]

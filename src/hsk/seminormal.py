@@ -31,7 +31,7 @@ the weights' common denominator prod_{i<j} [j-i] through
 
 Three traces are read off the products below, and no other module
 reads their packed state.  ``block_trace`` is tr rho_lambda(word) on
-one block, over Q(q) (twists).  ``closure_trace`` is
+one block, over Q(q) (branching multiplicities).  ``closure_trace`` is
 zeta^k sum_lambda d_lambda tr rho_lambda(word), the Markov trace
 Tr = sum_lambda (d_lambda/[N]^n) tr rho_lambda times [N]^n and a
 phase, d_lambda the q-Weyl dimension prod_{i<j} [l_i-l_j+j-i]/[j-i]

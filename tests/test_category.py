@@ -719,7 +719,7 @@ class TestSMatrix:
 def _pair_matrix(p: Params, lam: YoungDiagram) -> tuple[tuple[int, ...], ...]:
     """The fusion matrix of lam from pair-route rows, one trace on the
     (|lam|+|mu|)-strand path model per row mu: the oracle of the
-    determinant rows that mf_dim folds."""
+    Pieri rows that mf_dim folds."""
     return tuple(modular._fusion_row(p, lam, mu) for mu in labels(p))
 
 

@@ -212,6 +212,16 @@ def commands() -> list[list[str]]:
             for kind in ("closure", "trace"):
                 cmds.append([kind, "--N", str(N), "--K", str(K), "--strands", str(n),
                              "--braid", word])
+    # fusion tables, S~ and the torus at theories whose label pairs need
+    # 10-16 strands, captured before fusion rows took one Pieri step: S~
+    # and the torus are refused at (4,2) and (3,3), and so is one
+    # 12-strand pair
+    for N, K in ((3, 3), (4, 2), (2, 5), (2, 8)):
+        cmds.append(["fusion", "--table", "--N", str(N), "--K", str(K)])
+    for N, K in ((2, 5), (4, 2), (3, 3)):
+        cmds.append(["smatrix", "--N", str(N), "--K", str(K)])
+        cmds.append(["mfdim", "--N", str(N), "--K", str(K), "--genus", "1"])
+    cmds.append(["fusion", "3,3", "3,3", "3", "--N", "3", "--K", "3"])
     return cmds
 
 

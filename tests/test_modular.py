@@ -7,8 +7,11 @@ diagonal of twists and p_+- = sum theta_lam^(+-1) d_lam^2:
     S~^2 = D^2 C,    p_+ p_- = D^2,    (S~ T^-1)^3 = p_- S~^2,
 
 and the Verlinde formula recovers every fusion coefficient exactly
-from S~.  Relative to these twists S~ is the complex conjugate of the
-s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds only where C = 1.
+from S~.  The exact Verlinde formula on the Kac-Peterson S~, which
+shares nothing with the Hecke algebra, is the fusion oracle beyond the
+pair route's reach.  Relative to these twists S~ is the complex
+conjugate of the s~ of Bakalov-Kirillov, so (S~ T)^3 = p_+ S~^2 holds
+only where C = 1.
 S~ is compared exactly with the Kac-Peterson sum over S_N, which
 verify builds from zeta powers alone.  Dimensions and twists are also
 compared with the closed forms of the benchmark's oracles, which import
@@ -210,9 +213,9 @@ REACH = THEORIES + [Params(2, 5), Params(4, 2), Params(3, 3)]
 
 @pytest.mark.parametrize("p", REACH, ids=lambda p: f"{p.N},{p.K}")
 def test_determinant_rows_equal_pair_rows(p):
-    """Row mu of det[E_{lam^t_i - i + j}] from the fundamental rows, each
-    traced on its shorter side, equals the pair route's trace of
-    lam (x) mu on every label pair with |lam| + |mu| <= 7."""
+    """Row mu of N_lam by Pieri's first-column step over the fundamental
+    rows, each traced on its shorter side, equals the pair route's trace
+    of lam (x) mu on every label pair with |lam| + |mu| <= 7."""
     modular._row.cache_clear()
     pairs = [(lam, mu) for lam in labels(p) for mu in labels(p) if lam.size + mu.size <= 7]
     for lam, mu in pairs:
@@ -223,9 +226,9 @@ def test_determinant_rows_equal_pair_rows(p):
 @pytest.mark.parametrize("p", [Params(3, 2), Params(4, 2), Params(3, 3), Params(2, 5)],
                          ids=lambda p: f"{p.N},{p.K}")
 def test_fusion_builds_no_model_beyond_its_pair(p, monkeypatch):
-    """Each Leibniz term's indices sum to |lam|, so fusion(lam, mu, nu),
-    from cold rows, builds no path model on more than |lam| + |mu|
-    strands."""
+    """A Pieri step reads E_c at labels rho with c + |rho| <= |lam| + |mu|
+    and rows of labels no larger than lam, so fusion(lam, mu, nu), from
+    cold rows, builds no path model on more than |lam| + |mu| strands."""
     built, traced = [], 0
     real = modular.path_model
     monkeypatch.setattr(modular, "path_model", lambda p, n: built.append(n) or real(p, n))
@@ -243,9 +246,58 @@ def test_fusion_builds_no_model_beyond_its_pair(p, monkeypatch):
     modular._row.cache_clear()
 
 
+def _exact_verlinde(p, labs):
+    """N[a][b][c] = N_{lam_a lam_b}^{lam_c} from the exact Kac-Peterson
+    S~ alone (S~_00 = 1), which shares nothing with the Hecke algebra:
+
+        N_{lam mu}^nu = sum_s S~_{lam s} S~_{mu s} conj(S~_{nu s}) / (S~_{0 s} D^2),
+
+    D^2 = sum_s S~_{0 s} conj(S~_{0 s}); every entry is checked to be a
+    nonnegative rational integer."""
+    S = _kac_peterson(p, labs)
+    k = range(len(labs))
+    dim2 = sum((S[0][s] * S[0][s].conjugate() for s in k), p.zero)
+    col = [(S[0][s] * dim2).inverse() for s in k]
+    conj = [[x.conjugate() for x in row] for row in S]
+    table = []
+    for a in k:
+        table.append([])
+        for b in k:
+            pair = [S[a][s] * S[b][s] * col[s] for s in k]
+            entries = []
+            for c in k:
+                x = sum((pair[s] * conj[c][s] for s in k), p.zero)
+                assert x.is_rational() and x.den == 1 and x.num[0] >= 0, (a, b, c)
+                entries.append(x.num[0])
+            table[a].append(tuple(entries))
+    return table
+
+
+@pytest.mark.parametrize("p", [Params(2, 1), Params(2, 2), Params(3, 1), Params(3, 2), Params(2, 3),
+                               Params(4, 1), Params(2, 5), Params(4, 2), Params(3, 3), Params(2, 6),
+                               Params(2, 8)], ids=lambda p: f"{p.N},{p.K}")
+def test_rows_equal_exact_verlinde(p):
+    """Every fusion row that _row does not refuse equals the exact
+    Verlinde row; wherever a label pair needs more than 7 strands, beyond
+    the pair route's test reach, some such row is compared."""
+    labs = labels(p)
+    table = _exact_verlinde(p, labs)
+    beyond = 0
+    for a, lam in enumerate(labs):
+        for b, mu in enumerate(labs):
+            try:
+                row = modular._row(p, lam, mu)
+            except ValueError:  # the path model on |lam| + |mu| strands is refused
+                continue
+            assert row == table[a][b], (lam.rows, mu.rows)
+            beyond += lam.size + mu.size > 7
+    assert beyond or 2 * max(d.size for d in labs) <= 7
+
+
 def test_negative_determinant_entry_is_refused(monkeypatch):
-    """Every determinant entry is checked: with E_1 read as zero at (2,2),
-    N_(2) = E_1^2 - E_2 E_0 = -1 on the diagonal."""
+    """Every entry of a Pieri row is checked: with E_1 read as zero at
+    (2,2), row ∅ of N_(2) = (row ∅ of N_(1)) E_1 - row ∅ of N_(1,1)
+    reads -1 at ∅, the strip (1,1) reducing to ∅."""
     p = Params(2, 2)
     modular._row.cache_clear()
     monkeypatch.setattr(modular, "_fundamental_row", lambda p, k, mu: (0,) * len(labels(p)))
