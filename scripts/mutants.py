@@ -41,7 +41,6 @@ SCALAR = "src/hsk/scalar.py"
 DIAGRAMS = "src/hsk/diagrams.py"
 HECKE = "src/hsk/hecke.py"
 LINALG = "src/hsk/linalg.py"
-CACHE = "src/hsk/cache.py"
 T_SEMI = "tests/test_seminormal.py::"
 T_REDUCE = "tests/test_trace.py::TestReduction::"
 T_CAT = "tests/test_category.py::"
@@ -158,7 +157,7 @@ MUTANTS = [
            "itemgetter(*((place[t] + 1) % len(place) * phi + k for t",
            [T_SEMI + "test_one_product_over_the_model_is_the_block_products",
             T_SEMI + "test_path_route_matches_t_route_on_mixed_words"]),
-    # the scalar field, the labels, the T basis, elimination and the disk cache
+    # the scalar field, the labels, the T basis and elimination
     Mutant("conjugation as the identity", SCALAR,
            "monomial_map(self.num, -1), self.den)", "monomial_map(self.num, 1), self.den)",
            ["tests/test_scalar.py::TestConjugation::test_matches_complex_conjugation"]),
@@ -173,9 +172,6 @@ MUTANTS = [
            "det = (-det if swapped else det) * d", "det = det * d",
            ["tests/test_linalg.py::test_determinant_leaves_input_unchanged",
             "tests/test_linalg.py::test_laplace_matches_elimination"]),
-    Mutant("fingerprint skipping seminormal.py", CACHE,
-           'if name.endswith(".py"):', 'if name.endswith(".py") and name != "seminormal.py":',
-           ["tests/test_cli.py::TestCache::test_fingerprint_reads_every_source_file"]),
 ]
 
 

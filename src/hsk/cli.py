@@ -20,13 +20,13 @@ compiling the sources is the remaining per-call floor beside the
 interpreter's own start.
 
 The T-basis outputs, `jw`, `yidem`, `gram --full` and `blocks --full`,
-are cached on disk (``hsk.cache``).  The last two read the radical and
-the central idempotents off one elimination of the path model's block
-matrices of the T_w (``category.purified_algebra``); `gram --full`
-also builds the n! x n! Gram matrix it prints.  Every other command
-reads the path model, which costs less than a cache read, and caches
-nothing.  The T-basis route and the cache module are imported only
-where they are used, so a path-model call never loads them.
+are computed on every call, like every other output; nothing is written
+to disk, and --cache DIR is accepted and ignored.  The last two read
+the radical and the central idempotents off one elimination of the path
+model's block matrices of the T_w (``category.purified_algebra``);
+`gram --full` also builds the n! x n! Gram matrix it prints.  The
+T-basis route is imported only where it is used, so a path-model call
+never loads it.
 """
 
 from __future__ import annotations
@@ -144,29 +144,22 @@ def _cmd_paths(p: Params, args):
 
 
 def _cmd_jw(p: Params, args):
-    from .cache import _cached
     from .hecke import jones_wenzl
 
-    return _cached(args, "jw", [args.strands, args.kind],
-                   lambda: jones_wenzl(p, args.strands, args.kind).to_json()), 0
+    return jones_wenzl(p, args.strands, args.kind).to_json(), 0
 
 
 def _cmd_yidem(p: Params, args):
-    from .cache import _cached
     from .hecke import young_idempotent
 
     d = _parse_diagram(args.diagram)
-
-    def compute():
-        y = young_idempotent(p, d)
-        return {
-            "diagram": list(d.rows),
-            "hook": y.hook.to_json(embed=True),
-            "quasi": y.quasi.to_json(),
-            "idempotent": None if y.idem is None else y.idem.to_json(),
-        }
-
-    return _cached(args, "yidem", [list(d.rows)], compute), 0
+    y = young_idempotent(p, d)
+    return {
+        "diagram": list(d.rows),
+        "hook": y.hook.to_json(embed=True),
+        "quasi": y.quasi.to_json(),
+        "idempotent": None if y.idem is None else y.idem.to_json(),
+    }, 0
 
 
 def _cmd_trace(p: Params, args):
@@ -185,11 +178,9 @@ def _cmd_gram(p: Params, args):
         d = purified_dim(p, args.strands)
         return {"n": args.strands, "form": args.form, "dim": d.dim + d.radical_dim,
                 "rank": d.dim, "kernel_dim": d.radical_dim}, 0
-    from .cache import _cached
     from .trace import gram
 
-    return _cached(args, "gram", [args.strands, args.form, True],
-                   lambda: gram(p, args.strands, args.form).to_json(True)), 0
+    return gram(p, args.strands, args.form).to_json(True), 0
 
 
 def _cmd_purify(p: Params, args):
@@ -199,11 +190,9 @@ def _cmd_purify(p: Params, args):
 def _cmd_blocks(p: Params, args):
     if not args.full:
         return block_summary(p, args.strands), 0
-    from .cache import _cached
     from .category import central_idempotents
 
-    return _cached(args, "blocks", [args.strands],
-                   lambda: central_idempotents(p, args.strands).to_json()), 0
+    return central_idempotents(p, args.strands).to_json(), 0
 
 
 def _cmd_fusion(p: Params, args):
@@ -358,7 +347,7 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--N", type=int, required=True, help="rank (N >= 2)")
     common.add_argument("--K", type=int, required=True, help="level (K >= 1)")
-    common.add_argument("--cache", metavar="DIR", help="cache directory")
+    common.add_argument("--cache", metavar="DIR", help="accepted and ignored; nothing is cached")
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
     for name in _COMMANDS if only is None else [only]:
         help_text, configure = _COMMANDS[name]

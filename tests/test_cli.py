@@ -1,16 +1,13 @@
-"""Command line interface: JSON output, exit codes, result cache.
+"""Command line interface: JSON output and exit codes.
 
 Exit code contract: 0 on success, 1 on domain errors (invalid diagram,
 strand limits, bad parameters), 2 on usage errors (malformed braid
 words, missing arguments, out-of-range verify bounds)."""
 
-import hashlib
-import importlib.util
 import json
 import math
 import os
 import pathlib
-import shutil
 import subprocess
 import sys
 import time
@@ -19,8 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hsk import Params, jones_wenzl, run_verify
-import hsk.cache
+from hsk import Params, run_verify
 from hsk import category, cli, hecke, linalg, perms, seminormal, trace, verify
 from hsk.cli import main
 
@@ -35,9 +31,8 @@ from test_category import forbid  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def _isolate_cwd(tmp_path, monkeypatch):
-    # the default cache directory is ./.hsk-cache; keep it out of the repo
+    # a call that wrote to its working directory would write here
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("HSK_CACHE", raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -666,115 +661,26 @@ class TestOneCommandParser:
         assert "{" + ",".join(COMMANDS) + "}" in full[1] + full[2]
 
 
-class TestCache:
-    """Only the T-basis outputs (jw, yidem, gram --full, blocks --full)
-    are cached; the entry tests run on jw and yidem."""
+# The four T-basis outputs, at (2,2).
+T_BASIS_OUTPUTS = {
+    "jw": ["jw", "--strands", "3", "--kind", "sym"],
+    "yidem": ["yidem", "2,1"],
+    "gram --full": ["gram", "--strands", "3", "--full"],
+    "blocks --full": ["blocks", "--strands", "3", "--full"],
+}
 
-    def test_cold_and_warm_agree(self, capsys, tmp_path):
-        cache = str(tmp_path / "c")
-        argv = ["jw", "--strands", "3", "--kind", "sym", "--N", "2", "--K", "2", "--cache", cache]
-        cold = run_cli(capsys, *argv)[1]
-        files = list((tmp_path / "c").glob("*.json"))
-        assert len(files) == 1
-        warm = run_cli(capsys, *argv)[1]
-        assert warm == cold
 
-    def test_entry_shape(self, capsys, tmp_path):
-        cache = str(tmp_path / "c")
-        run_cli(capsys, "yidem", "2", "--N", "2", "--K", "2", "--cache", cache)
-        entry = json.loads(next((tmp_path / "c").glob("*.json")).read_text())
-        assert set(entry) == {"version", "key", "checksum", "payload"}
-        assert entry["key"][1:3] == [2, 2]
-
-    def test_corrupt_entry_recomputed(self, capsys, tmp_path):
-        cache = str(tmp_path / "c")
-        argv = ["jw", "--strands", "3", "--kind", "sym", "--N", "2", "--K", "2", "--cache", cache]
-        cold = run_cli(capsys, *argv)[1]
-        target = next((tmp_path / "c").glob("*.json"))
-        target.write_text("{not json")
-        assert run_cli(capsys, *argv)[1] == cold
-        # tampered payload with stale checksum is ignored too
-        entry = json.loads(next((tmp_path / "c").glob("*.json")).read_text())
-        entry["payload"] = {"num": [[9, 1]], "den": 1, "embed": [9.0, 0.0]}
-        target.write_text(json.dumps(entry))
-        assert run_cli(capsys, *argv)[1] == cold
-
-    def test_entry_from_other_code_recomputed(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "c"
-        argv = ["jw", "--strands", "3", "--kind", "sym", "--N", "2", "--K", "2",
-                "--cache", str(cache)]
-        real = hsk.cache._code_fingerprint()
-        # an entry written by other code, with a wrong but well-formed payload
-        monkeypatch.setattr(hsk.cache, "_code_fingerprint", lambda: "0" * 16)
-        run_cli(capsys, *argv)
-        target = next(cache.glob("*.json"))
-        entry = json.loads(target.read_text())
-        entry["payload"] = {"den": 1, "num": [9] + [0] * 7, "embed": [9.0, 0.0]}
-        entry["checksum"] = hashlib.sha256(
-            hsk.cache.ResultCache._canon(entry["payload"]).encode()).hexdigest()
-        target.write_text(json.dumps(entry))
-        assert run_json(capsys, *argv)["num"][0] == 9  # that code still reads it
-        monkeypatch.setattr(hsk.cache, "_code_fingerprint", lambda: real)
-        want = jones_wenzl(Params(2, 2), 3, "sym").to_json()
-        assert run_json(capsys, *argv) == want
-        assert not target.exists()  # the write pruned the other code's entry
-        assert len(list(cache.glob("*.json"))) == 1
-
-    def test_fingerprint_reads_every_source_file(self, tmp_path):
-        """One byte appended to any .py file of the package changes the
-        fingerprint, on a copy of the package with its own cache module."""
-        pkg = tmp_path / "hsk"
-        shutil.copytree(pathlib.Path(hsk.cache.__file__).parent, pkg,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        spec = importlib.util.spec_from_file_location("hsk_cache_copy", pkg / "cache.py")
-        cache = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cache)  # the module imports only the standard library
-        sources = sorted(pkg.glob("*.py"))
-        assert len(sources) > 1
-        before = cache._code_fingerprint()
-        for path in sources:
-            with path.open("ab") as fh:
-                fh.write(b" ")
-            cache._code_fingerprint.cache_clear()
-            after = cache._code_fingerprint()
-            assert after != before, path.name
-            before = after
-
-    def test_pruning_spares_other_files(self, capsys, tmp_path):
-        cache = tmp_path / "c"
-        cache.mkdir()
-        stale = cache / ("0" * 16 + "-" + "1" * 32 + ".json")
-        unprefixed = cache / ("2" * 32 + ".json")
-        for f in (stale, unprefixed, cache / "notes.json", cache / "abc.json"):
-            f.write_text("{}")
-        run_cli(capsys, "yidem", "2", "--N", "2", "--K", "2", "--cache", str(cache))
-        assert not stale.exists() and not unprefixed.exists()
-        assert (cache / "notes.json").exists() and (cache / "abc.json").exists()
-        assert len(list(cache.glob("*.json"))) == 3
-        # the directory is pruned once per process: a later write leaves
-        # an entry of other code in place
-        stale.write_text("{}")
-        run_cli(capsys, "yidem", "1", "--N", "2", "--K", "2", "--cache", str(cache))
-        assert stale.exists()
-
-    def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HSK_CACHE", str(tmp_path / "envc"))
-        run_cli(capsys, "jw", "--strands", "2", "--kind", "antisym", "--N", "2", "--K", "1")
-        assert list((tmp_path / "envc").glob("*.json"))
-
-    def test_distinct_keys_distinct_files(self, capsys, tmp_path):
-        cache = str(tmp_path / "c")
-        run_cli(capsys, "yidem", "1", "--N", "2", "--K", "2", "--cache", cache)
-        run_cli(capsys, "yidem", "2", "--N", "2", "--K", "2", "--cache", cache)
-        run_cli(capsys, "yidem", "1", "--N", "2", "--K", "1", "--cache", cache)
-        assert len(list((tmp_path / "c").glob("*.json"))) == 3
-
-    def test_path_model_outputs_are_not_cached(self, capsys, tmp_path):
-        cache = tmp_path / "c"
-        cache.mkdir()
-        for argv in (["qdim", "2"], ["smatrix"], ["fusion", "--table"]):
-            run_json(capsys, *argv, "--N", "2", "--K", "2", "--cache", str(cache))
-        assert list(cache.iterdir()) == []
+@pytest.mark.parametrize("argv", T_BASIS_OUTPUTS.values(), ids=T_BASIS_OUTPUTS.keys())
+def test_cache_settings_are_ignored(capsys, tmp_path, monkeypatch, argv):
+    """--cache DIR and HSK_CACHE change nothing and write nothing."""
+    argv = argv + ["--N", "2", "--K", "2"]
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0, plain[2]
+    monkeypatch.setenv("HSK_CACHE", str(tmp_path / "env"))
+    assert run_cli(capsys, *argv, "--cache", str(tmp_path / "dir")) == plain
+    assert run_cli(capsys, *argv) == plain
+    for name in ("dir", "env", ".hsk-cache"):
+        assert not (tmp_path / name).exists(), name
 
 
 def test_import_leaves_numpy_unloaded():
@@ -798,7 +704,7 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def test_runs_without_numpy(tmp_path):
+def test_runs_without_numpy():
     # with every import of numpy failing, the T-basis verify call passes
     # and the full hermitian Gram matrix prints as the golden set has it
     golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
@@ -809,7 +715,7 @@ def test_runs_without_numpy(tmp_path):
     out = []
     for argv in (verify_argv, gram_argv):
         code = ("import sys\nsys.modules['numpy'] = None\nfrom hsk.cli import main\n"
-                f"sys.exit(main({argv + ['--cache', str(tmp_path)]!r}))\n")
+                f"sys.exit(main({argv!r}))\n")
         proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
@@ -817,7 +723,7 @@ def test_runs_without_numpy(tmp_path):
     assert out[1] == want
 
 
-def _loaded_after_path_model_commands(cache, modules) -> str:
+def _loaded_after_path_model_commands(modules) -> str:
     """Which of modules a fresh interpreter holds after running every
     path-model command through cli.main."""
     commands = [["labels"], ["qdim", "2,1"], ["twist", "2,1"], ["fusion", "1", "1", "2"],
@@ -830,7 +736,7 @@ def _loaded_after_path_model_commands(cache, modules) -> str:
         "from hsk.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"        assert main(argv + ['--N', '3', '--K', '2', '--cache', {str(cache)!r}]) == 0\n"
+        "        assert main(argv + ['--N', '3', '--K', '2']) == 0\n"
         f"print([m for m in {modules!r} if m in sys.modules])\n"
     )
     proc = _run_python(code)
@@ -838,17 +744,15 @@ def _loaded_after_path_model_commands(cache, modules) -> str:
     return proc.stdout
 
 
-def test_path_model_commands_leave_the_t_basis_unloaded(tmp_path):
-    # the disk cache, too, serves only the T-basis outputs
-    modules = T_BASIS + ("hsk.cache",)
-    assert _loaded_after_path_model_commands(tmp_path, modules) == "[]\n"
+def test_path_model_commands_leave_the_t_basis_unloaded():
+    assert _loaded_after_path_model_commands(T_BASIS) == "[]\n"
 
 
-def test_path_model_commands_load_no_dataclasses_or_fractions(tmp_path):
+def test_path_model_commands_load_no_dataclasses_or_fractions():
     # dataclasses (with inspect) and fractions (with decimal) are a fixed
     # start-up cost that no path-model call needs
     stdlib = ("dataclasses", "inspect", "fractions", "decimal")
-    assert _loaded_after_path_model_commands(tmp_path, stdlib) == "[]\n"
+    assert _loaded_after_path_model_commands(stdlib) == "[]\n"
 
 
 def test_import_loads_the_t_basis_on_demand():

