@@ -45,6 +45,18 @@ T_SEMI = "tests/test_seminormal.py::"
 T_REDUCE = "tests/test_trace.py::TestReduction::"
 T_CAT = "tests/test_category.py::"
 T_MOD = "tests/test_modular.py::"
+T_FOLD = "tests/test_trace.py::TestPhaseFold::"
+
+WEIGHT_CHECK = """\
+    for j, (block, (weight, _)) in enumerate(zip(model.blocks, matrices)):
+        if block.weight is not weight:
+            raise RuntimeError(f"block {j} weight differs from its weight matrix")
+"""
+MEMO_LOOKUP = """\
+    traces, key = model.traces, (word, phase)
+    if key in traces:
+        return traces[key]
+"""
 
 MUTANTS = [
     # the theory table's closed forms and entries built on demand
@@ -74,11 +86,21 @@ MUTANTS = [
     Mutant("weight matrices from block.weight", SEMINORMAL,
            "weights = [table[block.label] for block in model.blocks]",
            "weights = [block.weight for block in model.blocks]",
-           ["tests/test_trace.py::TestPhaseFold::test_replaced_block_weight_is_refused"]),
+           [T_FOLD + "test_replaced_block_weight_is_refused"]),
+    Mutant("D doubled", SEMINORMAL,
+           "num = [c * (wden // w.den) for c in w.num]", "num = [c * (2 * wden // w.den) for c in w.num]",
+           [T_FOLD + "test_integer_combination_matches_block_sum"]),
+    # the memo of closure traces
+    Mutant("memo keyed on (len(word), phase)", SEMINORMAL,
+           "traces, key = model.traces, (word, phase)", "traces, key = model.traces, (len(word), phase)",
+           [T_FOLD + "test_integer_combination_matches_block_sum"]),
+    Mutant("weight check moved after the memo lookup", SEMINORMAL,
+           WEIGHT_CHECK + MEMO_LOOKUP, MEMO_LOOKUP + WEIGHT_CHECK,
+           [T_FOLD + "test_replaced_block_weight_is_refused"]),
     # the closure's curl and its cancellation up to far commutation
     Mutant("curl off by one power of zeta", CLOSURE,
            "return p.zeta_pow(sign * (1 - p.N * p.N))", "return p.zeta_pow(sign * (2 - p.N * p.N))",
-           ["tests/test_trace.py::TestPhaseFold::test_curl_is_the_markov_formula"]),
+           [T_FOLD + "test_curl_is_the_markov_formula"]),
     Mutant("adjacent generators commute", CLOSURE,
            "last > at[g - 1][-1] and last > at[g + 1][-1] and", "last >= 0 and",
            [T_REDUCE + "test_far_commuting_pairs", T_REDUCE + "test_reduced_equals_unreduced"]),

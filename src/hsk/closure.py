@@ -34,13 +34,17 @@ merged across sigma_2 the same way, then dropped as in (d).  Each
 merge removes a letter of sigma_t and a kept word loses a strand, so
 the reduction ends; keeping a partly merged word could undo a merge
 from the other end and cycle.  A one-strand factor closes to [N].
-Every other factor is traced in the seminormal model (``seminormal.closure_trace``): the Markov trace is
-the weighted block sum (Wenzl, Invent. Math. 92 (1988)), so the
-closure is zeta^k sum_lambda d_lambda tr rho_lambda(bare word).  Its
-work is len(word) sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on
-7 strands at (3,2) against 7! = 5,040 permutations, and its one bound
-is the path model's size (``seminormal.check_size``), which a factor on
-fewer than 8 strands always meets since sum f_lambda^2 <= n!.  Nothing
+Every other factor is traced in the seminormal model
+(``seminormal.closure_trace``): the Markov trace is the weighted block
+sum (Wenzl, Invent. Math. 92 (1988)), so the closure is
+zeta^k sum_lambda d_lambda tr rho_lambda(bare word).  Its work is
+len(word) sum_lambda f_lambda^2, with sum f_lambda^2 = 233 on 7
+strands at (3,2) against 7! = 5,040 permutations; a factor already
+traced on its model, as conjugate and stabilised braids often reduce
+to, is read from the model's memo of closure traces instead
+(``PathModel.traces``).  The trace's one bound is the path model's
+size (``seminormal.check_size``), which a factor on fewer than 8
+strands always meets since sum f_lambda^2 <= n!.  Nothing
 here builds a permutation table or a trace vector; ``hsk trace`` prints
 [N]^-n times the closure.  The T expansion, [N]^n Tr(from_braid(b)) on
 the word as given (``trace._closure_unreduced``), is the oracle of the

@@ -40,8 +40,13 @@ model stores x -> d_lambda lift(x), from Q(q) to the ambient field, as
 an integer matrix per block over one common denominator D
 (``PathModel.weights``), so it sums the blocks' integer diagonals times
 these matrices and makes one scalar, over D s^len, not one per block.
-``fusion_trace`` is tr(P_t rho(word)^-1 P_s rho(word)) on one block,
-over Q(q), P_t and P_s projections onto sets of paths (fusion rows).
+Each model also keeps the closure traces it made (``PathModel.traces``),
+keyed on the exact (word, phase), at most TRACE_MEMO of them, so a
+factor that conjugate or stabilised braids reduce to again is traced
+once; the block weights are checked against their matrices on every
+call, a memo hit included.  ``fusion_trace`` is
+tr(P_t rho(word)^-1 P_s rho(word)) on one block, over Q(q), P_t and
+P_s projections onto sets of paths (fusion rows).
 Twists, fusion rows and S~ never build weight matrices.
 
 A product runs the word as one program per letter over a flat state,
@@ -90,6 +95,12 @@ __all__ = ["TRACE_LIMIT", "Block", "PathModel", "path_model", "dimension", "chec
 # elements; its order 8! also bounds the path model (``check_size``).
 TRACE_LIMIT = 8
 
+# Closure traces kept per path model (``closure_trace``), the oldest
+# dropped first.  A benchmark ``closures`` pass keeps at most 19 on one
+# model and ``run_verify`` at most 4; entries measured 450-620 bytes, so
+# the 16 models ``path_model`` caches hold about 2.5 MB at the bound.
+TRACE_MEMO = 256
+
 
 class Block(namedtuple("Block", "label paths weight")):
     """One block: its label, its paths (paths[t][k] = row of box k) and
@@ -98,7 +109,7 @@ class Block(namedtuple("Block", "label paths weight")):
     __slots__ = ()
 
 
-class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights")):
+class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights traces")):
     """The blocks of H_n's level-K quotient, with the integer programs
     of their generators (``_Programs``): ops[b] on block b alone, and
     whole on every block at once, rows numbered block after block.
@@ -115,7 +126,10 @@ class PathModel(namedtuple("PathModel", "p n blocks scale ops whole weights")):
     -1) under T_i.  weights is empty until the model's first closure,
     which puts in (D, matrices), matrices[b] the integer matrix of
     x -> D d_lambda lift(x) over one common denominator D
-    (``_weight_matrices``); nothing else reads it."""
+    (``_weight_matrices``); nothing else reads it.  traces maps each
+    (word, phase) that ``closure_trace`` traced on the model to its
+    value, at most TRACE_MEMO of them, the oldest dropped first; it goes
+    with the model when ``path_model`` evicts or clears it."""
 
     __slots__ = ()
 
@@ -246,7 +260,7 @@ def path_model(p: Params, n: int) -> PathModel:
                   for x in rows[d, sign][:1 + partner]))
     phi = p.subfield.phi
     ops = tuple(_Programs(theory, block_steps, scale, phi, False) for block_steps in steps)
-    return PathModel(p, n, tuple(blocks), scale, ops, _Programs(theory, whole, scale, phi, True), [])
+    return PathModel(p, n, tuple(blocks), scale, ops, _Programs(theory, whole, scale, phi, True), [], {})
 
 
 def _terms(theory: _Theory, d: int, sign: int, partner: bool, scale: int):
@@ -392,20 +406,31 @@ def closure_trace(model: PathModel, word: tuple[int, ...], phase: int) -> Scalar
     field, the word read as bare generators: the blocks' integer
     diagonals, from one product over the whole model, each times its
     block's integer weight matrix (``_weight_matrices``), summed in
-    integers, shifted by the phase and reduced once."""
-    diagonals = _diagonals(model.whole, word, [len(block.paths) for block in model.blocks])
+    integers, shifted by the phase and reduced once.  The blocks'
+    weights are checked against their matrices on every call; then a
+    (word, phase) already traced on this model is read from
+    ``model.traces``, and a new one is traced and kept there, the
+    oldest of TRACE_MEMO dropped first."""
     wden, matrices = _weight_matrices(model)
-    A = model.p.field
-    acc = [0] * A.phi
-    for j, (block, diagonal, (weight, cols)) in enumerate(zip(model.blocks, diagonals, matrices)):
+    for j, (block, (weight, _)) in enumerate(zip(model.blocks, matrices)):
         if block.weight is not weight:
             raise RuntimeError(f"block {j} weight differs from its weight matrix")
+    traces, key = model.traces, (word, phase)
+    if key in traces:
+        return traces[key]
+    diagonals = _diagonals(model.whole, word, [len(block.paths) for block in model.blocks])
+    A = model.p.field
+    acc = [0] * A.phi
+    for diagonal, (_, cols) in zip(diagonals, matrices):
         for t, col in zip(diagonal, cols):
             if t:
                 for s, x in col:
                     acc[s] += x * t
     num = A.monomial_map(acc, 1, phase)
-    return Scalar._make(A, num, wden * model.scale ** len(word))
+    if len(traces) >= TRACE_MEMO:
+        del traces[next(iter(traces))]
+    traces[key] = value = Scalar._make(A, num, wden * model.scale ** len(word))
+    return value
 
 
 def _weight_matrices(model: PathModel) -> tuple[int, tuple]:

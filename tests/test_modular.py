@@ -6,6 +6,7 @@ permutation, T the diagonal of twists and
 p_+- = sum theta_lam^(+-1) d_lam^2:
 
     S~^2 = D^2 C,    p_+ p_- = D^2,    (S~ T^-1)^3 = p_- S~^2,
+    p_+ = conj(p_-),    conj(p_-)^2 = D^2 zeta^(N K (N^2 - 1) / 2),
 
 and the Verlinde formula recovers every fusion coefficient exactly
 from S~.  The exact Verlinde formula on the Kac-Peterson S~, which
@@ -19,8 +20,6 @@ compared with the closed forms of the benchmark's oracles, which import
 no hsk, and modular-functor dimensions with the Verlinde formula.  None of the
 checks uses the balancing identity from which S~ is computed."""
 
-import cmath
-import math
 import pathlib
 import sys
 
@@ -80,10 +79,10 @@ def test_gauss_sums_multiply_to_the_global_dimension(p):
     plus = sum((t * x * x for t, x in zip(theta, d)), p.zero)
     minus = sum((t.inverse() * x * x for t, x in zip(theta, d)), p.zero)
     assert plus * minus == dim2
-    # arg p_+ = 2 pi c / 8 with the central charge c = K (N^2 - 1) / (N + K)
-    c = p.K * (p.N ** 2 - 1) / (p.N + p.K)
-    z = plus.embed()
-    assert z / abs(z) == pytest.approx(cmath.exp(2j * math.pi * c / 8), abs=1e-9)
+    # p_+ = conj(p_-) has phase exp(2 pi i c / 8), c = K (N^2 - 1) / (N + K)
+    # the central charge: conj(p_-)^2 = D^2 zeta^(N K (N^2 - 1) / 2)
+    assert plus == minus.conjugate()
+    assert minus.conjugate() ** 2 == dim2 * p.zeta_pow(p.N * p.K * (p.N ** 2 - 1) // 2)
 
 
 @pytest.mark.parametrize("p", THEORIES, ids=ids)

@@ -7,6 +7,7 @@ its mirror are mutually inverse, with the negative-crossing closure
 carrying the framing factor q^((N^2-1)/2N)."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -41,7 +42,7 @@ from hsk import (
 from hsk.hecke import _gen_step, random_element
 from hsk.perms import perm_table
 from hsk.linalg import positive_definite, rref
-from hsk import Scalar, closure, trace
+from hsk import Scalar, closure, seminormal, trace
 from hsk.closure import (CURL_MATCH_SIGN, _commute_cancel, _one_occurrence, _path_closure, _reduce,
                          braid_phase, full_twist_word)
 from hsk.scalar import _field
@@ -693,7 +694,11 @@ class TestPhaseFold:
 
     def test_replaced_block_weight_is_refused(self, monkeypatch):
         """A block weight swapped after the build no longer matches the
-        stored weight matrix, and the closure says so."""
+        stored weight matrix, and the closure says so: on a cold model,
+        whose matrices the skewed call builds, and again once the word's
+        trace is in the memo that the skewed model shares."""
+        p, b = Params(2, 2), BraidWord(3, (1, 2, 1, 2))
+        (factor,), _, _ = _reduce(b)
         real = closure.path_model
 
         def skewed(p, n):
@@ -701,9 +706,76 @@ class TestPhaseFold:
             first = model.blocks[0]._replace(weight=model.blocks[0].weight * 2)
             return model._replace(blocks=(first,) + model.blocks[1:])
 
+        path_model.cache_clear()
         monkeypatch.setattr(closure, "path_model", skewed)
         with pytest.raises(RuntimeError, match="weight matrix"):
-            closure_invariant(Params(2, 2), BraidWord(3, (1, 2, 1, 2)))
+            closure_invariant(p, b)
+        monkeypatch.setattr(closure, "path_model", real)
+        closure_invariant(p, b)
+        assert (factor.word, braid_phase(p, factor)) in path_model(p, factor.strands).traces
+        monkeypatch.setattr(closure, "path_model", skewed)
+        with pytest.raises(RuntimeError, match="weight matrix"):
+            closure_invariant(p, b)
+
+
+class TestTraceMemo:
+    """closure_trace keeps each (word, phase) it traced on its model in
+    ``model.traces``, at most TRACE_MEMO of them: a repeated factor makes
+    no second whole-model product."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = seminormal._diagonals
+        monkeypatch.setattr(seminormal, "_diagonals",
+                            lambda *args: calls.append(args[1]) or real(*args))
+        return calls
+
+    def test_repeated_word_makes_one_product(self, monkeypatch):
+        p, b = Params(3, 2), BraidWord(4, (1, -2, 3, 1, -2, 3))
+        path_model.cache_clear()
+        calls = self._spy(monkeypatch)
+        first = closure_invariant(p, b)
+        assert calls == [b.word]
+        assert closure_invariant(p, b) == first
+        assert calls == [b.word]
+
+    def test_conjugates_and_stabilisations_share_a_trace(self, monkeypatch):
+        """g w g^-1 and w sigma_n^(+-1) reduce to the factor w, which is
+        traced once; every value is the T expansion of its own word."""
+        p, w = Params(3, 2), (1, -2, 3, 1, -2, 3)
+        related = [BraidWord(4, (2,) + w + (-2,)), BraidWord(4, (-2,) + w + (2,)),
+                   BraidWord(5, w + (4,)), BraidWord(5, w + (-4,))]
+        for b in related:
+            assert _reduce(b)[0] == [BraidWord(4, w)], b
+        path_model.cache_clear()
+        calls = self._spy(monkeypatch)
+        for b in [BraidWord(4, w)] + related:
+            assert closure_invariant(p, b) == _closure_unreduced(p, b), b
+        assert calls == [w]
+
+    def test_rebuilt_model_starts_empty(self):
+        p, b = Params(2, 2), BraidWord(3, (1, -2, 1, -2, -2))
+        _path_closure(p, b)
+        old = path_model(p, 3)
+        assert (b.word, braid_phase(p, b)) in old.traces
+        path_model.cache_clear()
+        new = path_model(p, 3)
+        assert new is not old and new.traces == {}
+
+    def test_memo_keeps_the_newest_up_to_its_bound(self):
+        p = Params(2, 2)
+        path_model.cache_clear()
+        model = path_model(p, 3)
+        words = list(itertools.islice(itertools.product((1, -1, 2, -2), repeat=5),
+                                      seminormal.TRACE_MEMO + 8))
+        for word in words:
+            b = BraidWord(3, word)
+            assert _path_closure(p, b) == _block_sum(p, b), word
+            assert len(model.traces) <= seminormal.TRACE_MEMO
+        assert len(model.traces) == seminormal.TRACE_MEMO
+        phases = [braid_phase(p, BraidWord(3, word)) for word in words]
+        assert list(model.traces) == list(zip(words, phases))[8:]
 
 
 @pytest.mark.parametrize("N,K", [(2, 3), (2, 4), (3, 3)])
